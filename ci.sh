@@ -297,6 +297,14 @@ go test -run 'TestTierOptBitIdentical' .
 echo "== bbv differential"
 go test -run 'TestBBVVsSplitBenchmarks|TestBBVConformanceAcrossStrategies|TestBBVFaultDifferential|TestBBVVersionCapBound|TestBBVShapeInvalidation' .
 
+# Register-allocation differential: vm.CheckAllocation over every Code
+# the benchmarks and conformance programs compile under every preset,
+# tier and strategy; allocated vs un-allocated assembly bit-identical
+# (value, RunStats, compile record, fault backtraces); and the frame
+# footprint that buys (warm calls allocate none, deep recursion < 32 MB).
+echo "== regalloc differential"
+go test -run 'TestRegAllocChecked|TestRegAllocBitIdentical|TestWarmCallsDoNotAllocateFrames|TestDeepRecursionFootprint' .
+
 # Server smoke: boot selfserved on an ephemeral port and drive it with
 # selfload over >= 8 concurrent connections. Asserts, from the server's
 # own /metrics: compile-once under steady load (codecache misses stop
@@ -406,6 +414,8 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzNativeDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzBBVDifferential"
     go test -run '^$' -fuzz '^FuzzBBVDifferential$' -fuzztime 10s .
+    echo "== fuzz smoke: FuzzRegAllocDifferential"
+    go test -run '^$' -fuzz '^FuzzRegAllocDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzImageDecode"
     go test -run '^$' -fuzz '^FuzzImageDecode$' -fuzztime 10s ./internal/image
 fi

@@ -1,0 +1,55 @@
+package selfgo
+
+import (
+	"testing"
+	"time"
+)
+
+// TestCompileLogAggregates: every /eval reply reads the total compile
+// time and the per-tier counts, so neither may walk or copy the log.
+// After 10^5 compilations both are served from running aggregates —
+// totalCompileTime allocates nothing, TierCounts only its small result
+// map — and both agree with a fresh walk of CompileLog().
+func TestCompileLogAggregates(t *testing.T) {
+	sys, err := NewSystem(NewSELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := []string{"baseline", "optimizing", "native", "degraded"}
+	for i := 0; i < 100_000; i++ {
+		e := MethodCompile{Name: "m", Tier: tiers[i%7%len(tiers)]}
+		e.Stats.Duration = time.Duration(i%13) * time.Microsecond
+		sys.log.add(e)
+	}
+
+	var total time.Duration
+	counts := map[string]int{}
+	for _, e := range sys.CompileLog() {
+		total += e.Stats.Duration
+		counts[e.Tier]++
+	}
+	if got := sys.totalCompileTime(); got != total {
+		t.Errorf("totalCompileTime = %v, a walk of the log says %v", got, total)
+	}
+	got := sys.TierCounts()
+	if len(got) != len(counts) {
+		t.Errorf("TierCounts = %v, a walk of the log says %v", got, counts)
+	}
+	for tier, n := range counts {
+		if got[tier] != n {
+			t.Errorf("TierCounts[%s] = %d, a walk of the log says %d", tier, got[tier], n)
+		}
+	}
+	got["baseline"] = -1 // the result is the caller's own copy
+	if sys.TierCounts()["baseline"] != counts["baseline"] {
+		t.Error("TierCounts handed out its internal map")
+	}
+
+	if n := testing.AllocsPerRun(100, func() { sys.totalCompileTime() }); n != 0 {
+		t.Errorf("totalCompileTime allocates %.0f times per call with 10^5 entries logged", n)
+	}
+	// A four-entry map is one header and one bucket group.
+	if n := testing.AllocsPerRun(100, func() { sys.TierCounts() }); n > 2 {
+		t.Errorf("TierCounts allocates %.0f times per call with 10^5 entries logged, want only its result map", n)
+	}
+}

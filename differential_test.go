@@ -169,7 +169,8 @@ func (g *progGen) generate(nVars, nVecs, nStmts int) string {
 
 // TestDifferentialRandomPrograms cross-checks all six compiler
 // configurations on generated programs: any disagreement is a
-// miscompilation in one of them.
+// miscompilation in one of them. Each run also goes through the
+// register-allocation oracles (validator, allocated vs raw).
 func TestDifferentialRandomPrograms(t *testing.T) {
 	n := 40
 	if testing.Short() {
@@ -183,16 +184,35 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			var ref int64
 			var refCfg string
 			for i, cfg := range Configs() {
-				sys, err := NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
+				run := func() *Result {
+					sys, err := NewSystem(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.LoadSource(src); err != nil {
+						t.Fatalf("seed %d does not parse: %v\n%s", seed, err, src)
+					}
+					res, err := sys.Call("fuzzMain")
+					if err != nil {
+						t.Fatalf("[%s] seed %d: %v\n%s", cfg.Name, seed, err, src)
+					}
+					return res
 				}
-				if err := sys.LoadSource(src); err != nil {
-					t.Fatalf("seed %d does not parse: %v\n%s", seed, err, src)
-				}
-				res, err := sys.Call("fuzzMain")
-				if err != nil {
-					t.Fatalf("[%s] seed %d: %v\n%s", cfg.Name, seed, err, src)
+				// Under the two presets that shape code most differently
+				// (everything out of line; everything inlined) every
+				// allocation is checked, and the run must be bit-identical
+				// to one on un-allocated code.
+				var res *Result
+				if cfg.Name == ST80.Name || cfg.Name == NewSELF.Name {
+					var raw *Result
+					WithCheckedAssembly(t, func() { res = run() })
+					WithRawAssembly(func() { raw = run() })
+					if raw.Value.I() != res.Value.I() || raw.Run != res.Run || raw.Compile != res.Compile {
+						t.Errorf("seed %d [%s]: register allocation changed the run:\nallocated: %d %+v\nraw:       %d %+v\n%s",
+							seed, cfg.Name, res.Value.I(), res.Run, raw.Value.I(), raw.Run, src)
+					}
+				} else {
+					res = run()
 				}
 				if i == 0 {
 					ref, refCfg = res.Value.I(), cfg.Name

@@ -45,6 +45,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 		name = fmt.Sprintf("%s>>%s", rmap.Name, meth.Sel)
 	}
 	g := ir.NewGraph(name)
+	g.NumParams = len(meth.Ast.Params)
 	cp.g = g
 
 	sc := &scope{kind: methodScope, vars: map[string]ir.Reg{}, params: map[string]bool{}}
@@ -97,6 +98,7 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, upNames []string, fb *types.Fe
 	cp := newCompilation(c)
 	cp.fb = fb
 	g := ir.NewGraph(fmt.Sprintf("block@%s", blk.P))
+	g.NumParams = len(blk.Params)
 	cp.g = g
 
 	sc := &scope{kind: blockScope, compiledBlock: true, vars: map[string]ir.Reg{}, params: map[string]bool{}, upNames: map[string]bool{}}

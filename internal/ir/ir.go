@@ -185,8 +185,11 @@ type Graph struct {
 	Name    string
 	Entry   *Node
 	NumRegs int
-	nodes   []*Node
-	nextID  int
+	// NumParams is how many arguments the method or block takes: the
+	// back end passes them in registers 2 onwards (0 is self).
+	NumParams int
+	nodes     []*Node
+	nextID    int
 }
 
 // NewGraph returns an empty graph with a Start entry node.

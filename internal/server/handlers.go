@@ -344,6 +344,7 @@ type statuszView struct {
 	Tiers          map[string]int       `json:"tiers"`
 	Promotions     *wire.PromotionsJSON `json:"promotions"`
 	BBV            statuszBBV           `json:"bbv"`
+	Frames         selfgo.FrameStats    `json:"frames"` // mirrors the selfgo_frame_* metrics
 }
 
 type statuszCache struct {
@@ -393,5 +394,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			Versions: s.m.bbvVersions.Value(),
 			CapHits:  s.m.bbvCapHits.Value(),
 		},
+		Frames: selfgo.FrameStats{Allocs: s.m.frameAllocs.Value(), Reuses: s.m.frameReuses.Value(),
+			PoolBytes: s.m.framePoolBytes.Value()},
 	})
 }

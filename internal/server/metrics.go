@@ -33,6 +33,12 @@ type serverMetrics struct {
 	// Basic-block versioning activity (zero under the split strategy).
 	bbvVersions *metrics.Counter
 	bbvCapHits  *metrics.Counter
+
+	// Activation-frame traffic of the worker VMs, folded in as each
+	// worker returns to the pool. Host-side, not modelled.
+	frameAllocs    *metrics.Counter
+	frameReuses    *metrics.Counter
+	framePoolBytes *metrics.Gauge
 }
 
 func (s *Server) registerMetrics() {
@@ -71,6 +77,13 @@ func (s *Server) registerMetrics() {
 		"Basic-block versions materialized across all requests (0 under the split strategy).")
 	s.m.bbvCapHits = r.Counter("selfgo_bbv_cap_hits_total",
 		"Version-cap hits: block entries that fell back to the generic version.")
+
+	s.m.frameAllocs = r.Counter("selfgo_frame_allocs_total",
+		"Activation register files the worker VMs allocated (a warm server allocates none).")
+	s.m.frameReuses = r.Counter("selfgo_frame_reuses_total",
+		"Activations served by a register file from a worker VM's frame pool.")
+	s.m.framePoolBytes = r.Gauge("selfgo_frame_pool_bytes",
+		"Bytes of register files the worker VMs' frame pools hold (bounded per VM; must plateau).")
 
 	// Server gauges: read straight off the live state.
 	r.GaugeFunc("selfserved_in_flight",

@@ -511,6 +511,10 @@ func (s *Server) release(sys *selfgo.System) {
 	// — flip the epoch dirty, and Reset abandons its chunks to the Go
 	// heap instead, so every surviving reference stays valid.
 	sys.ResetArena()
+	fs := sys.TakeFrameStats()
+	s.m.frameAllocs.Add(fs.Allocs)
+	s.m.frameReuses.Add(fs.Reuses)
+	s.m.framePoolBytes.Add(fs.PoolBytes)
 	s.pool <- sys
 }
 

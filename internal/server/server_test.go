@@ -734,3 +734,54 @@ func TestPoolGaugesTrackOccupancy(t *testing.T) {
 		t.Fatalf("pool_in_use_peak = %v (ok=%v) after load, want >= 1", peak, ok)
 	}
 }
+
+// TestFrameMetricsPlateau: the frame counters reach /metrics and
+// /statusz, and a warm server allocates no register files — every
+// activation reuses a pooled one, so allocs and pool bytes stop moving
+// while reuses keep climbing (what a soak asserts over hours).
+func TestFrameMetricsPlateau(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: 1})
+	const req = `{"program": "down: n = ( (n = 0) ifTrue: [ 0 ] False: [ 1 + (down: n - 1) ] ).", "expr": "down: 50"}`
+	scrape := func() (allocs, reuses, bytes float64) {
+		for name, dst := range map[string]*float64{"selfgo_frame_allocs_total": &allocs,
+			"selfgo_frame_reuses_total": &reuses, "selfgo_frame_pool_bytes": &bytes} {
+			v, ok := scrapeGauge(t, ts.URL, name)
+			if !ok {
+				t.Fatalf("/metrics has no %s", name)
+			}
+			*dst = v
+		}
+		return
+	}
+	for i := 0; i < 3; i++ {
+		if code, res := postJSON(t, ts.URL+"/eval", req); code != http.StatusOK || res.Int != 50 {
+			t.Fatalf("status %d: %+v", code, res)
+		}
+	}
+	allocs, reuses, bytes := scrape()
+	if allocs < 50 || bytes <= 0 {
+		t.Fatalf("50-deep recursion left allocs=%v pool bytes=%v", allocs, bytes)
+	}
+	for i := 0; i < 5; i++ {
+		postJSON(t, ts.URL+"/eval", req)
+	}
+	allocs2, reuses2, bytes2 := scrape()
+	if allocs2 != allocs || bytes2 != bytes || reuses2 < reuses+5*50 {
+		t.Errorf("warm requests moved the pool: allocs %v -> %v, bytes %v -> %v, reuses %v -> %v",
+			allocs, allocs2, bytes, bytes2, reuses, reuses2)
+	}
+
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view statuszView
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(view.Frames.Allocs) != allocs2 || float64(view.Frames.PoolBytes) != bytes2 || view.Frames.Reuses == 0 {
+		t.Errorf("statusz frames %+v disagree with /metrics (allocs %v, bytes %v)", view.Frames, allocs2, bytes2)
+	}
+}

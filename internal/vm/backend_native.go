@@ -404,16 +404,10 @@ func lowerInstrOp(c *Code, pc int, in *Instr) (nativeOp, error) {
 		}, nil
 
 	case ir.Call:
-		dst, callee := in.Dst, in.Callee
+		dst := in.Dst
 		hasDst := dst != ir.NoReg
-		recvReg, argRegs := in.Args[0], in.Args[1:]
 		return func(vm *VM, fr *frame) (int, error) {
-			vm.Stats.Calls++
-			code, cerr := vm.CodeFor(callee.Meth, callee.RMap)
-			if cerr != nil {
-				return 0, cerr
-			}
-			v, cerr := vm.invoke(code, fr.regs[recvReg], vm.argVals(argRegs, fr), nil)
+			v, cerr := vm.execCall(in, fr, c)
 			if cerr != nil {
 				return 0, cerr
 			}

@@ -36,7 +36,8 @@ type Instr struct {
 	// is used. For checked Arith, F is the overflow target.
 	T, F int
 
-	// IC indexes the code's inline-cache array for Send instructions.
+	// IC indexes the code's inline-cache array for Send and Call
+	// instructions (a Call uses only the entry's callee-code memo).
 	IC int
 
 	// Resume, for MkBlk instructions whose block non-locally returns
@@ -71,6 +72,12 @@ type Instr struct {
 // value far outside the ir range.
 const opJmp ir.Op = 250
 
+// jump builds the jump to pc; like every instruction it names absent
+// register operands NoReg.
+func jump(pc int) Instr {
+	return Instr{Op: opJmp, T: pc, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, FailBlk: ir.NoReg}
+}
+
 // inlineCache is the per-call-site monomorphic cache of Deutsch &
 // Schiffman, rewritten on each miss. With PICs enabled it extends into
 // a small polymorphic cache checked after the monomorphic entry.
@@ -78,7 +85,7 @@ type inlineCache struct {
 	m      *obj.Map
 	slot   *obj.Slot
 	holder *obj.Object // inherited data slots live in the holder object
-	code   *Code
+	code   *Code       // what a method slot compiles to for m; nil until first invoked
 
 	pic []picEntry
 }
@@ -87,6 +94,7 @@ type picEntry struct {
 	m      *obj.Map
 	slot   *obj.Slot
 	holder *obj.Object
+	code   *Code
 }
 
 // picEntries bounds the polymorphic cache, as in the SELF PIC work.
@@ -159,9 +167,17 @@ func (h *HotCounts) Seed(invocations, backedges int64, requested bool) {
 type Code struct {
 	Name    string
 	Instrs  []Instr
-	NumRegs int
+	NumRegs int // frame slots an activation needs (after register allocation)
 	Bytes   int // modelled code size
 	ics     []inlineCache
+
+	// NumParams is how many arguments an activation takes; invoke stores
+	// them in registers RegParamBase onwards.
+	NumParams int
+
+	// VirtRegs is how many virtual registers the compiler minted for
+	// this code, before allocRegs renamed them; diagnostics only.
+	VirtRegs int
 
 	// IsBlock marks out-of-line block code (self arrives via the
 	// closure, parameters start at register 2).
@@ -205,12 +221,32 @@ type Code struct {
 	bbv *bbv.State
 }
 
-// Assemble linearizes a control flow graph: dead pure instructions are
-// dropped, common paths are laid out first, and uncommon (failure)
-// paths are moved out of line after the main body — the layout the
-// paper's compiler used for failure blocks.
+// Assemble linearizes a control flow graph (see linearize) and renames
+// its virtual registers onto a dense slot file (see allocRegs), so
+// every consumer — the pipeline, tools, the benchmark's probes — gets
+// allocated code from the one assembler.
 func Assemble(g *ir.Graph) *Code {
-	c := &Code{Name: g.Name, NumRegs: g.NumRegs, Bytes: SizePrologue}
+	c := linearize(g)
+	allocRegs(c)
+	if TestHookAssemble != nil {
+		return TestHookAssemble(linearize(g), c)
+	}
+	return c
+}
+
+// TestHookAssemble, when non-nil, sees every assembled Code next to its
+// un-allocated linearization and chooses which Assemble returns. The
+// allocation oracles live in other packages' tests, hence the exported
+// name; set only by tests, and only while no compilation is running.
+var TestHookAssemble func(raw, c *Code) *Code
+
+// linearize lays a control flow graph out as an instruction stream over
+// the graph's virtual registers: dead pure instructions are dropped,
+// common paths are laid out first, and uncommon (failure) paths are
+// moved out of line after the main body — the layout the paper's
+// compiler used for failure blocks.
+func linearize(g *ir.Graph) *Code {
+	c := &Code{Name: g.Name, NumRegs: g.NumRegs, VirtRegs: g.NumRegs, NumParams: g.NumParams, Bytes: SizePrologue}
 	dead := deadNodes(g)
 
 	type work struct{ n *ir.Node }
@@ -249,7 +285,7 @@ func Assemble(g *ir.Graph) *Code {
 			return nil
 		}
 		if p, done := pc[s]; done {
-			emit(Instr{Op: opJmp, T: p}, SizeSimple)
+			emit(jump(p), SizeSimple)
 			return nil
 		}
 		return s
@@ -259,7 +295,7 @@ func Assemble(g *ir.Graph) *Code {
 		for n != nil {
 			if p, done := pc[n]; done {
 				_ = p
-				emit(Instr{Op: opJmp, T: p}, SizeSimple)
+				emit(jump(p), SizeSimple)
 				return
 			}
 			pc[n] = len(c.Instrs)
@@ -305,7 +341,7 @@ func Assemble(g *ir.Graph) *Code {
 			default:
 				if !dead[n] {
 					in := instrOf(n)
-					if n.Op == ir.Send {
+					if n.Op == ir.Send || n.Op == ir.Call {
 						in.IC = len(c.ics)
 						c.ics = append(c.ics, inlineCache{})
 					}
@@ -464,7 +500,7 @@ func deadNodes(g *ir.Graph) map[*ir.Node]bool {
 // Disasm renders the code for tests and cmd/selfc.
 func (c *Code) Disasm() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "code %s: %d instrs, %d regs, %d bytes\n", c.Name, len(c.Instrs), c.NumRegs, c.Bytes)
+	fmt.Fprintf(&b, "code %s: %d instrs, %d regs (of %d virtual), %d bytes\n", c.Name, len(c.Instrs), c.NumRegs, c.VirtRegs, c.Bytes)
 	for i, in := range c.Instrs {
 		fmt.Fprintf(&b, "  %3d: %s\n", i, in.String())
 	}

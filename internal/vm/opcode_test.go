@@ -13,8 +13,9 @@ import (
 func runGraph(t *testing.T, w *obj.World, g *ir.Graph, recv obj.Value, args ...obj.Value) (obj.Value, *VM) {
 	t.Helper()
 	machine := &VM{World: w}
+	g.NumParams = len(args)
 	code := Assemble(g)
-	v, err := machine.invoke(code, recv, args, nil)
+	v, err := machine.invoke(code, recv, args)
 	if err != nil {
 		t.Fatalf("exec: %v\n%s", err, code.Disasm())
 	}
@@ -322,7 +323,7 @@ func TestOpPrimOpAllSelectors(t *testing.T) {
 		nodes = append(nodes, p, ret)
 		chain(g, nodes...)
 		machine := &VM{World: w}
-		return machine.invoke(Assemble(g), obj.Nil(), nil, nil)
+		return machine.invoke(Assemble(g), obj.Nil(), nil)
 	}
 	vec := obj.Obj(w.NewVector(4, obj.Int(2)))
 
@@ -393,7 +394,7 @@ func TestOpFail(t *testing.T) {
 	fl.A = msg
 	chain(g, cm, fl)
 	machine := &VM{World: w}
-	_, err := machine.invoke(Assemble(g), obj.Nil(), nil, nil)
+	_, err := machine.invoke(Assemble(g), obj.Nil(), nil)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("got %v", err)
 	}

@@ -19,46 +19,64 @@ import "selfgo/internal/obj"
 //     Values; getFrame clears the reused prefix so no activation can
 //     observe a previous activation's registers.
 //
+// No frame is too big to pool: a register file too small for its next
+// activation grows to a power-of-two size class, so a VM's frames
+// converge on a few sizes, and what bounds the pool is the bytes it
+// holds — deeper recursion than that spills to the allocator.
+//
 // Modelled Allocs accounting is untouched: it counts guest-level
 // allocations (vectors, clones, closures), not Go frame allocations.
 const (
-	// maxPoolFrames bounds the freelist; deeper recursion spills to the
-	// allocator rather than pinning an arbitrarily large high-water
-	// mark of register files.
-	maxPoolFrames = 128
-	// maxPoolRegs bounds the register files worth keeping; oversized
-	// outliers are dropped.
-	maxPoolRegs = 256
+	maxPoolBytes = 1 << 20
+	minFrameRegs = 8 // the smallest size class
 )
 
+// FrameStats is the host-side cost of this VM's activations: register
+// files allocated, register files reused from the pool, and the bytes
+// the pool holds now. Not modelled quantities, hence not in RunStats.
+type FrameStats struct {
+	Allocs    int64 `json:"allocs"`
+	Reuses    int64 `json:"reuses"`
+	PoolBytes int64 `json:"pool_bytes"`
+}
+
 // getFrame returns a frame with a zeroed n-register file, reusing a
-// pooled frame when one fits. Callers overwrite up and home
+// pooled frame when there is one. Callers overwrite up and home
 // unconditionally.
 func (vm *VM) getFrame(n int) *frame {
+	var fr *frame
 	if k := len(vm.freeFrames) - 1; k >= 0 {
-		fr := vm.freeFrames[k]
+		fr = vm.freeFrames[k]
 		vm.freeFrames[k] = nil
 		vm.freeFrames = vm.freeFrames[:k]
+		vm.Frames.PoolBytes -= int64(cap(fr.regs)) * obj.ValueBytes
+		*fr = frame{regs: fr.regs}
 		if cap(fr.regs) >= n {
+			vm.Frames.Reuses++
 			fr.regs = fr.regs[:n]
 			clear(fr.regs)
-		} else {
-			fr.regs = make([]obj.Value, n)
+			return fr
 		}
-		fr.up = nil
-		fr.home = homeRef{}
-		fr.dead = false
-		fr.escaped = false
-		return fr
 	}
-	return &frame{regs: make([]obj.Value, n)}
+	vm.Frames.Allocs++
+	class := minFrameRegs
+	for class < n {
+		class <<= 1
+	}
+	if fr == nil {
+		fr = &frame{}
+	}
+	fr.regs = make([]obj.Value, n, class)
+	return fr
 }
 
 // putFrame returns a dead frame to the pool, unless a closure pinned it
-// (escaped) or it is not worth keeping.
+// (escaped) or the pool is full.
 func (vm *VM) putFrame(fr *frame) {
-	if fr.escaped || len(vm.freeFrames) >= maxPoolFrames || cap(fr.regs) > maxPoolRegs {
+	b := int64(cap(fr.regs)) * obj.ValueBytes
+	if fr.escaped || vm.Frames.PoolBytes+b > maxPoolBytes {
 		return
 	}
+	vm.Frames.PoolBytes += b
 	vm.freeFrames = append(vm.freeFrames, fr)
 }

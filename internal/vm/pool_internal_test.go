@@ -7,7 +7,7 @@ import (
 )
 
 // TestGetPutFrame: the freelist unit contract — zeroing on reuse,
-// escaped frames dropped, size caps respected.
+// escaped frames dropped, growth by size class, bounded by bytes.
 func TestGetPutFrame(t *testing.T) {
 	vm := &VM{}
 
@@ -53,18 +53,39 @@ func TestGetPutFrame(t *testing.T) {
 		t.Fatalf("escaped frame entered the pool")
 	}
 
-	// Oversized register files are dropped.
-	big := vm.getFrame(maxPoolRegs + 1)
-	vm.putFrame(big)
-	if len(vm.freeFrames) != 0 {
-		t.Fatalf("oversized frame entered the pool")
+	// No register file is too big to pool, and one that is too small for
+	// its next activation grows to a size class, so repeated wide calls
+	// settle on one file instead of reallocating every time.
+	small := vm.getFrame(4)
+	vm.putFrame(small)
+	big := vm.getFrame(1000)
+	if big != small || cap(big.regs) != 1024 {
+		t.Fatalf("pooled frame regrown to cap %d (same frame: %v), want the same frame at 1024", cap(big.regs), big == small)
+	}
+	allocs := vm.Frames.Allocs
+	for i := 0; i < 100; i++ {
+		vm.putFrame(big)
+		if again := vm.getFrame(999); again != big {
+			t.Fatalf("wide frame left the pool")
+		}
+	}
+	if vm.Frames.Allocs != allocs || vm.Frames.Reuses < 100 {
+		t.Fatalf("wide calls allocated: %+v (allocs were %d)", vm.Frames, allocs)
+	}
+	if vm.Frames.PoolBytes != 0 {
+		t.Fatalf("empty pool holds %d bytes", vm.Frames.PoolBytes)
 	}
 
-	// The pool is bounded.
-	for i := 0; i < maxPoolFrames+10; i++ {
-		vm.putFrame(&frame{regs: make([]obj.Value, 4)})
-	}
-	if len(vm.freeFrames) != maxPoolFrames {
-		t.Fatalf("pool size = %d, want capped at %d", len(vm.freeFrames), maxPoolFrames)
+	// The pool is bounded by the bytes it holds, whatever the frame size.
+	for _, regs := range []int{4, 1000} {
+		vm.freeFrames, vm.Frames = nil, FrameStats{}
+		for i := 0; i < 3*maxPoolBytes/(regs*int(obj.ValueBytes)); i++ {
+			vm.putFrame(&frame{regs: make([]obj.Value, regs)})
+		}
+		held := int64(len(vm.freeFrames)) * int64(regs) * obj.ValueBytes
+		if held != vm.Frames.PoolBytes || held > maxPoolBytes || held < maxPoolBytes-int64(regs)*obj.ValueBytes {
+			t.Fatalf("%d-register frames: pool holds %d bytes (counted %d), want just under %d",
+				regs, held, vm.Frames.PoolBytes, maxPoolBytes)
+		}
 	}
 }

@@ -1,0 +1,315 @@
+package vm
+
+import (
+	"math/bits"
+
+	"selfgo/internal/ir"
+)
+
+// Register allocation: the compiler mints one virtual register per
+// temporary of every inlined and split method body, so a big method
+// names a thousand registers of which a handful are live at a time.
+// allocRegs renames them onto a dense slot file, so an activation costs
+// its live values. It is a pure renaming of the unfused stream — nothing
+// is added, removed or reordered — so pcs, Instrs, Cycles, Bytes and
+// backtraces cannot move. (DESIGN.md §6k has the full argument.)
+//
+// Block-level liveness feeds an interference relation (a written
+// register conflicts with everything live before or after its
+// instruction, which also keeps a Dst off its own operands), and
+// registers are coloured greedily in order of first appearance. Failure
+// paths sit out of line at the end of the stream, so a live range is a
+// set of pcs with holes — hence interference rows, not interval hulls.
+// Three kinds of register may not move freely:
+//
+//   - self and the parameters keep the indices invoke stores them at;
+//     anything else live-in at pc 0 was read before written and must
+//     see a zeroed slot, so it gets one of its own past the parameters;
+//   - a register captured by reference: the closure holds the slot's
+//     address for as long as it lives, so the slot is never shared;
+//   - an NLR landing's result register and everything live-in at a
+//     landing pc: a non-local return reaches the landing from any call
+//     in the frame, an edge liveness does not see; never shared either.
+func allocRegs(c *Code) {
+	ins := c.Instrs
+	if c.NumRegs == 0 || len(ins) == 0 {
+		c.NumRegs = min(c.NumRegs, RegSelf+1)
+		return
+	}
+
+	// Dense ids over the referenced registers, in order of appearance.
+	// Self always has one: falling off the end of the stream returns it.
+	id := make([]int32, c.NumRegs)
+	for i := range id {
+		id[i] = -1
+	}
+	id[RegSelf] = 0
+	regs, ops := []ir.Reg{RegSelf}, []ir.Reg(nil) // regs: id -> virtual register
+	for i := range ins {
+		ops = ins[i].appendUses(ops[:0])
+		if d := ins[i].Dst; d != ir.NoReg {
+			ops = append(ops, d)
+		}
+		for _, r := range ops {
+			if id[r] < 0 {
+				id[r] = int32(len(regs))
+				regs = append(regs, r)
+			}
+		}
+	}
+	nr := len(regs)
+	words := (nr + 63) / 64
+
+	// Basic blocks: block b is pcs [starts[b], starts[b+1]). A checked
+	// Arith ends its block: it writes Dst on the fall-through edge only,
+	// so that kill belongs to the edge.
+	ovf := func(i int) bool { return ins[i].Op == ir.Arith && ins[i].Checked }
+	leader := make([]bool, len(ins)+1)
+	leader[0] = true
+	for i := range ins {
+		if ins[i].Op == ir.MkBlk && ins[i].Resume >= 0 {
+			leader[ins[i].Resume] = true // a landing starts a block too
+		}
+		if s0, s1, ends := flow(ins, i); ends {
+			leader[i+1], leader[max(s0, 0)], leader[max(s1, 0)] = true, true, true
+		}
+	}
+	var starts []int
+	blockAt := make([]int, len(ins))
+	for i := range ins {
+		if leader[i] {
+			starts = append(starts, i)
+		}
+		blockAt[i] = len(starts) - 1
+	}
+	nb := len(starts)
+	starts = append(starts, len(ins))
+
+	// Per-block upward-exposed uses and definitions, then live-in sets to
+	// a fixed point, visiting blocks last to first.
+	sets := make(regSet, 3*nb*words)
+	useOf := func(b int) regSet { return sets[b*words:][:words] }
+	defOf := func(b int) regSet { return sets[(nb+b)*words:][:words] }
+	liveIn := func(b int) regSet { return sets[(2*nb+b)*words:][:words] }
+	for b := 0; b < nb; b++ {
+		use, def := useOf(b), defOf(b)
+		for i := starts[b]; i < starts[b+1]; i++ {
+			for _, r := range ins[i].appendUses(ops[:0]) {
+				if !def.has(id[r]) {
+					use.add(id[r])
+				}
+			}
+			if d := ins[i].Dst; d != ir.NoReg && !ovf(i) {
+				def.add(id[d])
+			}
+		}
+	}
+	live := make(regSet, words)
+	liveOut := func(b int) { // live <- live-out of block b
+		clear(live)
+		last := starts[b+1] - 1
+		s0, s1, _ := flow(ins, last)
+		switch {
+		case s0 == len(ins):
+			live.add(id[RegSelf]) // falling off the end returns self
+		case s0 >= 0:
+			copy(live, liveIn(blockAt[s0]))
+			if ovf(last) {
+				live.del(id[ins[last].Dst])
+			}
+		}
+		if s1 >= 0 {
+			live.or(liveIn(blockAt[s1]))
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for b := nb - 1; b >= 0; b-- {
+			liveOut(b)
+			use, def, in := useOf(b), defOf(b), liveIn(b)
+			for w := range in {
+				if x := use[w] | live[w]&^def[w]; x != in[w] {
+					in[w], changed = x, true
+				}
+			}
+		}
+	}
+
+	// Interference: walk each block backwards from its live-out set. A
+	// row of adj lists the registers its register may not share with.
+	adj := make(regSet, nr*words)
+	for b := 0; b < nb; b++ {
+		liveOut(b)
+		for i := starts[b+1] - 1; i >= starts[b]; i-- {
+			var row regSet
+			if d := ins[i].Dst; d != ir.NoReg {
+				row = adj[int(id[d])*words:][:words]
+				row.or(live)
+				if !ovf(i) {
+					live.del(id[d])
+				} else if i+1 < len(ins) {
+					// The overflow edge keeps the old Dst, so live (the
+					// fall-through kill already applied) is also the set
+					// live before the write; what the kill removed
+					// still conflicts with the write.
+					row.or(liveIn(blockAt[i+1]))
+				}
+			}
+			for _, r := range ins[i].appendUses(ops[:0]) {
+				live.add(id[r])
+			}
+			if row != nil {
+				row.or(live)
+			}
+		}
+	}
+	for k := 0; k < nr; k++ { // make the relation symmetric
+		adj[k*words:][:words].each(func(u int) { adj[u*words:][:words].add(int32(k)) })
+	}
+
+	// Colouring. slot[k] is the slot of register id k; taken[s] marks
+	// slots no other register may ever use.
+	params := ir.Reg(RegParamBase + c.NumParams)
+	nslots := nr + int(params)
+	slot := make([]int32, nr)
+	for k := range slot {
+		slot[k] = -1
+	}
+	taken := make([]bool, nslots)
+	pinned := make(regSet, words)
+	for i := range ins {
+		if ins[i].Op != ir.MkBlk {
+			continue
+		}
+		for _, cp := range ins[i].Caps {
+			if !cp.ByValue && !cp.FromUp && cp.Src != ir.NoReg {
+				pinned.add(id[cp.Src])
+			}
+		}
+		if ins[i].Resume >= 0 {
+			if a := ins[i].A; a != ir.NoReg {
+				pinned.add(id[a])
+			}
+			pinned.or(liveIn(blockAt[ins[i].Resume]))
+		}
+	}
+	// Placed up front: self and the parameters where invoke stores them;
+	// pinned registers and zero-reads on slots of their own past the
+	// parameter area (a zero-read must not see an argument).
+	next := int32(params)
+	for k, r := range regs {
+		switch {
+		case r == RegSelf || r >= RegParamBase && r < params:
+			slot[k] = int32(r)
+		case pinned.has(int32(k)) || liveIn(0).has(int32(k)):
+			slot[k] = next
+			next++
+		default:
+			continue
+		}
+		taken[slot[k]] = pinned.has(int32(k))
+	}
+	// Everything else: the lowest slot no neighbour holds, in id order.
+	mark := make([]int, nslots) // mark[s] == k+1: a neighbour of k holds s
+	for k := 0; k < nr; k++ {
+		if slot[k] >= 0 {
+			continue
+		}
+		adj[k*words:][:words].each(func(u int) {
+			if s := slot[u]; s >= 0 {
+				mark[s] = k + 1
+			}
+		})
+		s := 0
+		for taken[s] || mark[s] == k+1 {
+			s++
+		}
+		slot[k] = int32(s)
+	}
+
+	// Rename. Args and Caps alias the graph's nodes, so they are copied.
+	c.NumRegs = RegSelf + 1
+	m := func(r ir.Reg) ir.Reg {
+		if r == ir.NoReg {
+			return r
+		}
+		c.NumRegs = max(c.NumRegs, int(slot[id[r]])+1)
+		return ir.Reg(slot[id[r]])
+	}
+	var args []ir.Reg
+	var caps []ir.Capture
+	for i := range ins {
+		in := &ins[i]
+		in.Dst, in.A, in.B, in.C, in.FailBlk = m(in.Dst), m(in.A), m(in.B), m(in.C), m(in.FailBlk)
+		base := len(args)
+		for _, r := range in.Args {
+			args = append(args, m(r))
+		}
+		in.Args = args[base:len(args):len(args)]
+		cbase := len(caps)
+		for _, cp := range in.Caps {
+			if !cp.FromUp {
+				cp.Src = m(cp.Src)
+			}
+			caps = append(caps, cp)
+		}
+		in.Caps = caps[cbase:len(caps):len(caps)]
+	}
+}
+
+// flow returns the pcs control may reach from ins[i] (-1: none; a
+// checked Arith's overflow target is s1) and whether ins[i] ends its
+// basic block.
+func flow(ins []Instr, i int) (s0, s1 int, ends bool) {
+	switch in := &ins[i]; in.Op {
+	case opJmp:
+		return in.T, -1, true
+	case ir.CmpBr, ir.TypeTest:
+		return in.T, in.F, true
+	case ir.Return, ir.NLReturn, ir.Fail:
+		return -1, -1, true
+	case ir.Arith:
+		if in.Checked {
+			return i + 1, in.F, true
+		}
+	}
+	return i + 1, -1, false
+}
+
+// appendUses appends the registers the (unfused) instruction reads, or
+// whose address it takes, to dst.
+func (in *Instr) appendUses(dst []ir.Reg) []ir.Reg {
+	n := len(dst)
+	dst = append(append(dst, in.A, in.B, in.C, in.FailBlk), in.Args...)
+	for _, cp := range in.Caps {
+		if !cp.FromUp {
+			dst = append(dst, cp.Src)
+		}
+	}
+	uses := dst[:n]
+	for _, r := range dst[n:] {
+		if r != ir.NoReg {
+			uses = append(uses, r)
+		}
+	}
+	return uses
+}
+
+// regSet is a bit set over register ids.
+type regSet []uint64
+
+func (s regSet) add(k int32)      { s[k>>6] |= 1 << (k & 63) }
+func (s regSet) del(k int32)      { s[k>>6] &^= 1 << (k & 63) }
+func (s regSet) has(k int32) bool { return s[k>>6]&(1<<(k&63)) != 0 }
+func (s regSet) or(t regSet) {
+	for w, x := range t {
+		s[w] |= x
+	}
+}
+func (s regSet) each(f func(k int)) {
+	for w, x := range s {
+		for ; x != 0; x &= x - 1 {
+			f(w<<6 + bits.TrailingZeros64(x))
+		}
+	}
+}

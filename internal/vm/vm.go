@@ -171,6 +171,8 @@ type VM struct {
 	// freeFrames is the activation-frame freelist (see pool.go). No
 	// locking: a VM is single-goroutine, frames never cross VMs.
 	freeFrames []*frame
+	// Frames counts what the freelist did, over the VM's lifetime.
+	Frames FrameStats
 
 	// argScratch is the reusable argument buffer for argVals. Safe as a
 	// single per-VM buffer because every consumer copies or consumes the
@@ -390,6 +392,9 @@ func (vm *VM) icFor(code *Code, idx int) *inlineCache {
 	if vm.Shared == nil {
 		return &code.ics[idx]
 	}
+	// The entries memoize callee code, so they answer to the generation
+	// exactly as methodCache does.
+	vm.checkSharedGen()
 	ics := vm.sharedICs[code]
 	if ics == nil {
 		ics = make([]inlineCache, len(code.ics))
@@ -430,33 +435,23 @@ func (vm *VM) runMethod(ctx context.Context, meth *obj.Method, recv obj.Value, a
 	if err != nil {
 		return obj.Nil(), err
 	}
-	return vm.invoke(code, recv, args, nil)
+	return vm.invoke(code, recv, args)
 }
 
-// invoke runs code in a fresh frame. up is non-nil for block frames.
-func (vm *VM) invoke(code *Code, recv obj.Value, args []obj.Value, up map[string]*obj.Value) (val obj.Value, err error) {
+// invoke runs method code in a fresh frame (invokeClosure runs blocks).
+func (vm *VM) invoke(code *Code, recv obj.Value, args []obj.Value) (val obj.Value, err error) {
 	if vm.OnHot != nil {
 		vm.noteInvoke(code)
 	}
-	vm.depth++
-	if vm.depth > vm.Stats.MaxDepth {
-		vm.Stats.MaxDepth = vm.depth
+	fr, err := vm.enter(code)
+	if err != nil {
+		return obj.Nil(), err
 	}
-	if vm.depth > vm.depthLimit() {
-		vm.depth--
-		return obj.Nil(), &RuntimeError{Kind: KindStackOverflow, Msg: "stack overflow"}
-	}
-	fr := vm.getFrame(code.NumRegs)
-	fr.up = up
 	fr.home = homeRef{fr: fr, resume: -1}
 	if code.NumRegs > RegSelf {
 		fr.regs[RegSelf] = recv
 	}
-	for i, a := range args {
-		if RegParamBase+i < len(fr.regs) {
-			fr.regs[RegParamBase+i] = a
-		}
-	}
+	fr.setArgs(code, args)
 	defer func() {
 		fr.dead = true
 		vm.depth--
@@ -477,6 +472,32 @@ func (vm *VM) invoke(code *Code, recv obj.Value, args []obj.Value, up map[string
 		}
 	}()
 	return vm.exec(code, fr)
+}
+
+// enter begins one activation of code: depth accounting, the depth
+// limit, and a zeroed frame.
+func (vm *VM) enter(code *Code) (*frame, error) {
+	vm.depth++
+	if vm.depth > vm.Stats.MaxDepth {
+		vm.Stats.MaxDepth = vm.depth
+	}
+	if vm.depth > vm.depthLimit() {
+		vm.depth--
+		return nil, &RuntimeError{Kind: KindStackOverflow, Msg: "stack overflow"}
+	}
+	return vm.getFrame(code.NumRegs), nil
+}
+
+// setArgs stores an activation's arguments. Surplus ones (a block given
+// too many) are dropped — past the parameters the slots are the code's
+// own — and a parameter the code never reads may have no slot at all.
+func (fr *frame) setArgs(code *Code, args []obj.Value) {
+	if len(args) > code.NumParams {
+		args = args[:code.NumParams]
+	}
+	if RegParamBase < len(fr.regs) {
+		copy(fr.regs[RegParamBase:], args)
+	}
 }
 
 // exec runs a frame, restarting at the landing pc whenever a non-local
@@ -544,15 +565,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 // KEEP IN SYNC with runTraced: the two loops must execute identically;
 // the traced loop only adds the per-instruction trace line. The
 // fused-vs-unfused and traced-vs-fast differential tests pin this.
-func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) {
-	// As an error unwinds through the activations it grows a Self-level
-	// backtrace, one frame per run invocation; pc holds the faulting
-	// (or calling) instruction when the deferred append runs.
-	defer func() {
-		if err != nil {
-			pushFrame(err, code, pc)
-		}
-	}()
+func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 	st := &vm.Stats
 	extra := vm.InstrExtra
 	trackHot := vm.OnHot != nil
@@ -572,7 +585,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		st.Instrs += int64(in.N)
 		if st.Instrs >= vm.pollAt {
 			if perr := vm.poll(st); perr != nil {
-				return obj.Nil(), perr
+				return fault(perr, code, pc)
 			}
 		}
 		st.Cycles += in.Cost
@@ -596,7 +609,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.LoadF:
 			o := fr.regs[in.A].Obj()
 			if o == nil || in.Index >= len(o.Fields) {
-				return obj.Nil(), errBadField(code, "access")
+				return fault(errBadField(code, "access"), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -605,7 +618,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.StoreF:
 			o := fr.regs[in.A].Obj()
 			if o == nil || in.Index >= len(o.Fields) {
-				return obj.Nil(), errBadField(code, "store")
+				return fault(errBadField(code, "store"), code, pc)
 			}
 			if o.Ep != vm.curEp {
 				o = vm.storeSlow(o, fr.regs[in.B])
@@ -617,11 +630,11 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.LoadE:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
-				return obj.Nil(), errElemNonObject(code, "load")
+				return fault(errElemNonObject(code, "load"), code, pc)
 			}
 			i := fr.regs[in.B].I()
 			if i < 0 || i >= int64(len(o.Elems)) {
-				return obj.Nil(), errElemOOB(code, "load", i, len(o.Elems))
+				return fault(errElemOOB(code, "load", i, len(o.Elems)), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -630,11 +643,11 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.StoreE:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
-				return obj.Nil(), errElemNonObject(code, "store")
+				return fault(errElemNonObject(code, "store"), code, pc)
 			}
 			i := fr.regs[in.B].I()
 			if i < 0 || i >= int64(len(o.Elems)) {
-				return obj.Nil(), errElemOOB(code, "store", i, len(o.Elems))
+				return fault(errElemOOB(code, "store", i, len(o.Elems)), code, pc)
 			}
 			if o.Ep != vm.curEp {
 				o = vm.storeSlow(o, fr.regs[in.C])
@@ -643,21 +656,21 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.VecLen:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
-				return obj.Nil(), &RuntimeError{Msg: "vecLen of non-vector"}
+				return fault(&RuntimeError{Msg: "vecLen of non-vector"}, code, pc)
 			}
 			fr.regs[in.Dst] = obj.Int(int64(len(o.Elems)))
 		case ir.NewVec:
 			if verr := vm.makeVector(st, fr, in); verr != nil {
-				return obj.Nil(), verr
+				return fault(verr, code, pc)
 			}
 		case ir.CloneOp:
 			if cerr := vm.makeClone(st, fr, in); cerr != nil {
-				return obj.Nil(), cerr
+				return fault(cerr, code, pc)
 			}
 		case ir.Arith:
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = in.F
@@ -703,20 +716,15 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.Send:
 			v, serr := vm.execSend(in, fr, code)
 			if serr != nil {
-				return obj.Nil(), serr
+				return fault(serr, code, pc)
 			}
 			if in.Dst != ir.NoReg {
 				fr.regs[in.Dst] = v
 			}
 		case ir.Call:
-			st.Calls++
-			callee, cerr := vm.CodeFor(in.Callee.Meth, in.Callee.RMap)
+			v, cerr := vm.execCall(in, fr, code)
 			if cerr != nil {
-				return obj.Nil(), cerr
-			}
-			v, cerr := vm.invoke(callee, fr.regs[in.Args[0]], vm.argVals(in.Args[1:], fr), nil)
-			if cerr != nil {
-				return obj.Nil(), cerr
+				return fault(cerr, code, pc)
 			}
 			if in.Dst != ir.NoReg {
 				fr.regs[in.Dst] = v
@@ -724,7 +732,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.PrimOp:
 			v, perr := vm.execPrim(in, fr)
 			if perr != nil {
-				return obj.Nil(), perr
+				return fault(perr, code, pc)
 			}
 			if in.Dst != ir.NoReg {
 				fr.regs[in.Dst] = v
@@ -732,24 +740,24 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 		case ir.MkBlk:
 			vm.makeBlock(st, fr, in)
 		case ir.Fail:
-			return obj.Nil(), failError(code, fr, in)
+			return fault(failError(code, fr, in), code, pc)
 		case ir.Return:
 			return fr.regs[in.A], nil
 		case ir.NLReturn:
 			if fr.home.fr == nil || fr.home.fr.dead {
-				return obj.Nil(), &RuntimeError{Msg: "non-local return from dead home frame"}
+				return fault(&RuntimeError{Msg: "non-local return from dead home frame"}, code, pc)
 			}
 			panic(nlr{ref: fr.home, val: fr.regs[in.A]})
 		case ir.LoadUp:
 			p := fr.up[in.Sel]
 			if p == nil {
-				return obj.Nil(), &RuntimeError{Msg: "unbound up-level variable " + in.Sel}
+				return fault(&RuntimeError{Msg: "unbound up-level variable " + in.Sel}, code, pc)
 			}
 			fr.regs[in.Dst] = *p
 		case ir.StoreUp:
 			p := fr.up[in.Sel]
 			if p == nil {
-				return obj.Nil(), &RuntimeError{Msg: "unbound up-level variable " + in.Sel}
+				return fault(&RuntimeError{Msg: "unbound up-level variable " + in.Sel}, code, pc)
 			}
 			*p = fr.regs[in.A]
 
@@ -766,7 +774,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			fr.regs[in.Dst] = in.Val
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = f.F
@@ -777,7 +785,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			o := fr.regs[in.A].Obj()
 			if o == nil || in.Index >= len(o.Fields) {
 				vm.uncharge(st, f)
-				return obj.Nil(), errBadField(code, "access")
+				return fault(errBadField(code, "access"), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -785,7 +793,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			fr.regs[in.Dst] = o.Fields[in.Index]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = f.F
@@ -796,12 +804,12 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			o := fr.regs[in.A].Obj()
 			if o == nil {
 				vm.uncharge(st, f)
-				return obj.Nil(), errElemNonObject(code, "load")
+				return fault(errElemNonObject(code, "load"), code, pc)
 			}
 			i := fr.regs[in.B].I()
 			if i < 0 || i >= int64(len(o.Elems)) {
 				vm.uncharge(st, f)
-				return obj.Nil(), errElemOOB(code, "load", i, len(o.Elems))
+				return fault(errElemOOB(code, "load", i, len(o.Elems)), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -809,7 +817,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			fr.regs[in.Dst] = o.Elems[i]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = f.F
@@ -820,7 +828,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
 				vm.uncharge(st, f)
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				vm.uncharge(st, f)
@@ -841,7 +849,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
 				vm.uncharge(st, f)
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				vm.uncharge(st, f)
@@ -860,7 +868,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				vm.uncharge(st, g)
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				vm.uncharge(st, g)
@@ -877,7 +885,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 			}
 			continue
 		default:
-			return obj.Nil(), &RuntimeError{Msg: "bad opcode " + in.Op.String()}
+			return fault(&RuntimeError{Msg: "bad opcode " + in.Op.String()}, code, pc)
 		}
 		pc++
 	}
@@ -894,12 +902,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 // joined), since they dispatch once.
 //
 // KEEP IN SYNC with runFast (see its comment).
-func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error) {
-	defer func() {
-		if err != nil {
-			pushFrame(err, code, pc)
-		}
-	}()
+func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 	st := &vm.Stats
 	extra := vm.InstrExtra
 	trackHot := vm.OnHot != nil
@@ -916,7 +919,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		st.Instrs += int64(in.N)
 		if st.Instrs >= vm.pollAt {
 			if perr := vm.poll(st); perr != nil {
-				return obj.Nil(), perr
+				return fault(perr, code, pc)
 			}
 		}
 		st.Cycles += in.Cost
@@ -940,7 +943,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.LoadF:
 			o := fr.regs[in.A].Obj()
 			if o == nil || in.Index >= len(o.Fields) {
-				return obj.Nil(), errBadField(code, "access")
+				return fault(errBadField(code, "access"), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -949,7 +952,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.StoreF:
 			o := fr.regs[in.A].Obj()
 			if o == nil || in.Index >= len(o.Fields) {
-				return obj.Nil(), errBadField(code, "store")
+				return fault(errBadField(code, "store"), code, pc)
 			}
 			if o.Ep != vm.curEp {
 				o = vm.storeSlow(o, fr.regs[in.B])
@@ -961,11 +964,11 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.LoadE:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
-				return obj.Nil(), errElemNonObject(code, "load")
+				return fault(errElemNonObject(code, "load"), code, pc)
 			}
 			i := fr.regs[in.B].I()
 			if i < 0 || i >= int64(len(o.Elems)) {
-				return obj.Nil(), errElemOOB(code, "load", i, len(o.Elems))
+				return fault(errElemOOB(code, "load", i, len(o.Elems)), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -974,11 +977,11 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.StoreE:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
-				return obj.Nil(), errElemNonObject(code, "store")
+				return fault(errElemNonObject(code, "store"), code, pc)
 			}
 			i := fr.regs[in.B].I()
 			if i < 0 || i >= int64(len(o.Elems)) {
-				return obj.Nil(), errElemOOB(code, "store", i, len(o.Elems))
+				return fault(errElemOOB(code, "store", i, len(o.Elems)), code, pc)
 			}
 			if o.Ep != vm.curEp {
 				o = vm.storeSlow(o, fr.regs[in.C])
@@ -987,21 +990,21 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.VecLen:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
-				return obj.Nil(), &RuntimeError{Msg: "vecLen of non-vector"}
+				return fault(&RuntimeError{Msg: "vecLen of non-vector"}, code, pc)
 			}
 			fr.regs[in.Dst] = obj.Int(int64(len(o.Elems)))
 		case ir.NewVec:
 			if verr := vm.makeVector(st, fr, in); verr != nil {
-				return obj.Nil(), verr
+				return fault(verr, code, pc)
 			}
 		case ir.CloneOp:
 			if cerr := vm.makeClone(st, fr, in); cerr != nil {
-				return obj.Nil(), cerr
+				return fault(cerr, code, pc)
 			}
 		case ir.Arith:
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = in.F
@@ -1047,20 +1050,15 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.Send:
 			v, serr := vm.execSend(in, fr, code)
 			if serr != nil {
-				return obj.Nil(), serr
+				return fault(serr, code, pc)
 			}
 			if in.Dst != ir.NoReg {
 				fr.regs[in.Dst] = v
 			}
 		case ir.Call:
-			st.Calls++
-			callee, cerr := vm.CodeFor(in.Callee.Meth, in.Callee.RMap)
+			v, cerr := vm.execCall(in, fr, code)
 			if cerr != nil {
-				return obj.Nil(), cerr
-			}
-			v, cerr := vm.invoke(callee, fr.regs[in.Args[0]], vm.argVals(in.Args[1:], fr), nil)
-			if cerr != nil {
-				return obj.Nil(), cerr
+				return fault(cerr, code, pc)
 			}
 			if in.Dst != ir.NoReg {
 				fr.regs[in.Dst] = v
@@ -1068,7 +1066,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.PrimOp:
 			v, perr := vm.execPrim(in, fr)
 			if perr != nil {
-				return obj.Nil(), perr
+				return fault(perr, code, pc)
 			}
 			if in.Dst != ir.NoReg {
 				fr.regs[in.Dst] = v
@@ -1076,24 +1074,24 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		case ir.MkBlk:
 			vm.makeBlock(st, fr, in)
 		case ir.Fail:
-			return obj.Nil(), failError(code, fr, in)
+			return fault(failError(code, fr, in), code, pc)
 		case ir.Return:
 			return fr.regs[in.A], nil
 		case ir.NLReturn:
 			if fr.home.fr == nil || fr.home.fr.dead {
-				return obj.Nil(), &RuntimeError{Msg: "non-local return from dead home frame"}
+				return fault(&RuntimeError{Msg: "non-local return from dead home frame"}, code, pc)
 			}
 			panic(nlr{ref: fr.home, val: fr.regs[in.A]})
 		case ir.LoadUp:
 			p := fr.up[in.Sel]
 			if p == nil {
-				return obj.Nil(), &RuntimeError{Msg: "unbound up-level variable " + in.Sel}
+				return fault(&RuntimeError{Msg: "unbound up-level variable " + in.Sel}, code, pc)
 			}
 			fr.regs[in.Dst] = *p
 		case ir.StoreUp:
 			p := fr.up[in.Sel]
 			if p == nil {
-				return obj.Nil(), &RuntimeError{Msg: "unbound up-level variable " + in.Sel}
+				return fault(&RuntimeError{Msg: "unbound up-level variable " + in.Sel}, code, pc)
 			}
 			*p = fr.regs[in.A]
 		case opMoveMove:
@@ -1105,7 +1103,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			fr.regs[in.Dst] = in.Val
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = f.F
@@ -1116,7 +1114,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			o := fr.regs[in.A].Obj()
 			if o == nil || in.Index >= len(o.Fields) {
 				vm.uncharge(st, f)
-				return obj.Nil(), errBadField(code, "access")
+				return fault(errBadField(code, "access"), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -1124,7 +1122,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			fr.regs[in.Dst] = o.Fields[in.Index]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = f.F
@@ -1135,12 +1133,12 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			o := fr.regs[in.A].Obj()
 			if o == nil {
 				vm.uncharge(st, f)
-				return obj.Nil(), errElemNonObject(code, "load")
+				return fault(errElemNonObject(code, "load"), code, pc)
 			}
 			i := fr.regs[in.B].I()
 			if i < 0 || i >= int64(len(o.Elems)) {
 				vm.uncharge(st, f)
-				return obj.Nil(), errElemOOB(code, "load", i, len(o.Elems))
+				return fault(errElemOOB(code, "load", i, len(o.Elems)), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
@@ -1148,7 +1146,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			fr.regs[in.Dst] = o.Elems[i]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				pc = f.F
@@ -1159,7 +1157,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
 				vm.uncharge(st, f)
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				vm.uncharge(st, f)
@@ -1180,7 +1178,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
 				vm.uncharge(st, f)
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				vm.uncharge(st, f)
@@ -1199,7 +1197,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				vm.uncharge(st, g)
-				return obj.Nil(), aerr
+				return fault(aerr, code, pc)
 			}
 			if br {
 				vm.uncharge(st, g)
@@ -1216,7 +1214,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 			}
 			continue
 		default:
-			return obj.Nil(), &RuntimeError{Msg: "bad opcode " + in.Op.String()}
+			return fault(&RuntimeError{Msg: "bad opcode " + in.Op.String()}, code, pc)
 		}
 		pc++
 	}
@@ -1224,6 +1222,16 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error
 		return fr.regs[RegSelf], nil
 	}
 	return obj.Nil(), nil
+}
+
+// fault is how a run loop returns an error: unwinding through the
+// activations it grows a Self-level backtrace, one frame per run
+// invocation, pc being the faulting (or calling) instruction. A call,
+// not a defer: with this many returns a run loop's defer would not be
+// open-coded, and every activation paid for it.
+func fault(err error, code *Code, pc int) (obj.Value, error) {
+	pushFrame(err, code, pc)
+	return obj.Nil(), err
 }
 
 // uncharge backs out the precharged cost of a superinstruction's
@@ -1488,6 +1496,22 @@ func errElemOOB(code *Code, what string, i int64, n int) error {
 	return &RuntimeError{Msg: fmt.Sprintf("%s: element %s index %d out of bounds (length %d) (unchecked path)", code.Name, what, i, n)}
 }
 
+// execCall performs a statically-bound call. The callee is fixed at
+// compile time, so after the first call the site's cache entry (only
+// its code memo is used) is the answer.
+func (vm *VM) execCall(in *Instr, fr *frame, code *Code) (obj.Value, error) {
+	vm.Stats.Calls++
+	ic := vm.icFor(code, in.IC)
+	if ic.code == nil {
+		c, err := vm.CodeFor(in.Callee.Meth, in.Callee.RMap)
+		if err != nil {
+			return obj.Nil(), err
+		}
+		ic.code = c
+	}
+	return vm.invoke(ic.code, fr.regs[in.Args[0]], vm.argVals(in.Args[1:], fr))
+}
+
 // argVals gathers argument registers into a per-VM scratch buffer,
 // avoiding a Go allocation per send. Safe because every consumer
 // (invoke, invokeClosure, execPrim, the assignment-slot store) copies
@@ -1530,8 +1554,16 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 	ic := vm.icFor(code, in.IC)
 	var slot *obj.Slot
 	var holder *obj.Object
-	if ic.m == m && !in.Direct {
-		st.ICHits++
+	// callee points at the cache entry's memo of the code a method slot
+	// resolves to for this receiver map, filled on first use: a hit goes
+	// straight to callee code, not through CodeFor's table.
+	callee := &ic.code
+	if ic.m == m {
+		// A statically-bound site is not a modelled inline cache (no hit
+		// is counted); the entry only spares the host the lookup.
+		if !in.Direct {
+			st.ICHits++
+		}
 		slot = ic.slot
 		holder = ic.holder
 	} else if e := ic.picLookup(vm, m, in.Direct); e != nil {
@@ -1539,6 +1571,7 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 		st.Cycles += CostPICExtra
 		slot = e.slot
 		holder = e.holder
+		callee = &e.code
 	} else {
 		if !in.Direct {
 			st.ICMisses++
@@ -1563,6 +1596,7 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 		ic.m = m
 		ic.slot = slot
 		ic.holder = holder
+		ic.code = nil
 		ic.picStore(vm, m, slot, holder)
 	}
 
@@ -1598,11 +1632,14 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 		target.Fields[slot.Index] = args[0]
 		return args[0], nil
 	case obj.MethodSlot:
-		callee, err := vm.CodeFor(slot.Meth, m)
-		if err != nil {
-			return obj.Nil(), err
+		if *callee == nil {
+			c, err := vm.CodeFor(slot.Meth, m)
+			if err != nil {
+				return obj.Nil(), err
+			}
+			*callee = c
 		}
-		return vm.invoke(callee, recv, args, nil)
+		return vm.invoke(*callee, recv, args)
 	}
 	return obj.Nil(), &RuntimeError{Msg: "bad slot kind in send"}
 }
@@ -1613,22 +1650,13 @@ func (vm *VM) invokeClosure(cl *obj.Closure, args []obj.Value) (obj.Value, error
 	if err != nil {
 		return obj.Nil(), err
 	}
-	vm.depth++
-	if vm.depth > vm.Stats.MaxDepth {
-		vm.Stats.MaxDepth = vm.depth
+	fr, err := vm.enter(code)
+	if err != nil {
+		return obj.Nil(), err
 	}
-	if vm.depth > vm.depthLimit() {
-		vm.depth--
-		return obj.Nil(), &RuntimeError{Kind: KindStackOverflow, Msg: "stack overflow"}
-	}
-	fr := vm.getFrame(code.NumRegs)
 	fr.up = cl.UpLocals
 	fr.home, _ = cl.Home.(homeRef)
-	for i, a := range args {
-		if RegParamBase+i < len(fr.regs) {
-			fr.regs[RegParamBase+i] = a
-		}
-	}
+	fr.setArgs(code, args)
 	defer func() {
 		fr.dead = true
 		vm.depth--

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -75,6 +76,8 @@ type (
 	// RuntimeError is a guest-level error with a Kind classification
 	// and a captured Self-level backtrace.
 	RuntimeError = vm.RuntimeError
+	// FrameStats is the host-side cost of a VM's activations.
+	FrameStats = vm.FrameStats
 	// ErrKind classifies a RuntimeError.
 	ErrKind = vm.ErrKind
 	// Strategy selects how compiled code specializes on types:
@@ -234,7 +237,8 @@ type System struct {
 	pipeBase   *core.Pipeline
 	pipeDeg    *core.Pipeline
 
-	machine *vm.VM
+	machine    *vm.VM
+	framesSeen FrameStats // machine.Frames as of the last TakeFrameStats
 
 	// shared is the process-wide code cache, nil for a private system.
 	shared *codecache.Cache[*vm.Code]
@@ -285,15 +289,21 @@ func (l *sourceLog) snapshot() ([]string, bool) {
 	return append([]string(nil), l.texts...), l.dirty
 }
 
-// compileLog is the shared, locked compile log.
+// compileLog is the shared, locked compile log. Every reply reports the
+// total compile time and the per-tier counts, so add keeps both as
+// running aggregates: reading them never walks the log.
 type compileLog struct {
 	mu      sync.Mutex
 	entries []MethodCompile
+	total   time.Duration  // sum of the entries' Stats.Duration
+	tiers   map[string]int // entries per tier label
 }
 
 func (l *compileLog) add(e MethodCompile) {
 	l.mu.Lock()
 	l.entries = append(l.entries, e)
+	l.total += e.Stats.Duration
+	l.tiers[e.Tier]++
 	l.mu.Unlock()
 }
 
@@ -306,11 +316,13 @@ func (l *compileLog) snapshot() []MethodCompile {
 func (l *compileLog) totalDuration() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var d time.Duration
-	for _, e := range l.entries {
-		d += e.Stats.Duration
-	}
-	return d
+	return l.total
+}
+
+func (l *compileLog) tierCounts() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return maps.Clone(l.tiers)
 }
 
 // promAgg aggregates promotion latencies (hot-trigger to installed
@@ -405,7 +417,7 @@ func newSystem(cfg Config, shared *codecache.Cache[*vm.Code], mode TierMode, pro
 	s := &System{
 		Cfg: cfg, Mode: mode, world: w, shared: shared,
 		promoteThreshold: promoteThreshold,
-		prom:             &promAgg{}, log: &compileLog{},
+		prom:             &promAgg{}, log: &compileLog{tiers: map[string]int{}},
 		sources: &sourceLog{},
 	}
 	s.pipeOpt = core.NewPipeline(w, cfg, core.TierOptimizing)
@@ -635,6 +647,17 @@ func (s *System) ArenaStats() (resets, abandons int64) {
 	return s.machine.Arena.Resets, s.machine.Arena.Abandons
 }
 
+// TakeFrameStats reports what this system's VM did with activation
+// frames since the previous call: register files allocated and reused,
+// and the change in the bytes its pool holds. Host-side quantities, so
+// not in RunStats. Like ResetArena, not to be called during a run.
+func (s *System) TakeFrameStats() FrameStats {
+	now, seen := s.machine.Frames, s.framesSeen
+	s.framesSeen = now
+	return FrameStats{Allocs: now.Allocs - seen.Allocs, Reuses: now.Reuses - seen.Reuses,
+		PoolBytes: now.PoolBytes - seen.PoolBytes}
+}
+
 // MarkEscaped pins v across the next ResetArena: a caller that holds a
 // returned Value past the reset (the serving layer encodes results
 // after the worker goes back to the pool) calls this first, so the
@@ -699,13 +722,7 @@ func (s *System) PromotionStats() PromotionStats {
 
 // TierCounts sums compile-log entries per tier label ("baseline",
 // "optimizing", "native", "degraded"), across every forked worker.
-func (s *System) TierCounts() map[string]int {
-	out := map[string]int{}
-	for _, e := range s.log.snapshot() {
-		out[e.Tier]++
-	}
-	return out
-}
+func (s *System) TierCounts() map[string]int { return s.log.tierCounts() }
 
 // World exposes the object universe (read-mostly; used by tools).
 func (s *System) World() *World { return s.world }
