@@ -305,6 +305,20 @@ go test -run 'TestBBVVsSplitBenchmarks|TestBBVConformanceAcrossStrategies|TestBB
 echo "== regalloc differential"
 go test -run 'TestRegAllocChecked|TestRegAllocBitIdentical|TestWarmCallsDoNotAllocateFrames|TestDeepRecursionFootprint' .
 
+# Compile digest + determinism: the compiler makes the decisions pinned
+# in testdata/compile_digest.json (every program × preset × eager tier ×
+# strategy; a change meant to alter none passes unchanged), makes them
+# the same way on every one of 20 compiles in one process, and the type
+# environment behaves as the plain map it replaced.
+echo "== compile digest + determinism"
+go test $short -run 'TestCompileDigest|TestCompileDeterministic' .
+go test -run 'TestEnv' ./internal/core
+
+# Benchmark smoke: the repository's rail builds (into the ignored
+# .bench_build/) and one quick cold pass answers every op correctly.
+echo "== benchmark smoke (corpus.cold)"
+bash benchmark/run.sh -quick -workload corpus.cold -trace 0 >/dev/null
+
 # Server smoke: boot selfserved on an ephemeral port and drive it with
 # selfload over >= 8 concurrent connections. Asserts, from the server's
 # own /metrics: compile-once under steady load (codecache misses stop
@@ -416,6 +430,8 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzBBVDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzRegAllocDifferential"
     go test -run '^$' -fuzz '^FuzzRegAllocDifferential$' -fuzztime 10s .
+    echo "== fuzz smoke: FuzzEnvModel"
+    go test -run '^$' -fuzz '^FuzzEnvModel$' -fuzztime 10s ./internal/core
     echo "== fuzz smoke: FuzzImageDecode"
     go test -run '^$' -fuzz '^FuzzImageDecode$' -fuzztime 10s ./internal/image
 fi

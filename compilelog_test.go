@@ -6,10 +6,11 @@ import (
 )
 
 // TestCompileLogAggregates: every /eval reply reads the total compile
-// time and the per-tier counts, so neither may walk or copy the log.
-// After 10^5 compilations both are served from running aggregates —
-// totalCompileTime allocates nothing, TierCounts only its small result
-// map — and both agree with a fresh walk of CompileLog().
+// time and the per-tier counts, and every scrape the node counts, so
+// none of them may walk or copy the log. After 10^5 compilations they
+// are served from running aggregates — totalCompileTime allocates
+// nothing, TierCounts only its small result map — and all agree with a
+// fresh walk of CompileLog().
 func TestCompileLogAggregates(t *testing.T) {
 	sys, err := NewSystem(NewSELF)
 	if err != nil {
@@ -19,14 +20,21 @@ func TestCompileLogAggregates(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		e := MethodCompile{Name: "m", Tier: tiers[i%7%len(tiers)]}
 		e.Stats.Duration = time.Duration(i%13) * time.Microsecond
+		e.Stats.BuiltNodes, e.Stats.Nodes = i%17+i%5, i%5
 		sys.log.add(e)
 	}
 
 	var total time.Duration
+	var built, kept int64
 	counts := map[string]int{}
 	for _, e := range sys.CompileLog() {
 		total += e.Stats.Duration
+		built += int64(e.Stats.BuiltNodes)
+		kept += int64(e.Stats.Nodes)
 		counts[e.Tier]++
+	}
+	if b, k := sys.CompileNodes(); b != built || k != kept {
+		t.Errorf("CompileNodes = %d built, %d kept; a walk of the log says %d, %d", b, k, built, kept)
 	}
 	if got := sys.totalCompileTime(); got != total {
 		t.Errorf("totalCompileTime = %v, a walk of the log says %v", got, total)

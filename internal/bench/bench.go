@@ -91,6 +91,8 @@ type Measurement struct {
 	CompileTime time.Duration // compiler time for all methods the run forced
 	CodeBytes   int           // bytes of compiled code produced
 	Methods     int           // methods (and blocks) compiled
+	NodesBuilt  int64         // IR nodes the compiler built for them …
+	NodesKept   int64         // … and how many survived into code
 }
 
 // Run measures one benchmark under one configuration with a fresh
@@ -112,6 +114,7 @@ func Run(b Benchmark, cfg selfgo.Config) (*Measurement, error) {
 	if b.HasExpect && res.Value.I() != b.Expect {
 		return nil, fmt.Errorf("%s under %s: got %d, want %d", b.Name, cfg.Name, res.Value.I(), b.Expect)
 	}
+	built, kept := sys.CompileNodes()
 	return &Measurement{
 		Bench:       b.Name,
 		Group:       b.Group,
@@ -122,5 +125,7 @@ func Run(b Benchmark, cfg selfgo.Config) (*Measurement, error) {
 		CompileTime: res.CompileTime,
 		CodeBytes:   res.Compile.CodeBytes,
 		Methods:     res.Compile.Methods,
+		NodesBuilt:  built,
+		NodesKept:   kept,
 	}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"selfgo/internal/ast"
@@ -57,7 +58,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 	cp.inlineStack = append(cp.inlineStack, meth.Ast)
 	sc.stackDepth = len(cp.inlineStack)
 
-	f0 := &flow{from: g.Entry, slot: 0, env: env{}}
+	f0 := &flow{from: g.Entry, slot: 0, env: &env{}}
 	if c.Cfg.Customization && rmap != nil {
 		f0.env.set(sc.selfReg, types.NewClass(rmap, c.World.IntMap))
 	} else {
@@ -80,6 +81,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 	cp.finishMethod(flows, res, sc)
 	cp.stats.Duration = time.Since(cp.start)
 	cp.stats.Nodes = len(g.Reachable())
+	cp.stats.BuiltNodes = len(g.Nodes())
 	return g, cp.stats, cp.err
 }
 
@@ -109,7 +111,7 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, upNames []string, fb *types.Fe
 	sc.ret = &retCollector{resultReg: cp.newVarReg()}
 	cp.topScope = sc
 
-	f0 := &flow{from: g.Entry, slot: 0, env: env{}}
+	f0 := &flow{from: g.Entry, slot: 0, env: &env{}}
 	selfLoad := g.NewNode(ir.LoadUp)
 	selfLoad.Dst = sc.selfReg
 	selfLoad.Sel = "self"
@@ -132,6 +134,7 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, upNames []string, fb *types.Fe
 	cp.finishMethod(flows, res, sc)
 	cp.stats.Duration = time.Since(cp.start)
 	cp.stats.Nodes = len(g.Reachable())
+	cp.stats.BuiltNodes = len(g.Nodes())
 	return g, cp.stats, cp.err
 }
 
@@ -146,10 +149,10 @@ type compilation struct {
 
 	inlineStack []*ast.Method
 	writeLogs   []map[ir.Reg]bool // active loop-invariance write logs
-	tracked     []ir.Reg          // registers whose types survive merges
-	trackedSet  map[ir.Reg]bool
-	volatile    map[ir.Reg]bool // assigned by escaped closures: always unknown
-	topScope    *scope          // the outermost (non-inlined) scope
+	tracked     []ir.Reg          // registers whose types survive merges, in tracking order
+	trackedMask regMask           // the same set; track and trackRelease are its only writers
+	volatile    []ir.Reg          // assigned by escaped closures: always unknown
+	topScope    *scope            // the outermost (non-inlined) scope
 	mergeSeq    int
 	err         error
 
@@ -169,8 +172,6 @@ func newCompilation(c *Compiler) *compilation {
 		cfg:        c.Cfg,
 		stats:      &Stats{},
 		start:      time.Now(),
-		trackedSet: map[ir.Reg]bool{},
-		volatile:   map[ir.Reg]bool{},
 		protoCache: map[*ast.ObjectLit]obj.Value{},
 	}
 }
@@ -194,10 +195,10 @@ func (cp *compilation) newVarReg() ir.Reg {
 // track marks an existing register as type-tracked across merges (used
 // when an inlined callee aliases a caller register).
 func (cp *compilation) track(r ir.Reg) {
-	if r == ir.NoReg || cp.trackedSet[r] {
+	if r == ir.NoReg || cp.trackedMask.has(r) {
 		return
 	}
-	cp.trackedSet[r] = true
+	cp.trackedMask.add(r)
 	cp.tracked = append(cp.tracked, r)
 }
 
@@ -209,7 +210,7 @@ func (cp *compilation) trackMark() int { return len(cp.tracked) }
 
 func (cp *compilation) trackRelease(mark int) {
 	for _, r := range cp.tracked[mark:] {
-		delete(cp.trackedSet, r)
+		cp.trackedMask.remove(r)
 	}
 	cp.tracked = cp.tracked[:mark]
 }
@@ -376,7 +377,7 @@ func (cp *compilation) mergeEqual(flows []*flow, keep ir.Reg) []*flow {
 	if len(flows) <= 1 {
 		return flows
 	}
-	regs := cp.mergeRegs(keep)
+	regs := cp.trackedMask.with(keep)
 	var out []*flow
 	for _, f := range flows {
 		merged := false
@@ -420,38 +421,52 @@ func (cp *compilation) newMergeNode() *ir.Node {
 // some flows but not others must be materialized first: after the
 // merge dilutes its type, uses compile to dynamic value: sends, which
 // need a real closure in the register.
-func (cp *compilation) mergeFlows(flows []*flow, keep ir.Reg) *flow {
+func (cp *compilation) mergeFlows(flows []*flow, res ir.Reg) *flow {
 	if len(flows) == 1 {
 		return flows[0]
 	}
 	// Registers holding block literals must never lose that knowledge
 	// silently: if all flows agree the entry survives the merge, else
 	// the closures are materialized first (the dilution makes later
-	// uses dynamic, which needs real closures in the register).
-	blkKeys := map[ir.Reg]bool{}
+	// uses dynamic, which needs real closures in the register). Walking
+	// in register order keeps the MkBlk nodes' order reproducible.
+	nchunks := 0
 	for _, f := range flows {
-		for r, t := range f.env {
-			if _, ok := t.(types.Blk); ok {
-				blkKeys[r] = true
-			}
-		}
+		nchunks = max(nchunks, len(f.env.chunks))
 	}
-	var keepBlk []ir.Reg
-	for r := range blkKeys {
-		first := flows[0].env.get(r)
-		same := true
-		for _, f := range flows[1:] {
-			if !types.Equal(f.env.get(r), first) {
-				same = false
-				break
-			}
-		}
-		if same {
-			keepBlk = append(keepBlk, r)
+	// keep is what the merged env holds: the tracked registers, the
+	// statement result and the block literals every flow agrees on.
+	keep := make(regMask, nchunks)
+	copy(keep, cp.trackedMask)
+	if res != ir.NoReg && int(res)/chunkRegs < nchunks { // past every flow's table it is unknown on all
+		keep.add(res)
+	}
+	for i := range keep {
+		if c0, shared := sharedChunk(flows, i); shared {
+			keep[i] |= c0.blk
 			continue
 		}
+		var blk uint32
 		for _, f := range flows {
-			cp.materialize(f, r)
+			blk |= f.env.chunk(i).blk
+		}
+		for ; blk != 0; blk &= blk - 1 {
+			k := bits.TrailingZeros32(blk)
+			first := flows[0].env.chunk(i).at(k)
+			same := true
+			for _, f := range flows[1:] {
+				if !types.Equal(f.env.chunk(i).at(k), first) {
+					same = false
+					break
+				}
+			}
+			if same {
+				keep[i] |= 1 << k
+				continue
+			}
+			for _, f := range flows {
+				cp.materialize(f, ir.Reg(i*chunkRegs+k))
+			}
 		}
 	}
 
@@ -461,36 +476,40 @@ func (cp *compilation) mergeFlows(flows []*flow, keep ir.Reg) *flow {
 		setSucc(f.from, f.slot, m)
 		allUncommon = allUncommon && f.uncommon
 	}
-	merged := env{}
-	for _, r := range append(cp.mergeRegs(keep), keepBlk...) {
-		var t types.Type
-		first := true
-		for _, f := range flows {
-			ft := f.env.get(r)
-			if first {
-				t = ft
-				first = false
-				continue
-			}
-			t = types.MergeOf(t, ft, m.Index, cp.intMap())
+	merged := &env{chunks: make([]*envChunk, nchunks)}
+	for i, allow := range keep {
+		// A chunk no flow wrote since they forked merges to itself (and,
+		// being shared, has no owner left to write it under the merge).
+		if c0, shared := sharedChunk(flows, i); shared {
+			merged.chunks[i] = c0.restrict(allow)
+			continue
 		}
-		merged.set(r, t)
+		var bound uint32
+		for _, f := range flows {
+			bound |= f.env.chunk(i).present
+		}
+		for b := allow & bound; b != 0; b &= b - 1 {
+			k := bits.TrailingZeros32(b)
+			t := flows[0].env.chunk(i).at(k)
+			for _, f := range flows[1:] {
+				t = types.MergeOf(t, f.env.chunk(i).at(k), m.Index, cp.intMap())
+			}
+			merged.writable(i).put(k, t)
+		}
 	}
 	return &flow{from: m, slot: 0, env: merged, uncommon: allUncommon}
 }
 
-// mergeRegs is the set of registers whose types are carried across
-// merges: all tracked registers plus the statement result.
-func (cp *compilation) mergeRegs(keep ir.Reg) []ir.Reg {
-	if keep == ir.NoReg {
-		return cp.tracked
-	}
-	for _, r := range cp.tracked {
-		if r == keep {
-			return cp.tracked
+// sharedChunk reports whether every flow holds the same i'th chunk —
+// none of them wrote it since they forked — and returns it.
+func sharedChunk(flows []*flow, i int) (*envChunk, bool) {
+	c0 := flows[0].env.chunk(i)
+	for _, f := range flows[1:] {
+		if f.env.chunk(i) != c0 {
+			return nil, false
 		}
 	}
-	return append(append([]ir.Reg(nil), cp.tracked...), keep)
+	return c0, true
 }
 
 // --- Expression compilation ---

@@ -377,7 +377,8 @@ type Stats struct {
 	RemovedOvfl    int // overflow checks removed by range analysis
 	RemovedTests   int // type tests eliminated by analysis
 	FeedbackTests  int // run-time type tests inserted from harvested PIC feedback
-	Nodes          int // reachable IR nodes emitted
+	Nodes          int // IR nodes kept: reachable ones (instructions, once a Pipeline assembled them)
+	BuiltNodes     int // IR nodes built, discarded loop-analysis bodies (§5.1) included
 
 	// Passes is the per-pass breakdown recorded by Pipeline compiles
 	// (nil when a bare Compiler was driven directly); see PassStat.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"selfgo/internal/ir"
@@ -10,54 +10,221 @@ import (
 )
 
 // env is the variable→type mapping of §3: the compiler's knowledge at
-// one point on one control-flow path, keyed by virtual register.
-type env map[ir.Reg]types.Type
-
-func (e env) clone() env {
-	out := make(env, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
+// one point on one control-flow path, keyed by virtual register. A
+// register without a binding is of unknown type, and unknown is never
+// stored: binding a register to it removes the binding.
+//
+// Flows fork at every branch and most of them write a handful of
+// registers before they merge again, so the bindings live in chunks of
+// chunkRegs consecutive registers that forked environments share until
+// one of them writes. Three invariants (DESIGN.md §4):
+//
+//   - sharing: a chunk is written in place only by the env whose owner
+//     token it carries; every other env copies it first;
+//   - fork: clone gives the copy no token and takes the original's away,
+//     so after a fork neither side writes a chunk the other can see;
+//   - pruning: an env built by a merge (mergeFlows, restrict) holds
+//     bindings for the registers it was told to keep and no others.
+type env struct {
+	chunks []*envChunk // nil entries hold no bindings
+	own    *envOwner   // nil until the first write after a fork
 }
 
-// get returns the type bound to r; absent bindings are unknown.
-func (e env) get(r ir.Reg) types.Type {
-	if t, ok := e[r]; ok {
-		return t
+const chunkRegs = 32
+
+type envChunk struct {
+	owner   *envOwner
+	present uint32 // registers with a binding
+	blk     uint32 // those bound to a types.Blk
+	t       [chunkRegs]types.Type
+}
+
+// envOwner is an identity: its address is the token. (Not zero-sized —
+// distinct zero-sized values may share an address.)
+type envOwner struct{ _ byte }
+
+// noChunk stands in for a missing chunk on the read side.
+var noChunk envChunk
+
+// chunk returns the i'th chunk for reading.
+func (e *env) chunk(i int) *envChunk {
+	if i < len(e.chunks) && e.chunks[i] != nil {
+		return e.chunks[i]
+	}
+	return &noChunk
+}
+
+// at returns the type of the chunk's k'th register.
+func (c *envChunk) at(k int) types.Type {
+	if c.present&(1<<k) != 0 {
+		return c.t[k]
 	}
 	return types.Unknown{}
 }
 
-func (e env) set(r ir.Reg, t types.Type) {
+// put binds the chunk's k'th register; the caller owns the chunk.
+func (c *envChunk) put(k int, t types.Type) {
+	bit := uint32(1) << k
+	c.present &^= bit
+	c.blk &^= bit
+	switch t.(type) {
+	case nil:
+		panic("core: nil type bound in env")
+	case types.Unknown:
+		c.t[k] = nil
+		return
+	case types.Blk:
+		c.blk |= bit
+	}
+	c.present |= bit
+	c.t[k] = t
+}
+
+// restrict returns the chunk with only the bindings in keep: c itself
+// when it has no others, nil when none survive, else a copy owned by
+// nobody.
+func (c *envChunk) restrict(keep uint32) *envChunk {
+	switch {
+	case c.present&keep == 0:
+		return nil
+	case c.present&^keep == 0:
+		return c
+	}
+	out := &envChunk{present: c.present & keep, blk: c.blk & keep}
+	for m := out.present; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		out.t[k] = c.t[k]
+	}
+	return out
+}
+
+// disown gives up in-place writes to e's chunks; called when another
+// env starts sharing them.
+func (e *env) disown() { e.own = nil }
+
+func (e *env) clone() *env {
+	e.disown()
+	return &env{chunks: append([]*envChunk(nil), e.chunks...)}
+}
+
+// get returns the type bound to r; absent bindings are unknown.
+func (e *env) get(r ir.Reg) types.Type {
+	if r < 0 {
+		return types.Unknown{}
+	}
+	return e.chunk(int(r) / chunkRegs).at(int(r) % chunkRegs)
+}
+
+func (e *env) set(r ir.Reg, t types.Type) {
 	if r == ir.NoReg {
 		return
 	}
-	e[r] = t
+	i, k := int(r)/chunkRegs, int(r)%chunkRegs
+	if _, unknown := t.(types.Unknown); unknown && e.chunk(i).present&(1<<k) == 0 {
+		return // already unknown: do not un-share the chunk
+	}
+	e.writable(i).put(k, t)
+}
+
+// writable returns the i'th chunk, owned by e.
+func (e *env) writable(i int) *envChunk {
+	if e.own == nil {
+		e.own = new(envOwner)
+	}
+	for len(e.chunks) <= i {
+		e.chunks = append(e.chunks, nil)
+	}
+	c := e.chunks[i]
+	switch {
+	case c == nil:
+		c = &envChunk{owner: e.own}
+	case c.owner != e.own:
+		cp := *c
+		c = &cp
+		c.owner = e.own
+	default:
+		return c
+	}
+	e.chunks[i] = c
+	return c
+}
+
+// restrict returns an env holding e's bindings for the registers in
+// keep and no others, sharing every chunk it need not change.
+func (e *env) restrict(keep regMask) *env {
+	e.disown()
+	out := &env{chunks: make([]*envChunk, len(e.chunks))}
+	for i, c := range e.chunks {
+		if c != nil {
+			out.chunks[i] = c.restrict(keep.word(i))
+		}
+	}
+	return out
 }
 
 // equalOn reports whether two envs agree on every register in regs.
-func (e env) equalOn(o env, regs []ir.Reg) bool {
-	for _, r := range regs {
-		if !types.Equal(e.get(r), o.get(r)) {
-			return false
+func (e *env) equalOn(o *env, regs regMask) bool {
+	for i := 0; i < len(e.chunks) || i < len(o.chunks); i++ {
+		a, b := e.chunk(i), o.chunk(i)
+		if a == b {
+			continue
+		}
+		for m := regs.word(i) & (a.present | b.present); m != 0; m &= m - 1 {
+			k := bits.TrailingZeros32(m)
+			if !types.Equal(a.at(k), b.at(k)) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-func (e env) String() string {
-	keys := make([]int, 0, len(e))
-	for k := range e {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("r%d:%s", k, e[ir.Reg(k)]))
+func (e *env) String() string {
+	var parts []string
+	for i := range e.chunks {
+		c := e.chunk(i)
+		for m := c.present; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros32(m)
+			parts = append(parts, fmt.Sprintf("r%d:%s", i*chunkRegs+k, c.t[k]))
+		}
 	}
 	return "{" + strings.Join(parts, " ") + "}"
 }
+
+// regMask is a set of registers laid out like an env's chunk table:
+// word i holds registers i*chunkRegs … i*chunkRegs+31.
+type regMask []uint32
+
+func (m regMask) word(i int) uint32 {
+	if i < len(m) {
+		return m[i]
+	}
+	return 0
+}
+
+func (m regMask) has(r ir.Reg) bool {
+	return r >= 0 && m.word(int(r)/chunkRegs)&(1<<(int(r)%chunkRegs)) != 0
+}
+
+// with returns m plus r (NoReg adds nothing); m itself is not changed.
+func (m regMask) with(r ir.Reg) regMask {
+	if r == ir.NoReg || m.has(r) {
+		return m
+	}
+	out := make(regMask, max(len(m), int(r)/chunkRegs+1))
+	copy(out, m)
+	out.add(r)
+	return out
+}
+
+func (m *regMask) add(r ir.Reg) {
+	for len(*m) <= int(r)/chunkRegs {
+		*m = append(*m, 0)
+	}
+	(*m)[int(r)/chunkRegs] |= 1 << (int(r) % chunkRegs)
+}
+
+func (m regMask) remove(r ir.Reg) { m[int(r)/chunkRegs] &^= 1 << (int(r) % chunkRegs) }
 
 // flow is one control-flow path under construction: an attachment point
 // in the graph plus the type environment along that path. The compiler
@@ -67,7 +234,7 @@ func (e env) String() string {
 type flow struct {
 	from *ir.Node // node whose successor slot `slot` is the open edge
 	slot int
-	env  env
+	env  *env
 
 	// uncommon marks paths downstream of primitive failures or failed
 	// type tests; splitting never keeps extra copies of them (§4).
@@ -92,12 +259,6 @@ type flow struct {
 // factKey is a proved strict "A < B" relation between registers.
 type factKey struct {
 	a, b ir.Reg
-}
-
-func (f *flow) clone() *flow {
-	nf := &flow{from: f.from, slot: f.slot, env: f.env.clone(), uncommon: f.uncommon, copied: f.copied}
-	nf.copyFacts(f)
-	return nf
 }
 
 // copyFacts copies path knowledge from another flow (used when a branch
@@ -159,6 +320,9 @@ func (f *flow) hasFact(a, b ir.Reg) bool {
 // invalidateReg drops all knowledge involving register r (called when r
 // is reassigned).
 func (f *flow) invalidateReg(r ir.Reg) {
+	if f.facts == nil && f.lens == nil && f.copies == nil {
+		return
+	}
 	for k := range f.facts {
 		if k.a == r || k.b == r {
 			delete(f.facts, k)

@@ -66,7 +66,7 @@ func (cp *compilation) compileLoop(f *flow, condT, bodyT types.Blk, negate bool,
 	}
 
 	// Phase 2: choose the loop versions.
-	versions := []env{headEnv}
+	versions := []*env{headEnv}
 	if cp.cfg.MultiVersionLoops && !cp.cfg.StaticIdeal {
 		if common, ok := cp.projectCommon(headEnv, loopRegs); ok {
 			// Fold the common version's tail types into the general
@@ -78,7 +78,7 @@ func (cp *compilation) compileLoop(f *flow, condT, bodyT types.Blk, negate bool,
 					headEnv.set(r, types.LoopGeneralize(headEnv.get(r), te.get(r), origin, cp.intMap()))
 				}
 			}
-			versions = []env{common, headEnv}
+			versions = []*env{common, headEnv}
 		}
 	}
 
@@ -167,7 +167,7 @@ func (cp *compilation) seedInvariantFacts(hf, entry *flow, writes map[ir.Reg]boo
 
 // conformBlocks materializes any block literal whose type the target
 // environment dilutes (the head will treat the register dynamically).
-func (cp *compilation) conformBlocks(f *flow, target env, regs []ir.Reg) {
+func (cp *compilation) conformBlocks(f *flow, target *env, regs []ir.Reg) {
 	for _, r := range regs {
 		t := f.env.get(r)
 		if _, ok := t.(types.Blk); !ok {
@@ -189,7 +189,7 @@ func (cp *compilation) nextMergeID() int {
 // returns the type environments at the loop tail. The nodes built here
 // stay unreachable; only the type information survives (and the
 // compile-time cost, which the paper pays too).
-func (cp *compilation) simulateLoopBody(headEnv env, condT, bodyT types.Blk, negate bool) []env {
+func (cp *compilation) simulateLoopBody(headEnv *env, condT, bodyT types.Blk, negate bool) []*env {
 	savedRegs := cp.g.NumRegs
 	savedTracked := len(cp.tracked)
 
@@ -197,21 +197,14 @@ func (cp *compilation) simulateLoopBody(headEnv env, condT, bodyT types.Blk, neg
 	hf := &flow{from: fake, slot: 0, env: headEnv.clone()}
 	tails, _ := cp.buildLoopBody(hf, condT, bodyT, negate)
 
-	out := make([]env, 0, len(tails))
-	for _, tf := range tails {
-		// Cap the environments to the registers that existed before
-		// the simulation, so scratch registers don't leak.
-		e := env{}
-		for _, r := range cp.tracked[:savedTracked] {
-			e.set(r, tf.env.get(r))
-		}
-		out = append(out, e)
-	}
+	// Cap the environments to the registers tracked before the
+	// simulation, so scratch registers don't leak.
 	cp.g.NumRegs = savedRegs
-	for _, r := range cp.tracked[savedTracked:] {
-		delete(cp.trackedSet, r)
+	cp.trackRelease(savedTracked)
+	out := make([]*env, len(tails))
+	for i, tf := range tails {
+		out[i] = tf.env.restrict(cp.trackedMask)
 	}
-	cp.tracked = cp.tracked[:savedTracked]
 	return out
 }
 
@@ -278,7 +271,7 @@ func (cp *compilation) branchOnBool(f *flow, reg ir.Reg) (whenTrue, whenFalse []
 // and widen every register whose tail type escapes its entry type,
 // iterating because widening one variable can expose assignments to
 // another.
-func (cp *compilation) pessimize(e env, condT, bodyT types.Blk, negate bool, loopRegs []ir.Reg) env {
+func (cp *compilation) pessimize(e *env, condT, bodyT types.Blk, negate bool, loopRegs []ir.Reg) *env {
 	out := e.clone()
 	// Without type analysis every assignment already binds unknown, so
 	// one discovery pass is complete; with it, widening one variable
@@ -313,7 +306,7 @@ func (cp *compilation) pessimize(e env, condT, bodyT types.Blk, negate bool, loo
 // loop-head environment: each merge type is replaced by its
 // best class-typed constituent. Reports false when the head has no
 // merge types (a single version suffices).
-func (cp *compilation) projectCommon(headEnv env, loopRegs []ir.Reg) (env, bool) {
+func (cp *compilation) projectCommon(headEnv *env, loopRegs []ir.Reg) (*env, bool) {
 	out := headEnv.clone()
 	found := false
 	for _, r := range loopRegs {
@@ -338,7 +331,7 @@ func (cp *compilation) projectCommon(headEnv env, loopRegs []ir.Reg) (env, bool)
 
 // envContains reports whether head's types contain e's on every
 // tracked register.
-func (cp *compilation) envContains(head, e env, loopRegs []ir.Reg) bool {
+func (cp *compilation) envContains(head, e *env, loopRegs []ir.Reg) bool {
 	for _, r := range loopRegs {
 		if !types.Contains(head.get(r), e.get(r), cp.intMap()) {
 			return false
@@ -349,7 +342,7 @@ func (cp *compilation) envContains(head, e env, loopRegs []ir.Reg) bool {
 
 // envCompatible applies the §5.2 head/tail compatibility rule
 // pointwise.
-func (cp *compilation) envCompatible(head, tail env, loopRegs []ir.Reg) bool {
+func (cp *compilation) envCompatible(head, tail *env, loopRegs []ir.Reg) bool {
 	for _, r := range loopRegs {
 		if !types.Compatible(head.get(r), tail.get(r), cp.intMap()) {
 			return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -511,7 +512,7 @@ func (cp *compilation) materialize(f *flow, reg ir.Reg) {
 				home.nlrLanding = cp.newMergeNode()
 				home.ret.flows = append(home.ret.flows, &flow{
 					from:     home.nlrLanding,
-					env:      env{},
+					env:      &env{},
 					uncommon: true,
 				})
 			}
@@ -523,8 +524,8 @@ func (cp *compilation) materialize(f *flow, reg ir.Reg) {
 	f.env.set(reg, types.NewClass(cp.w.BlockMap, cp.intMap()))
 	if sc, ok := bt.Scope.(*scope); ok {
 		for _, name := range assignedUpNames(bt.B) {
-			if r, up, found := sc.lookupVar(name); found && !up {
-				cp.volatile[r] = true
+			if r, up, found := sc.lookupVar(name); found && !up && !slices.Contains(cp.volatile, r) {
+				cp.volatile = append(cp.volatile, r)
 			}
 		}
 	}
@@ -535,7 +536,7 @@ func (cp *compilation) materialize(f *flow, reg ir.Reg) {
 // closure may assign; called after every instruction that could run
 // arbitrary code.
 func (cp *compilation) clobberVolatile(f *flow) {
-	for r := range cp.volatile {
+	for _, r := range cp.volatile {
 		f.env.set(r, types.Unknown{})
 		f.invalidateReg(r)
 	}

@@ -179,6 +179,13 @@ func (s *Server) registerMetrics() {
 		"Mean hot-trigger-to-install latency of installed promotions.",
 		func() float64 { return s.root.PromotionStats().MeanLatency.Seconds() })
 
+	r.CounterFunc("selfgo_compile_nodes_built_total",
+		"IR nodes the compiler built, discarded loop-analysis bodies included.",
+		func() float64 { built, _ := s.root.CompileNodes(); return float64(built) })
+	r.CounterFunc("selfgo_compile_nodes_kept_total",
+		"IR nodes that survived into compiled code.",
+		func() float64 { _, kept := s.root.CompileNodes(); return float64(kept) })
+
 	// Compile log by tier: how many compiles each pipeline tier ran.
 	r.RegisterFunc("selfgo_compiles_total",
 		"Compiler runs recorded, by pipeline tier.",

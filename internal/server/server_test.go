@@ -736,9 +736,10 @@ func TestPoolGaugesTrackOccupancy(t *testing.T) {
 }
 
 // TestFrameMetricsPlateau: the frame counters reach /metrics and
-// /statusz, and a warm server allocates no register files — every
-// activation reuses a pooled one, so allocs and pool bytes stop moving
-// while reuses keep climbing (what a soak asserts over hours).
+// /statusz (the compiler's built/kept node counters /metrics), and a
+// warm server allocates no register files — every activation reuses a
+// pooled one, so allocs and pool bytes stop moving while reuses keep
+// climbing (what a soak asserts over hours).
 func TestFrameMetricsPlateau(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 1})
 	const req = `{"program": "down: n = ( (n = 0) ifTrue: [ 0 ] False: [ 1 + (down: n - 1) ] ).", "expr": "down: 50"}`
@@ -757,6 +758,10 @@ func TestFrameMetricsPlateau(t *testing.T) {
 		if code, res := postJSON(t, ts.URL+"/eval", req); code != http.StatusOK || res.Int != 50 {
 			t.Fatalf("status %d: %+v", code, res)
 		}
+	}
+	built, _ := scrapeGauge(t, ts.URL, "selfgo_compile_nodes_built_total")
+	if kept, ok := scrapeGauge(t, ts.URL, "selfgo_compile_nodes_kept_total"); !ok || kept <= 0 || built < kept {
+		t.Errorf("/metrics counts %v compile nodes built, %v kept (present=%v)", built, kept, ok)
 	}
 	allocs, reuses, bytes := scrape()
 	if allocs < 50 || bytes <= 0 {

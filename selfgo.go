@@ -297,6 +297,8 @@ type compileLog struct {
 	entries []MethodCompile
 	total   time.Duration  // sum of the entries' Stats.Duration
 	tiers   map[string]int // entries per tier label
+	built   int64          // sum of the entries' Stats.BuiltNodes
+	kept    int64          // sum of the entries' Stats.Nodes
 }
 
 func (l *compileLog) add(e MethodCompile) {
@@ -304,6 +306,8 @@ func (l *compileLog) add(e MethodCompile) {
 	l.entries = append(l.entries, e)
 	l.total += e.Stats.Duration
 	l.tiers[e.Tier]++
+	l.built += int64(e.Stats.BuiltNodes)
+	l.kept += int64(e.Stats.Nodes)
 	l.mu.Unlock()
 }
 
@@ -317,6 +321,12 @@ func (l *compileLog) totalDuration() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.total
+}
+
+func (l *compileLog) nodes() (built, kept int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.built, l.kept
 }
 
 func (l *compileLog) tierCounts() map[string]int {
@@ -884,6 +894,11 @@ func (s *System) CompileLog() []MethodCompile {
 func (s *System) totalCompileTime() time.Duration {
 	return s.log.totalDuration()
 }
+
+// CompileNodes sums, over the compile log, the IR nodes the compiler
+// built and the ones that survived into code: the gap is what iterative
+// type analysis (§5.1) discards in re-simulated loop bodies.
+func (s *System) CompileNodes() (built, kept int64) { return s.log.nodes() }
 
 // GraphFor compiles selector (customized for the lobby) and returns
 // its control flow graph — the artifact the paper's figures draw.
