@@ -7,17 +7,22 @@ import (
 )
 
 // bbvMegamorphic drives one merge-heavy method: three independent
-// predicted comparisons inside a loop body produce up to eight distinct
-// fact combinations at the trailing merge points, far more contexts
-// than a small version cap admits.
+// comparisons whose boolean results all stay live across the three
+// conditionals that consume them, so the merge points after each
+// conditional see up to eight distinct fact combinations — far more
+// contexts than a small version cap admits. (The results are held in
+// locals on purpose: a temporary's fact dies with its slot once
+// register allocation coalesces copies.)
 const bbvMegamorphic = `
 go: n = ( | s <- 0 |
     1 to: n Do: [ :i |
         | a. b. c |
-        a: i % 2. b: i % 3. c: i % 5.
-        (a = 0) ifTrue: [ s: s + 1 ].
-        (b = 0) ifTrue: [ s: s + 2 ].
-        (c = 0) ifTrue: [ s: s + 3 ].
+        a: (i % 2) = 0. b: (i % 3) = 0. c: (i % 5) = 0.
+        a ifTrue: [ s: s + 1 ].
+        b ifTrue: [ s: s + 2 ].
+        c ifTrue: [ s: s + 3 ].
+        a ifTrue: [ s: s + 1 ].
+        b ifTrue: [ s: s + 2 ].
         s: s + i ].
     s ).`
 

@@ -299,11 +299,24 @@ go test -run 'TestBBVVsSplitBenchmarks|TestBBVConformanceAcrossStrategies|TestBB
 
 # Register-allocation differential: vm.CheckAllocation over every Code
 # the benchmarks and conformance programs compile under every preset,
-# tier and strategy; allocated vs un-allocated assembly bit-identical
-# (value, RunStats, compile record, fault backtraces); and the frame
-# footprint that buys (warm calls allocate none, deep recursion < 32 MB).
+# tier and strategy, and the mutants it must reject (two live registers
+# on one slot that are not copies of one another, a coalesced pair whose
+# source is redefined, a pinned register sharing); allocated vs
+# un-allocated assembly bit-identical (value, RunStats, compile record,
+# fault backtraces, pcs included); coalescing costs no frame storage;
+# and the frame footprint allocation buys (warm calls allocate none,
+# deep recursion < 32 MB).
 echo "== regalloc differential"
-go test -run 'TestRegAllocChecked|TestRegAllocBitIdentical|TestWarmCallsDoNotAllocateFrames|TestDeepRecursionFootprint' .
+go test -run 'TestRegAllocChecked|TestRegAllocBitIdentical|TestCoalescingCostsNoFrameStorage|TestWarmCallsDoNotAllocateFrames|TestDeepRecursionFootprint' .
+go test -run 'TestCheckAllocation' ./internal/vm
+
+# Fusion differential: fused vs unfused bit-identical on every benchmark
+# and on fault backtraces (pcs included); self-moves absorbed with their
+# charge, tails uncharged by N; and the loop benchmarks' inner loops
+# dispatch at most half the entries they retire instructions.
+echo "== fusion differential"
+go test -run 'TestFusedVsUnfused' .
+go test -run 'TestFuse' ./internal/vm
 
 # Compile digest + determinism: the compiler makes the decisions pinned
 # in testdata/compile_digest.json (every program × preset × eager tier ×
@@ -430,6 +443,8 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzBBVDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzRegAllocDifferential"
     go test -run '^$' -fuzz '^FuzzRegAllocDifferential$' -fuzztime 10s .
+    echo "== fuzz smoke: FuzzFusionDifferential"
+    go test -run '^$' -fuzz '^FuzzFusionDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzEnvModel"
     go test -run '^$' -fuzz '^FuzzEnvModel$' -fuzztime 10s ./internal/core
     echo "== fuzz smoke: FuzzImageDecode"

@@ -22,31 +22,41 @@ const digestFile = "testdata/compile_digest.json"
 // (the rule TestRegAllocChecked's non-own cells use).
 var digestBudget = selfgo.Budget{MaxInstrs: 300_000}
 
+// codeDigest is one cell of the pinned file: Raw hashes the compiler's
+// linearization over virtual registers — every decision the compiler
+// makes, register numbering included — and Alloc the allocated code
+// that ships. A change to the register allocator alone moves Alloc and
+// must leave Raw byte-identical.
+type codeDigest struct {
+	Raw   string `json:"raw"`
+	Alloc string `json:"alloc"`
+}
+
 // compileDigest runs p cold and hashes, in assembly order, the
-// disassembly of every Code the run compiles — both the linearization
-// over virtual registers (so a drift in register numbering shows) and
-// the allocated code that ships.
-func compileDigest(t *testing.T, cfg selfgo.Config, mode selfgo.TierMode, p allocProgram) string {
+// disassembly of every Code the run compiles.
+func compileDigest(t *testing.T, cfg selfgo.Config, mode selfgo.TierMode, p allocProgram) codeDigest {
 	t.Helper()
-	h := sha256.New()
+	hr, ha := sha256.New(), sha256.New()
 	vm.TestHookAssemble = func(raw, c *vm.Code) *vm.Code {
-		h.Write([]byte(raw.Disasm()))
-		h.Write([]byte(c.Disasm()))
+		hr.Write([]byte(raw.Disasm()))
+		ha.Write([]byte(c.Disasm()))
 		return c
 	}
 	defer func() { vm.TestHookAssemble = nil }()
 	if out := allocRun(t, cfg, mode, p, digestBudget); out.Msg != "" && out.Kind != selfgo.KindOutOfFuel {
 		t.Errorf("%s under %s: %s", p.name, cfg.Name, out.Msg)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return codeDigest{Raw: hex.EncodeToString(hr.Sum(nil)), Alloc: hex.EncodeToString(ha.Sum(nil))}
 }
 
 // TestCompileDigest is the oracle for "same decisions, made faster":
 // testdata/compile_digest.json pins the code every benchmark and
 // conformance program compiles to under each preset, eager tier and
-// strategy. A compiler change that is meant to alter no decision must
-// pass it unchanged; one that is meant to regenerates the file with
-// `go test -run TestCompileDigest -update-digest .` and says so.
+// strategy, two hashes per cell (codeDigest). A compiler change that
+// is meant to alter no decision must pass it unchanged; one that is
+// meant to regenerates the file with
+// `go test -run TestCompileDigest -update-digest .` and says so; a
+// failure names the column that moved.
 // (-short and the race detector: the new SELF × opt × split cell.)
 func TestCompileDigest(t *testing.T) {
 	progs := allocPrograms()
@@ -61,7 +71,7 @@ func TestCompileDigest(t *testing.T) {
 		t.Fatal("-update-digest needs the full matrix: run without -short and -race")
 	}
 
-	want := map[string]string{}
+	want := map[string]codeDigest{}
 	if !*updateDigest {
 		data, err := os.ReadFile(digestFile)
 		if err != nil {
@@ -71,7 +81,7 @@ func TestCompileDigest(t *testing.T) {
 			t.Fatalf("%s: %v", digestFile, err)
 		}
 	}
-	got := map[string]string{}
+	got := map[string]codeDigest{}
 	for _, cfg := range presets {
 		for _, strat := range strategies {
 			for _, mode := range modes {
@@ -80,8 +90,18 @@ func TestCompileDigest(t *testing.T) {
 				for _, p := range progs {
 					key := fmt.Sprintf("%s/%s/%s/%s", cfg.Name, strat, mode, p.name)
 					got[key] = compileDigest(t, cfg, mode, p)
-					if w, ok := want[key]; !*updateDigest && (!ok || w != got[key]) {
-						t.Errorf("%s: compiled code changed (digest %.12s, pinned %.12s)", key, got[key], w)
+					if *updateDigest {
+						continue
+					}
+					w, ok := want[key]
+					if !ok {
+						t.Errorf("%s: not pinned", key)
+						continue
+					}
+					if g := got[key]; g.Raw != w.Raw {
+						t.Errorf("%s: the compiler's output changed (raw %.12s, pinned %.12s)", key, g.Raw, w.Raw)
+					} else if g.Alloc != w.Alloc {
+						t.Errorf("%s: register allocation changed (alloc %.12s, pinned %.12s; raw unchanged)", key, g.Alloc, w.Alloc)
 					}
 				}
 			}

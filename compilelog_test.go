@@ -7,31 +7,42 @@ import (
 
 // TestCompileLogAggregates: every /eval reply reads the total compile
 // time and the per-tier counts, and every scrape the node counts, so
-// none of them may walk or copy the log. After 10^5 compilations they
-// are served from running aggregates — totalCompileTime allocates
-// nothing, TierCounts only its small result map — and all agree with a
-// fresh walk of CompileLog().
+// none of them may walk or copy the log — and the log itself keeps only
+// its latest compileLogCap entries. After 10^5 compilations the
+// aggregates are exact over all of them, totalCompileTime allocates
+// nothing, TierCounts only its small result map, and CompileLog() is
+// the last compileLogCap entries in order.
 func TestCompileLogAggregates(t *testing.T) {
 	sys, err := NewSystem(NewSELF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tiers := []string{"baseline", "optimizing", "native", "degraded"}
-	for i := 0; i < 100_000; i++ {
-		e := MethodCompile{Name: "m", Tier: tiers[i%7%len(tiers)]}
-		e.Stats.Duration = time.Duration(i%13) * time.Microsecond
-		e.Stats.BuiltNodes, e.Stats.Nodes = i%17+i%5, i%5
-		sys.log.add(e)
-	}
-
+	const n = 100_000
 	var total time.Duration
 	var built, kept int64
 	counts := map[string]int{}
-	for _, e := range sys.CompileLog() {
+	for i := 0; i < n; i++ {
+		e := MethodCompile{Name: "m", Tier: tiers[i%7%len(tiers)]}
+		e.Stats.Duration = time.Duration(i%13) * time.Microsecond
+		e.Stats.BuiltNodes, e.Stats.Nodes = i, i%5
+		sys.log.add(e)
 		total += e.Stats.Duration
 		built += int64(e.Stats.BuiltNodes)
 		kept += int64(e.Stats.Nodes)
 		counts[e.Tier]++
+		if want := min(i+1, compileLogCap); sys.CompileLogLen() != want {
+			t.Fatalf("after %d compilations the log holds %d entries, want %d", i+1, sys.CompileLogLen(), want)
+		}
+	}
+	log := sys.CompileLog()
+	if len(log) != compileLogCap {
+		t.Fatalf("CompileLog returned %d entries, want the latest %d", len(log), compileLogCap)
+	}
+	for j, e := range log {
+		if want := n - compileLogCap + j; e.Stats.BuiltNodes != want {
+			t.Fatalf("CompileLog()[%d] is compilation %d, want %d: not the retained tail in order", j, e.Stats.BuiltNodes, want)
+		}
 	}
 	if b, k := sys.CompileNodes(); b != built || k != kept {
 		t.Errorf("CompileNodes = %d built, %d kept; a walk of the log says %d, %d", b, k, built, kept)

@@ -170,7 +170,8 @@ func (g *progGen) generate(nVars, nVecs, nStmts int) string {
 // TestDifferentialRandomPrograms cross-checks all six compiler
 // configurations on generated programs: any disagreement is a
 // miscompilation in one of them. Each run also goes through the
-// register-allocation oracles (validator, allocated vs raw).
+// register-allocation oracles (validator, allocated vs raw) and the
+// fusion oracle (fused vs unfused).
 func TestDifferentialRandomPrograms(t *testing.T) {
 	n := 40
 	if testing.Short() {
@@ -184,6 +185,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			var ref int64
 			var refCfg string
 			for i, cfg := range Configs() {
+				cfg := cfg
 				run := func() *Result {
 					sys, err := NewSystem(cfg)
 					if err != nil {
@@ -201,7 +203,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				// Under the two presets that shape code most differently
 				// (everything out of line; everything inlined) every
 				// allocation is checked, and the run must be bit-identical
-				// to one on un-allocated code.
+				// to one on un-allocated code and to one on unfused code.
 				var res *Result
 				if cfg.Name == ST80.Name || cfg.Name == NewSELF.Name {
 					var raw *Result
@@ -210,6 +212,11 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					if raw.Value.I() != res.Value.I() || raw.Run != res.Run || raw.Compile != res.Compile {
 						t.Errorf("seed %d [%s]: register allocation changed the run:\nallocated: %d %+v\nraw:       %d %+v\n%s",
 							seed, cfg.Name, res.Value.I(), res.Run, raw.Value.I(), raw.Run, src)
+					}
+					cfg.NoSuperinstructions = true
+					if plain := run(); plain.Value.I() != res.Value.I() || plain.Run != res.Run || plain.Compile != res.Compile {
+						t.Errorf("seed %d [%s]: fusion changed the run:\nfused:   %d %+v\nunfused: %d %+v\n%s",
+							seed, cfg.Name, res.Value.I(), res.Run, plain.Value.I(), plain.Run, src)
 					}
 				} else {
 					res = run()

@@ -2,6 +2,7 @@ package selfgo_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"selfgo"
@@ -62,8 +63,8 @@ func TestFusedVsUnfusedBenchmarks(t *testing.T) {
 
 // TestFusedVsUnfusedFaultBacktraces: faulting programs must fail the
 // same way with fusion on and off — same error kind, same message, and
-// the same sequence of Self-level backtrace frame names. (Frame PCs are
-// not compared: fusion legitimately renumbers pcs within a method.)
+// the same Self-level backtrace, frame by frame, pcs included: a frame
+// names the pc in the code as assembled (Code.sourcePC).
 func TestFusedVsUnfusedFaultBacktraces(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -139,8 +140,8 @@ vecAt: i = ( | v | v: (vector copySize: 3 FillWith: 0). v at: i ).
 					len(fre.Trace), len(pre.Trace), fre.Backtrace(), pre.Backtrace())
 			}
 			for i := range fre.Trace {
-				if fre.Trace[i].Name != pre.Trace[i].Name {
-					t.Errorf("trace frame %d: fused=%q unfused=%q", i, fre.Trace[i].Name, pre.Trace[i].Name)
+				if fre.Trace[i] != pre.Trace[i] {
+					t.Errorf("trace frame %d: fused=%q unfused=%q", i, fre.Trace[i], pre.Trace[i])
 				}
 			}
 		})
@@ -158,4 +159,27 @@ func runFault(t *testing.T, cfg selfgo.Config, src, entry string, args []selfgo.
 	}
 	_, err = sys.Call(entry, args...)
 	return err
+}
+
+// FuzzFusionDifferential feeds arbitrary program text to fused and
+// unfused code under a tight budget and fails on any observable
+// divergence: value, RunStats, compile record, fault kind, message or
+// backtrace, pcs included. A budget fault is no exception: polls sit on
+// a grid of instruction counts (vm.poll), so both sides run out of fuel
+// at the same instruction. Registered in ci.sh's fuzz smoke stage.
+func FuzzFusionDifferential(f *testing.F) {
+	for _, s := range fuzzEvalSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			t.Skip()
+		}
+		for _, cfg := range []selfgo.Config{selfgo.NewSELF, selfgo.ST80} {
+			got, want := fuzzEval(t, cfg, src), fuzzEval(t, unfused(cfg), src)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s diverged:\nfused:   %+v\nunfused: %+v", cfg.Name, got, want)
+			}
+		}
+	})
 }

@@ -186,6 +186,10 @@ func (s *Server) registerMetrics() {
 		"IR nodes that survived into compiled code.",
 		func() float64 { _, kept := s.root.CompileNodes(); return float64(kept) })
 
+	r.GaugeFunc("selfgo_compile_log_entries",
+		"Compile-log entries retained (a ring of the latest compiles; plateaus at its bound).",
+		func() float64 { return float64(s.root.CompileLogLen()) })
+
 	// Compile log by tier: how many compiles each pipeline tier ran.
 	r.RegisterFunc("selfgo_compiles_total",
 		"Compiler runs recorded, by pipeline tier.",

@@ -28,12 +28,12 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +181,7 @@ type Server struct {
 	progMu   sync.Mutex
 	loaded   map[[sha256.Size]byte]bool // program texts already in the world
 	exprs    map[[sha256.Size]byte]*exprEntry
-	exprLRU  []*exprEntry // front = most recent
+	exprLRU  *list.List // of *exprEntry, front = most recent
 	benches  map[string]benchEntry
 	queued   atomic.Int64
 	inFlight atomic.Int64
@@ -207,7 +207,7 @@ type Server struct {
 type exprEntry struct {
 	key  [sha256.Size]byte
 	prog *selfgo.EvalProgram
-	last int64 // logical clock for LRU
+	elem *list.Element // its place in exprLRU
 }
 
 // New builds the shared system — cold (prelude load) or warm (world
@@ -224,6 +224,7 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		loaded:  map[[sha256.Size]byte]bool{},
 		exprs:   map[[sha256.Size]byte]*exprEntry{},
+		exprLRU: list.New(),
 		benches: map[string]benchEntry{},
 	}
 
@@ -252,8 +253,7 @@ func New(cfg Config) (*Server, error) {
 			s.loaded[sha256.Sum256([]byte(src))] = true
 		}
 		for _, p := range boot.Programs {
-			key := sha256.Sum256([]byte(p.Source))
-			s.exprs[key] = &exprEntry{key: key, prog: p, last: s.touch()}
+			s.internLocked(sha256.Sum256([]byte(p.Source)), p)
 		}
 	} else {
 		root, err := selfgo.NewTieredSystem(cfg.Compiler, cfg.Mode, cfg.PromoteThreshold)
@@ -371,20 +371,15 @@ func (s *Server) SaveImage(path string) (*selfgo.ImageInfo, error) {
 	s.root.DrainPromotions()
 	s.worldMu.Lock()
 	defer s.worldMu.Unlock()
-	s.progMu.Lock()
-	entries := make([]*exprEntry, 0, len(s.exprs))
-	for _, e := range s.exprs {
-		entries = append(entries, e)
-	}
-	s.progMu.Unlock()
 	// Oldest first, so a restored process re-interns in the same
 	// relative order and identical cache contents produce identical
 	// images.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].last < entries[j].last })
-	progs := make([]*selfgo.EvalProgram, len(entries))
-	for i, e := range entries {
-		progs[i] = e.prog
+	s.progMu.Lock()
+	progs := make([]*selfgo.EvalProgram, 0, len(s.exprs))
+	for el := s.exprLRU.Back(); el != nil; el = el.Prev() {
+		progs = append(progs, el.Value.(*exprEntry).prog)
 	}
+	s.progMu.Unlock()
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("creating image file: %w", err)
@@ -610,7 +605,7 @@ func (s *Server) ensureProgram(src string) error {
 		s.root.DropEvalProgram(e.prog)
 	}
 	clear(s.exprs)
-	s.exprLRU = s.exprLRU[:0]
+	s.exprLRU.Init()
 	s.progMu.Unlock()
 	return nil
 }
@@ -625,7 +620,7 @@ func (s *Server) internExpr(src string) (*selfgo.EvalProgram, error) {
 	s.progMu.Lock()
 	defer s.progMu.Unlock()
 	if e, ok := s.exprs[key]; ok {
-		e.last = s.touch()
+		s.exprLRU.MoveToFront(e.elem)
 		s.m.exprHits.Inc()
 		return e.prog, nil
 	}
@@ -636,28 +631,26 @@ func (s *Server) internExpr(src string) (*selfgo.EvalProgram, error) {
 	if len(s.exprs) >= s.cfg.MaxEvalPrograms {
 		s.evictColdestLocked()
 	}
-	s.exprs[key] = &exprEntry{key: key, prog: prog, last: s.touch()}
+	s.internLocked(key, prog)
 	s.m.exprInterned.Inc()
 	return prog, nil
 }
 
-var lruClock atomic.Int64
-
-func (s *Server) touch() int64 { return lruClock.Add(1) }
+// internLocked enters prog as the most recently used expression.
+func (s *Server) internLocked(key [sha256.Size]byte, prog *selfgo.EvalProgram) {
+	e := &exprEntry{key: key, prog: prog}
+	e.elem = s.exprLRU.PushFront(e)
+	s.exprs[key] = e
+}
 
 // evictColdestLocked drops the least-recently-used interned
-// expression. Linear scan: the table is small (<= MaxEvalPrograms) and
-// eviction only runs once the table is full.
+// expression: the back of the recency list.
 func (s *Server) evictColdestLocked() {
-	var coldest *exprEntry
-	for _, e := range s.exprs {
-		if coldest == nil || e.last < coldest.last {
-			coldest = e
-		}
-	}
-	if coldest == nil {
+	back := s.exprLRU.Back()
+	if back == nil {
 		return
 	}
+	coldest := s.exprLRU.Remove(back).(*exprEntry)
 	s.root.DropEvalProgram(coldest.prog)
 	delete(s.exprs, coldest.key)
 	s.m.exprEvicted.Inc()

@@ -462,6 +462,83 @@ func TestExprLRUEviction(t *testing.T) {
 	if s.cacheStats().Evicted == 0 {
 		t.Fatal("LRU rotation did not evict shared-cache entries")
 	}
+
+	// Recency, not insertion order, decides who goes: the table holds
+	// 8..11; using 8 again makes 9 the coldest, so the next three new
+	// expressions push out 9, 10 and 11 and 8 is still a hit.
+	eval := func(i int) {
+		t.Helper()
+		if code, res := postJSON(t, ts.URL+"/eval", fmt.Sprintf(`{"expr": "%d + %d"}`, i, i)); code != 200 || res.Int != int64(2*i) {
+			t.Fatalf("expr %d: %d %+v", i, code, res)
+		}
+	}
+	eval(8)
+	for i := 12; i < 15; i++ {
+		eval(i)
+	}
+	hits := s.m.exprHits.Value()
+	eval(8)
+	if got := s.m.exprHits.Value(); got != hits+1 {
+		t.Errorf("the most recently used expression was evicted ahead of colder ones (hits %v -> %v)", hits, got)
+	}
+	interned := s.m.exprInterned.Value()
+	eval(9)
+	if got := s.m.exprInterned.Value(); got != interned+1 {
+		t.Errorf("the coldest expression survived three evictions (interned %v -> %v)", interned, got)
+	}
+}
+
+// TestCompileLogBounded: a replica fed never-seen expressions compiles
+// for as long as it lives; its compile log stops at its bound while the
+// aggregates every reply and scrape report keep counting every compile.
+func TestCompileLogBounded(t *testing.T) {
+	n := 20_000
+	if testing.Short() {
+		n = 5_000 // still past the bound
+	}
+	s, ts := newTestServer(t, Config{Pool: 1})
+	h := s.Handler()
+	var res wire.Result
+	for i := 0; i < n; i++ {
+		w := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"expr": "| s <- %d | 1 upTo: 3 Do: [ :i | s: s + i ]. s"}`, i)
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/eval", strings.NewReader(body)))
+		before := res.CompileTimeMS
+		res = wire.Result{}
+		if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != 200 || res.Int != int64(i+3) {
+			t.Fatalf("expr %d: %d %s (%v)", i, w.Code, w.Body.String(), err)
+		}
+		if res.CompileTimeMS <= before {
+			t.Fatalf("expr %d: total compile time went from %v to %v ms across a compilation", i, before, res.CompileTimeMS)
+		}
+	}
+	const bound = 4096
+	log := s.root.CompileLog()
+	if len(log) != bound || s.root.CompileLogLen() != bound {
+		t.Fatalf("the compile log holds %d entries (CompileLogLen %d), want its bound %d", len(log), s.root.CompileLogLen(), bound)
+	}
+	if got, ok := scrapeGauge(t, ts.URL, "selfgo_compile_log_entries"); !ok || got != bound {
+		t.Errorf("/metrics selfgo_compile_log_entries = %v (present: %v), want %d", got, ok, bound)
+	}
+	// Every compilation is a cache miss and the other way round.
+	compiles := int(s.cacheStats().Misses)
+	if compiles < n {
+		t.Fatalf("%d requests ran %d compilations: the expressions were not all new", n, compiles)
+	}
+	total := 0
+	for _, c := range res.Tiers {
+		total += c
+	}
+	if total != compiles {
+		t.Errorf("the last reply's tier counts sum to %d, the cache counted %d compilations", total, compiles)
+	}
+	var retained time.Duration
+	for _, e := range log {
+		retained += e.Stats.Duration
+	}
+	if ms := float64(retained) / float64(time.Millisecond); res.CompileTimeMS <= ms {
+		t.Errorf("the last reply's compile time %v ms is no more than the retained entries' %v ms", res.CompileTimeMS, ms)
+	}
 }
 
 // TestHostileNewVecFaults: a request allocating a huge vector must be

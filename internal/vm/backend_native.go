@@ -43,7 +43,9 @@ import (
 // the sentinels below. On a non-nil error a positive pc reports the
 // faulting instruction (segment closures fault mid-run); zero means
 // "the pc the driver dispatched", which single-instruction closures
-// use — the two coincide when the dispatched pc is 0.
+// use — the two coincide when the dispatched pc is 0; nPushed means the
+// closure pushed the backtrace frame itself (a fault in the tail of a
+// superinstruction, a failed poll inside a segment).
 type nativeOp func(vm *VM, fr *frame) (int, error)
 
 const (
@@ -51,6 +53,8 @@ const (
 	nFall = -1
 	// nRet returns from the frame; the value travels in vm.nret.
 	nRet = -2
+	// nPushed accompanies an error whose frame is already on the trace.
+	nPushed = -3
 )
 
 // nativeInstr pairs one closure with the accounting the driver charges
@@ -112,7 +116,7 @@ func PrepareNative(c *Code) error {
 			end++
 		}
 		if end-pc >= 2 {
-			nc.ops[pc].op = makeSegment(base[pc:end], pc)
+			nc.ops[pc].op = makeSegment(c, base[pc:end], pc)
 		}
 	}
 	c.native = nc
@@ -127,12 +131,12 @@ func PrepareNative(c *Code) error {
 // instruction at every poll stride. On success it returns the pc after
 // the run; on a fault, the faulting constituent's pc (for the
 // backtrace).
-func makeSegment(run []nativeInstr, start int) nativeOp {
+func makeSegment(c *Code, run []nativeInstr, start int) nativeOp {
 	seg := make([]nativeInstr, len(run))
 	copy(seg, run)
 	return func(vm *VM, fr *frame) (int, error) {
 		if next, err := seg[0].op(vm, fr); err != nil {
-			return start, err
+			return faultPC(next, start), err
 		} else if next != nFall {
 			return next, nil // linear ops never branch; defensive
 		}
@@ -142,8 +146,8 @@ func makeSegment(run []nativeInstr, start int) nativeOp {
 			ni := &seg[j]
 			st.Instrs += ni.n
 			if st.Instrs >= vm.pollAt {
-				if perr := vm.poll(st); perr != nil {
-					return start + j, perr
+				if perr := vm.poll(st, c, start+j); perr != nil {
+					return nPushed, perr
 				}
 			}
 			st.Cycles += ni.cost
@@ -152,7 +156,7 @@ func makeSegment(run []nativeInstr, start int) nativeOp {
 			}
 			next, err := ni.op(vm, fr)
 			if err != nil {
-				return start + j, err
+				return faultPC(next, start+j), err
 			}
 			if next != nFall {
 				return next, nil
@@ -162,16 +166,28 @@ func makeSegment(run []nativeInstr, start int) nativeOp {
 	}
 }
 
+// faultPC is what a segment reports for a constituent's error: nPushed
+// stays, anything else becomes the constituent's pc.
+func faultPC(next, pc int) int {
+	if next == nPushed {
+		return nPushed
+	}
+	return pc
+}
+
+// tailFault is how a superinstruction's closure reports an error raised
+// by its tail constituent sub: it pushes the frame, which the driver
+// would put at the head.
+func tailFault(err error, c *Code, pc int, sub *Instr) (int, error) {
+	pushFrame(err, c, pc, c.Instrs[pc].tailLen(sub))
+	return nPushed, err
+}
+
 // runNative is the closure-threaded driver, the native backend's
 // counterpart of runFast. The prologue per dispatch is byte-for-byte
 // the interpreter's: modelled-instruction count, cooperative budget
 // poll, static cycle charge, per-instruction overhead surcharge.
-func (vm *VM) runNative(code *Code, fr *frame, pc int) (val obj.Value, err error) {
-	defer func() {
-		if err != nil {
-			pushFrame(err, code, pc)
-		}
-	}()
+func (vm *VM) runNative(code *Code, fr *frame, pc int) (obj.Value, error) {
 	st := &vm.Stats
 	extra := vm.InstrExtra
 	ops := code.native.ops
@@ -179,7 +195,7 @@ func (vm *VM) runNative(code *Code, fr *frame, pc int) (val obj.Value, err error
 		ni := &ops[pc]
 		st.Instrs += ni.n
 		if st.Instrs >= vm.pollAt {
-			if perr := vm.poll(st); perr != nil {
+			if perr := vm.poll(st, code, pc); perr != nil {
 				return obj.Nil(), perr
 			}
 		}
@@ -189,10 +205,13 @@ func (vm *VM) runNative(code *Code, fr *frame, pc int) (val obj.Value, err error
 		}
 		next, oerr := ni.op(vm, fr)
 		if oerr != nil {
+			if next == nPushed {
+				return obj.Nil(), oerr
+			}
 			if next > 0 {
 				pc = next // segment closures report the faulting constituent
 			}
-			return obj.Nil(), oerr
+			return fault(oerr, code, pc)
 		}
 		if next == nFall {
 			pc++
@@ -500,7 +519,7 @@ func lowerInstrOp(c *Code, pc int, in *Instr) (nativeOp, error) {
 			fr.regs[dst] = v
 			br, aerr := arithVal(&vm.Stats, f, fr)
 			if aerr != nil {
-				return 0, aerr
+				return tailFault(aerr, c, pc, f)
 			}
 			if br {
 				return fF, nil
@@ -524,7 +543,7 @@ func lowerInstrOp(c *Code, pc int, in *Instr) (nativeOp, error) {
 			fr.regs[dst] = o.Fields[idx]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return 0, aerr
+				return tailFault(aerr, c, pc, f)
 			}
 			if br {
 				return fF, nil
@@ -553,7 +572,7 @@ func lowerInstrOp(c *Code, pc int, in *Instr) (nativeOp, error) {
 			fr.regs[dst] = o.Elems[i]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return 0, aerr
+				return tailFault(aerr, c, pc, f)
 			}
 			if br {
 				return fF, nil
@@ -616,7 +635,7 @@ func lowerInstrOp(c *Code, pc int, in *Instr) (nativeOp, error) {
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				vm.uncharge(st, g)
-				return 0, aerr
+				return tailFault(aerr, c, pc, f)
 			}
 			if br {
 				vm.uncharge(st, g)
@@ -629,6 +648,25 @@ func lowerInstrOp(c *Code, pc int, in *Instr) (nativeOp, error) {
 				return gT, nil
 			}
 			return gF, nil
+		}, nil
+
+	case opVecLenCmpBr:
+		f := in.Fused
+		dst, a, fT, fF := in.Dst, in.A, f.T, f.F
+		return func(vm *VM, fr *frame) (int, error) {
+			o := fr.regs[a].Obj()
+			if o == nil {
+				vm.uncharge(&vm.Stats, f)
+				return 0, &RuntimeError{Msg: "vecLen of non-vector"}
+			}
+			fr.regs[dst] = obj.Int(int64(len(o.Elems)))
+			if f.bounds {
+				vm.Stats.BoundsChecks++
+			}
+			if cmpTaken(f.COp, fr.regs[f.A], fr.regs[f.B]) {
+				return fT, nil
+			}
+			return fF, nil
 		}, nil
 	}
 	return nil, fmt.Errorf("native lowering: unsupported opcode %s at pc %d", in.Op, pc)

@@ -77,17 +77,42 @@ func (vm *VM) startRun(ctx context.Context) {
 	}
 }
 
-// poll is the cooperative budget and cancellation check.
-func (vm *VM) poll(st *RunStats) error {
+// poll is the cooperative budget and cancellation check, made by the
+// run loops when the dispatch of code's entry at pc carries Instrs to
+// or past pollAt. Polls sit on a grid — the stride apart, counted from
+// the start of the run — whatever the dispatch granularity: an entry
+// that stands for several modelled instructions is checked against the
+// grid point it crossed, not against where it ended, so fused and
+// unfused code run out of fuel at the same instruction, and the
+// backtrace frame a failing poll pushes names that instruction. (The
+// constituents before it have not run, as they would have unfused:
+// RunStats after a budget fault are those of the dispatch boundary.)
+func (vm *VM) poll(st *RunStats, code *Code, pc int) error {
 	stride := vm.pollEvery
 	if stride <= 0 {
 		// Defensive: a poll reached outside startRun (which always arms
 		// the stride) must not degenerate into polling every instruction.
 		stride = budgetPollInterval
 	}
-	vm.pollAt = st.Instrs + stride
+	at := vm.pollAt
+	vm.pollAt = at + stride
+	err := vm.overBudget(st, at)
+	if err != nil {
+		// The instruction that reached the grid point, counted back from
+		// the entry's last; a head has absorbed N-1-tail ahead of itself.
+		in := &code.Instrs[pc]
+		tail := in.tailLen(nil)
+		within := max(tail-int(st.Instrs-at), tail+1-int(in.N))
+		pushFrame(err, code, pc, within)
+	}
+	return err
+}
+
+// overBudget checks the budgets against the run's counters, instrs
+// standing for the instruction count, and the context.
+func (vm *VM) overBudget(st *RunStats, instrs int64) error {
 	b := &vm.Budget
-	if b.MaxInstrs > 0 && st.Instrs-vm.fuelStart > b.MaxInstrs {
+	if b.MaxInstrs > 0 && instrs-vm.fuelStart > b.MaxInstrs {
 		return &RuntimeError{Kind: KindOutOfFuel,
 			Msg: fmt.Sprintf("out of fuel: instruction budget %d exhausted", b.MaxInstrs)}
 	}

@@ -51,12 +51,13 @@ type Instr struct {
 
 	// Cost is the compile-time-constant part of the instruction's
 	// modelled cycle cost (see staticCost), precomputed at assembly so
-	// the hot loop charges one add per dispatch. For a superinstruction
-	// it is the exact sum of all constituents' static costs.
+	// the hot loop charges one add per dispatch. For a fused entry it is
+	// the exact sum over everything the entry stands for.
 	Cost int64
 
-	// N is the number of modelled instructions this entry represents:
-	// 1 normally, 2-3 for superinstructions (Instrs accounting).
+	// N is the number of modelled instructions this entry represents
+	// (Instrs accounting): 1 as assembled; after Fuse, its constituents
+	// and the self-moves they absorbed.
 	N int32
 
 	// Fused chains the remaining constituents of a superinstruction
@@ -171,6 +172,12 @@ type Code struct {
 	Bytes   int // modelled code size
 	ics     []inlineCache
 
+	// pcs, on fused code, maps a pc to the pc the entry's own instruction
+	// (its head, past whatever the entry absorbed) had in the stream
+	// Assemble produced; nil on unfused code. Backtraces go through it
+	// (sourcePC), so a fault reads the same with fusion on and off.
+	pcs []int32
+
 	// NumParams is how many arguments an activation takes; invoke stores
 	// them in registers RegParamBase onwards.
 	NumParams int
@@ -219,6 +226,18 @@ type Code struct {
 	// before the Code is published; the store itself is internally
 	// synchronized and shared by every VM running the code.
 	bbv *bbv.State
+}
+
+// sourcePC returns the pc, in the stream Assemble produced, of the
+// modelled instruction `within` places past the head of the entry at
+// pc: 0 for the head itself, a tail constituent's distance for a fault
+// inside a superinstruction, negative into what the head absorbed.
+// Everything an entry stands for was contiguous in that stream.
+func (c *Code) sourcePC(pc, within int) int {
+	if c.pcs != nil && pc >= 0 && pc < len(c.pcs) {
+		pc = int(c.pcs[pc])
+	}
+	return pc + within
 }
 
 // Assemble linearizes a control flow graph (see linearize) and renames
@@ -497,12 +516,18 @@ func deadNodes(g *ir.Graph) map[*ir.Node]bool {
 	return dead
 }
 
-// Disasm renders the code for tests and cmd/selfc.
+// Disasm renders the code for tests and cmd/selfc. An entry of fused
+// code that stands for more than one modelled instruction — its
+// constituents and the self-moves they absorbed — says for how many.
 func (c *Code) Disasm() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "code %s: %d instrs, %d regs (of %d virtual), %d bytes\n", c.Name, len(c.Instrs), c.NumRegs, c.VirtRegs, c.Bytes)
 	for i, in := range c.Instrs {
-		fmt.Fprintf(&b, "  %3d: %s\n", i, in.String())
+		fmt.Fprintf(&b, "  %3d: %s", i, in.String())
+		if in.N > 1 {
+			fmt.Fprintf(&b, " ×%d", in.N)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -58,7 +58,8 @@ func (k ErrKind) String() string {
 
 // TraceFrame is one activation of the Self-level backtrace attached to
 // a RuntimeError: the compiled code's name (receiver-map>>selector, or
-// block@position) and the pc of the faulting or calling instruction.
+// block@position) and the pc of the faulting or calling instruction in
+// the code as assembled — superinstruction fusion does not renumber it.
 type TraceFrame struct {
 	Name string
 	PC   int
@@ -98,12 +99,13 @@ func (e *RuntimeError) Backtrace() string {
 }
 
 // pushFrame appends one Self-level frame to err's backtrace, if err is
-// a RuntimeError with room left. Called as each activation unwinds, so
-// the trace reads innermost-first.
-func pushFrame(err error, code *Code, pc int) {
+// a RuntimeError with room left: the instruction `within` places past
+// the head of code's entry at pc (see Code.sourcePC). Called as each
+// activation unwinds, so the trace reads innermost-first.
+func pushFrame(err error, code *Code, pc, within int) {
 	re, ok := err.(*RuntimeError)
 	if !ok || len(re.Trace) >= maxTraceFrames {
 		return
 	}
-	re.Trace = append(re.Trace, TraceFrame{Name: code.Name, PC: pc})
+	re.Trace = append(re.Trace, TraceFrame{Name: code.Name, PC: code.sourcePC(pc, within)})
 }

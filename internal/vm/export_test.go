@@ -6,9 +6,13 @@ package vm
 // details they assert on.
 const (
 	OpJmp        = opJmp
+	OpConstArith = opConstArith
 	OpArithJmp   = opArithJmp
 	OpArithCmpBr = opArithCmpBr
 )
+
+// SourcePC exposes Code.sourcePC.
+func (c *Code) SourcePC(pc, within int) int { return c.sourcePC(pc, within) }
 
 var (
 	SizeOf      = sizeOf

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"selfgo"
 	"selfgo/internal/ast"
+	"selfgo/internal/bench"
 	"selfgo/internal/core"
 	"selfgo/internal/ir"
 	"selfgo/internal/obj"
@@ -247,5 +249,165 @@ func TestFusedDisasm(t *testing.T) {
 	d := h.codeFor(t, "sumTo:").Disasm()
 	if !strings.Contains(d, "fused{") {
 		t.Errorf("disassembly of a fused method shows no fused instruction:\n%s", d)
+	}
+}
+
+// TestFusedLoopDensity pins, without timing anything, what coalescing
+// and fusion are for: in the code that ships for the loop benchmarks,
+// the first innermost loop of the stream (the common path; its out-of-
+// line copies follow) dispatches at most half as many entries as it
+// retires modelled instructions.
+func TestFusedLoopDensity(t *testing.T) {
+	for _, name := range []string{"sumTo", "sumFromTo", "sieve", "atAllPut", "bubble"} {
+		b, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("no benchmark %s", name)
+		}
+		sys, err := selfgo.NewSystem(selfgo.NewSELF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadSource(b.Source); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Call(b.Entry); err != nil {
+			t.Fatal(err)
+		}
+		code, err := sys.CodeFor(b.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first backward jump closes the first innermost loop.
+		head, tail := -1, -1
+		for pc := range code.Instrs {
+			for f := &code.Instrs[pc]; f != nil && head < 0; f = f.Fused {
+				if f.Op == vm.OpJmp && f.T <= pc {
+					head, tail = f.T, pc
+				}
+			}
+		}
+		if head < 0 {
+			t.Fatalf("%s: no loop in\n%s", name, code.Disasm())
+		}
+		entries, instrs := tail-head+1, 0
+		for pc := head; pc <= tail; pc++ {
+			instrs += int(code.Instrs[pc].N)
+		}
+		t.Logf("%s: %d entries for %d modelled instructions", name, entries, instrs)
+		if 2*entries > instrs {
+			t.Errorf("%s: %d entries for %d modelled instructions, want at most half:\n%s", name, entries, instrs, code.Disasm())
+		}
+		if name == "sumTo" && (entries > 5 || instrs != 12) {
+			t.Errorf("sumTo: %d entries for %d modelled instructions, want at most 5 for 12", entries, instrs)
+		}
+	}
+}
+
+// handInstr fills in what the assembler would for a hand-written
+// instruction: the static cost, N = 1, no failure block, no landing.
+// (The literal itself names absent Dst/A/B/C operands ir.NoReg: left
+// out they would be 0, which is self.)
+func handInstr(in vm.Instr) vm.Instr {
+	in.Cost, in.N, in.Resume, in.FailBlk = vm.StaticCost(&in), 1, -1, ir.NoReg
+	return in
+}
+
+// TestFuseAbsorbsSelfMoves: a self-move leaves the fused stream and
+// its charge moves to the next instruction of its block; one that is a
+// branch target hands that on; one that falls into a branch target
+// stays; and Code.pcs remembers where every entry came from.
+func TestFuseAbsorbsSelfMoves(t *testing.T) {
+	no := ir.NoReg
+	self := handInstr(vm.Instr{Op: ir.Move, Dst: 3, A: 3, B: no, C: no})
+	c := &vm.Code{Name: "handmade", NumRegs: 5}
+	c.Instrs = []vm.Instr{
+		handInstr(vm.Instr{Op: ir.Const, Dst: 2, A: no, B: no, C: no, Val: obj.Int(1)}),
+		self, // absorbed by the Arith
+		handInstr(vm.Instr{Op: ir.Arith, Dst: 2, A: 2, B: 2, C: no, AOp: ir.Add}),
+		self, // a branch target: absorbed by the CmpBr, which becomes the target
+		handInstr(vm.Instr{Op: ir.CmpBr, Dst: no, A: 2, B: 4, C: no, COp: ir.LT, T: 3, F: 6}),
+		self, // falls into a branch target: stays
+		handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 2, B: no, C: no}),
+	}
+	var cost int64
+	for i := range c.Instrs {
+		cost += c.Instrs[i].Cost
+	}
+	vm.Fuse(c)
+	type entry struct {
+		op ir.Op
+		n  int32
+	}
+	want := []entry{{vm.OpConstArith, 3}, {ir.CmpBr, 2}, {ir.Move, 1}, {ir.Return, 1}}
+	if len(c.Instrs) != len(want) {
+		t.Fatalf("got %d entries, want %d:\n%s", len(c.Instrs), len(want), c.Disasm())
+	}
+	var gotCost int64
+	for i, w := range want {
+		if in := c.Instrs[i]; in.Op != w.op || in.N != w.n {
+			t.Errorf("entry %d: op %d ×%d, want op %d ×%d\n%s", i, in.Op, in.N, w.op, w.n, c.Disasm())
+		}
+		gotCost += c.Instrs[i].Cost
+	}
+	if gotCost != cost {
+		t.Errorf("static cost %d after fusion, %d before", gotCost, cost)
+	}
+	if f := c.Instrs[0].Fused; f == nil || f.N != 2 {
+		t.Errorf("the Arith constituent does not carry the self-move it absorbed:\n%s", c.Disasm())
+	}
+	if br := c.Instrs[1]; br.T != 1 || br.F != 3 {
+		t.Errorf("branch ->%d else ->%d, want ->1 (itself, for the self-move it absorbed) else ->3", br.T, br.F)
+	}
+	for pc, want := range []int{0, 4, 5, 6} {
+		if got := c.SourcePC(pc, 0); got != want {
+			t.Errorf("entry %d came from pc %d, want %d", pc, got, want)
+		}
+	}
+	if got := c.SourcePC(0, 2); got != 2 {
+		t.Errorf("the Arith of entry 0 came from pc %d, want 2", got)
+	}
+}
+
+// TestFusedTailUnchargedByN: when the head of a group branches out
+// early, what the tail had absorbed is uncharged with it — Instrs,
+// Cycles and the per-instruction surcharge — so Stats match the unfused
+// stream on both outcomes.
+func TestFusedTailUnchargedByN(t *testing.T) {
+	no := ir.NoReg
+	self := handInstr(vm.Instr{Op: ir.Move, Dst: 4, A: 4, B: no, C: no})
+	build := func() *vm.Code {
+		c := &vm.Code{Name: "handmade", NumRegs: 5, NumParams: 2}
+		c.Instrs = []vm.Instr{
+			handInstr(vm.Instr{Op: ir.Arith, Dst: 4, A: 2, B: 3, C: no, AOp: ir.Mul, Checked: true, F: 5}),
+			self,
+			self,
+			handInstr(vm.Instr{Op: vm.OpJmp, Dst: no, A: no, B: no, C: no, T: 4}),
+			handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 4, B: no, C: no}),
+			handInstr(vm.Instr{Op: ir.Const, Dst: 4, A: no, B: no, C: no, Val: obj.Int(-1)}),
+			handInstr(vm.Instr{Op: vm.OpJmp, Dst: no, A: no, B: no, C: no, T: 4}),
+		}
+		return c
+	}
+	fused := build()
+	vm.Fuse(fused)
+	if head := fused.Instrs[0]; head.Op != vm.OpArithJmp || head.N != 4 {
+		t.Fatalf("entry 0 is op %d ×%d, want the Arith;Jmp group ×4:\n%s", head.Op, head.N, fused.Disasm())
+	}
+	for _, args := range [][]obj.Value{{obj.Int(3), obj.Int(4)}, {obj.Int(1 << 20), obj.Int(1 << 20)}} {
+		var stats [2]vm.RunStats
+		var vals [2]obj.Value
+		for i, code := range []*vm.Code{build(), fused} {
+			h := newHarness(t, core.NewSELF, fuseSrc)
+			h.vm.InstrExtra = 3
+			h.vm.CompileMethod = func(*obj.Method, *obj.Map) (*vm.Code, error) { return code, nil }
+			v, err := h.vm.RunMethod(lookupMeth(t, h, "quot:Over:"), obj.Obj(h.w.Lobby), args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[i], stats[i] = v, h.vm.Stats
+		}
+		if !vals[0].Eq(vals[1]) || stats[0] != stats[1] {
+			t.Errorf("%v: unfused %s %+v\n        fused %s %+v", args, vals[0], stats[0], vals[1], stats[1])
+		}
 	}
 }

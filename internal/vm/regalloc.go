@@ -14,12 +14,26 @@ import (
 // is added, removed or reordered — so pcs, Instrs, Cycles, Bytes and
 // backtraces cannot move. (DESIGN.md §6k has the full argument.)
 //
-// Block-level liveness feeds an interference relation (a written
-// register conflicts with everything live before or after its
-// instruction, which also keeps a Dst off its own operands), and
-// registers are coloured greedily in order of first appearance. Failure
+// Block-level liveness feeds an interference relation: a written
+// register conflicts with everything live after its instruction and —
+// so that no handler clobbers an operand it has yet to read — with the
+// instruction's operands, two cases apart. An Arith reads both operands
+// before it writes, so its Dst may take over the slot of one that dies
+// there (`s <- s + i`); and a Move's Dst does not conflict with its
+// source, which holds the value the slot is about to receive. Failure
 // paths sit out of line at the end of the stream, so a live range is a
 // set of pcs with holes — hence interference rows, not interval hulls.
+//
+// Copies are then coalesced, Chaitin's way: the two registers of a Move
+// become one class with one slot unless some member of one conflicts
+// with some member of the other, so the copy chains that inlining and
+// splitting leave behind turn into self-moves, which Fuse takes out of
+// the dispatched stream. Sharing needs no rule beyond the relation
+// itself: whichever of the two is written next by anything but a copy
+// of the other conflicts with the other if that is still live. There
+// is no spilling to be driven into — slots are not scarce, a class only
+// ever costs a frame a slot more — and classes are coloured greedily,
+// lowest free slot, in order of first appearance.
 // Three kinds of register may not move freely:
 //
 //   - self and the parameters keep the indices invoke stores them at;
@@ -30,6 +44,8 @@ import (
 //   - an NLR landing's result register and everything live-in at a
 //     landing pc: a non-local return reaches the landing from any call
 //     in the frame, an edge liveness does not see; never shared either.
+//
+// The last two kinds and the zero-reads are never coalesced.
 func allocRegs(c *Code) {
 	ins := c.Instrs
 	if c.NumRegs == 0 || len(ins) == 0 {
@@ -141,25 +157,38 @@ func allocRegs(c *Code) {
 	for b := 0; b < nb; b++ {
 		liveOut(b)
 		for i := starts[b+1] - 1; i >= starts[b]; i-- {
+			in := &ins[i]
 			var row regSet
-			if d := ins[i].Dst; d != ir.NoReg {
+			src, srcConflicts := int32(-1), false // a copy's source, and whether it conflicted already
+			if d := in.Dst; d != ir.NoReg {
 				row = adj[int(id[d])*words:][:words]
-				row.or(live)
-				if !ovf(i) {
+				if in.Op == ir.Move && in.A != d {
+					src, srcConflicts = id[in.A], row.has(id[in.A])
+				}
+				switch {
+				case !ovf(i):
+					row.or(live)
 					live.del(id[d])
-				} else if i+1 < len(ins) {
-					// The overflow edge keeps the old Dst, so live (the
-					// fall-through kill already applied) is also the set
-					// live before the write; what the kill removed
-					// still conflicts with the write.
+				case i+1 < len(ins):
+					// Dst is written on the fall-through edge only: what is
+					// live there conflicts, what only the overflow path
+					// reads — the operands, typically — does not.
 					row.or(liveIn(blockAt[i+1]))
+				default:
+					row.add(id[RegSelf]) // falling off the end returns self
 				}
 			}
-			for _, r := range ins[i].appendUses(ops[:0]) {
+			for _, r := range in.appendUses(ops[:0]) {
 				live.add(id[r])
 			}
-			if row != nil {
+			// An Arith handler has read both operands by the time it
+			// writes, so its Dst may take the slot of one that dies here
+			// (`s <- s + i`); every other Dst stays off its operands.
+			if row != nil && in.Op != ir.Arith {
 				row.or(live)
+				if src >= 0 && !srcConflicts {
+					row.del(src)
+				}
 			}
 		}
 	}
@@ -167,8 +196,10 @@ func allocRegs(c *Code) {
 		adj[k*words:][:words].each(func(u int) { adj[u*words:][:words].add(int32(k)) })
 	}
 
-	// Colouring. slot[k] is the slot of register id k; taken[s] marks
-	// slots no other register may ever use.
+	// Placement. slot[k] is the slot of register id k; taken[s] marks
+	// slots no other register may ever use, and alone the registers that
+	// are never coalesced: the pinned ones, and the zero-reads (each stays
+	// the only register that needs its slot to start out zeroed).
 	params := ir.Reg(RegParamBase + c.NumParams)
 	nslots := nr + int(params)
 	slot := make([]int32, nr)
@@ -176,7 +207,7 @@ func allocRegs(c *Code) {
 		slot[k] = -1
 	}
 	taken := make([]bool, nslots)
-	pinned := make(regSet, words)
+	pinned, alone := make(regSet, words), make(regSet, words)
 	for i := range ins {
 		if ins[i].Op != ir.MkBlk {
 			continue
@@ -197,6 +228,7 @@ func allocRegs(c *Code) {
 	// pinned registers and zero-reads on slots of their own past the
 	// parameter area (a zero-read must not see an argument).
 	next := int32(params)
+	copy(alone, pinned)
 	for k, r := range regs {
 		switch {
 		case r == RegSelf || r >= RegParamBase && r < params:
@@ -204,27 +236,81 @@ func allocRegs(c *Code) {
 		case pinned.has(int32(k)) || liveIn(0).has(int32(k)):
 			slot[k] = next
 			next++
+			alone.add(int32(k))
 		default:
 			continue
 		}
 		taken[slot[k]] = pinned.has(int32(k))
 	}
-	// Everything else: the lowest slot no neighbour holds, in id order.
-	mark := make([]int, nslots) // mark[s] == k+1: a neighbour of k holds s
-	for k := 0; k < nr; k++ {
-		if slot[k] >= 0 {
+
+	// Coalescing: the two registers of a Move become one class, to be
+	// given one slot, unless a member of one conflicts with a member of
+	// the other. class[k] leads to a class's representative, whose row of
+	// adj is the union of its members' rows and whose slot, if any member
+	// was placed up front, is that one; member links a class's registers
+	// in a ring (two rings join by swapping one link each) and
+	// size[representative] counts them. Moves are taken in stream order,
+	// which is common paths first.
+	class, member, size := make([]int32, nr), make([]int32, nr), make([]int32, nr)
+	for k := range class {
+		class[k], member[k], size[k] = int32(k), int32(k), 1
+	}
+	find := func(k int32) int32 {
+		for class[k] != k {
+			class[k] = class[class[k]]
+			k = class[k]
+		}
+		return k
+	}
+	for i := range ins {
+		if ins[i].Op != ir.Move || ins[i].A == ins[i].Dst {
 			continue
 		}
-		adj[k*words:][:words].each(func(u int) {
-			if s := slot[u]; s >= 0 {
-				mark[s] = k + 1
-			}
-		})
-		s := 0
-		for taken[s] || mark[s] == k+1 {
-			s++
+		x, y := find(id[ins[i].Dst]), find(id[ins[i].A])
+		if x == y || alone.has(x) || alone.has(y) || slot[x] >= 0 && slot[y] >= 0 {
+			continue
 		}
-		slot[k] = int32(s)
+		if slot[y] >= 0 {
+			x, y = y, x
+		}
+		// The relation is symmetric, so either class's members can be
+		// looked up in the other's row: walk the shorter chain.
+		few, many := x, y
+		if size[few] > size[many] {
+			few, many = many, few
+		}
+		row, conflict := adj[int(many)*words:][:words], false
+		for m := few; !conflict; {
+			conflict = row.has(m)
+			if m = member[m]; m == few {
+				break
+			}
+		}
+		if conflict {
+			continue
+		}
+		adj[int(x)*words:][:words].or(adj[int(y)*words:][:words])
+		class[y], size[x] = x, size[x]+size[y]
+		member[x], member[y] = member[y], member[x]
+	}
+	// Colouring, class by class in order of first appearance: the lowest
+	// slot no neighbour's class holds.
+	mark := make([]int, nslots) // mark[s] == k+1: a neighbour of k holds s
+	for k := 0; k < nr; k++ {
+		x := find(int32(k))
+		if slot[x] < 0 {
+			adj[int(x)*words:][:words].each(func(u int) {
+				if s := slot[find(int32(u))]; s >= 0 {
+					mark[s] = k + 1
+				}
+			})
+			s := int32(0)
+			for taken[s] || mark[s] == k+1 {
+				s++
+			}
+			slot[x] = s
+		}
+		slot[k] = slot[x]
 	}
 
 	// Rename. Args and Caps alias the graph's nodes, so they are copied.

@@ -6,6 +6,7 @@ import (
 
 	"selfgo/internal/core"
 	"selfgo/internal/ir"
+	"selfgo/internal/obj"
 	"selfgo/internal/vm"
 )
 
@@ -148,5 +149,95 @@ func TestCheckAllocationRejects(t *testing.T) {
 	notRenaming.Instrs[0].Index++
 	if err := vm.CheckAllocation(raw, notRenaming); err == nil {
 		t.Error("an instruction with a changed field: accepted")
+	}
+}
+
+// TestCheckAllocationCopyClasses: two live registers may share a slot
+// exactly while they are copies of one another. Hand-built streams, so
+// the cases do not depend on what the allocator chooses to coalesce.
+func TestCheckAllocationCopyClasses(t *testing.T) {
+	no := ir.NoReg
+	mk := handInstr
+	konst := func(d ir.Reg, v int64) vm.Instr {
+		return mk(vm.Instr{Op: ir.Const, Dst: d, A: no, B: no, C: no, Val: obj.Int(v)})
+	}
+	move := func(d, a ir.Reg) vm.Instr {
+		return mk(vm.Instr{Op: ir.Move, Dst: d, A: a, B: no, C: no})
+	}
+	add := func(d, a, b ir.Reg) vm.Instr {
+		return mk(vm.Instr{Op: ir.Arith, AOp: ir.Add, Dst: d, A: a, B: b, C: no})
+	}
+	ret := func(a ir.Reg) vm.Instr {
+		return mk(vm.Instr{Op: ir.Return, Dst: no, A: a, B: no, C: no})
+	}
+	code := func(ins ...vm.Instr) *vm.Code {
+		return &vm.Code{Name: "handmade", NumRegs: 8, VirtRegs: 8, Instrs: ins}
+	}
+	// share sends r4 to r3's slot and leaves the rest where it is.
+	share := func(c *vm.Code) *vm.Code {
+		return remap(c, func(r ir.Reg) ir.Reg {
+			if r == 4 {
+				return 3
+			}
+			return r
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		raw  *vm.Code
+		ok   bool
+	}{
+		{"copy and source live together", code(
+			konst(3, 1), move(4, 3), add(5, 3, 4), ret(5)), true},
+		{"copy of a copy", code(
+			konst(3, 1), move(6, 3), move(4, 6), add(5, 3, 4), ret(5)), true},
+		{"copied back and forth", code(
+			konst(3, 1), move(4, 3), move(3, 4), add(5, 3, 4), ret(5)), true},
+		{"source redefined while the copy is live", code(
+			konst(3, 1), move(4, 3), konst(3, 2), add(5, 3, 4), ret(5)), false},
+		{"copy redefined while the source is live", code(
+			konst(3, 1), move(4, 3), add(4, 4, 4), add(5, 3, 4), ret(5)), false},
+		{"copies on one path only", code(
+			konst(3, 1), konst(4, 1),
+			mk(vm.Instr{Op: ir.CmpBr, COp: ir.LT, Dst: no, A: 3, B: 4, C: no, T: 3, F: 4}),
+			move(4, 3), add(5, 3, 4), ret(5)), false},
+		{"never copied", code(
+			konst(3, 1), konst(4, 1), add(5, 3, 4), ret(5)), false},
+	} {
+		if err := vm.CheckAllocation(tc.raw, remap(tc.raw, func(r ir.Reg) ir.Reg { return r })); err != nil {
+			t.Errorf("%s: the identity allocation was rejected: %v", tc.name, err)
+		}
+		err := vm.CheckAllocation(tc.raw, share(tc.raw))
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		} else if !tc.ok && err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if err != nil {
+			t.Logf("%s: %v", tc.name, err)
+		}
+	}
+
+	// A pinned register shares with nothing, its own copy included.
+	pinned := code(konst(3, 1), move(4, 3),
+		mk(vm.Instr{Op: ir.MkBlk, Dst: 5, A: no, B: no, C: no,
+			Caps: []ir.Capture{{Name: "x", Src: 3}}}),
+		add(6, 3, 4), ret(6))
+	if err := vm.CheckAllocation(pinned, share(pinned)); err == nil {
+		t.Error("a by-reference capture coalesced with its copy: accepted")
+	}
+
+	// A Dst on an operand's slot: fine for the Arith that kills the
+	// operand, not for a load.
+	onto := func(c *vm.Code) *vm.Code {
+		return remap(c, func(r ir.Reg) ir.Reg { return map[ir.Reg]ir.Reg{3: 3, 4: 4, 5: 3}[r] })
+	}
+	arith := code(konst(3, 1), konst(4, 1), add(5, 3, 4), ret(5))
+	if err := vm.CheckAllocation(arith, onto(arith)); err != nil {
+		t.Errorf("Arith Dst on the slot of an operand that dies there: %v", err)
+	}
+	load := code(konst(3, 1),
+		mk(vm.Instr{Op: ir.LoadE, Dst: 5, A: 0, B: 3, C: no}), ret(5))
+	if err := vm.CheckAllocation(load, onto(load)); err == nil {
+		t.Error("LoadE Dst on its index operand's slot: accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 
@@ -13,11 +12,21 @@ import (
 // for it, it recomputes liveness its own way — per instruction, over
 // sets of registers, sharing nothing with allocRegs — and reports the
 // first violation of the contract: the result is a pure renaming by one
-// register→slot function; two registers live together, or a Dst and an
-// operand of its instruction, never share a slot; self and the
-// parameters keep their indices and no zero-read (live-in at pc 0) sits
-// in an argument slot; a by-reference capture, an NLR landing's result
-// register and everything live-in at a landing pc share with nothing.
+// register→slot function; two registers live together share a slot only
+// while they are copies of one another, and a Dst shares with an operand
+// of its instruction only when the instruction is that copy or an Arith
+// (whose operand must then die there, by the first rule); self and the
+// parameters keep their indices and no zero-read (live-in at pc 0)
+// sits in an argument slot; a by-reference capture, an NLR landing's
+// result register and everything live-in at a landing pc share with
+// nothing.
+//
+// "Copies of one another" is a forward must-analysis of its own: the
+// set of register pairs that hold the same value on every path to a
+// point. `d <- a` puts d in a's class; any other write to a register
+// takes it out of its class; paths meet by intersection; pc 0 and the
+// landings (which control reaches by edges the stream does not show)
+// start from nothing.
 func CheckAllocation(raw, alloc *Code) error {
 	bad := func(pc int, format string, args ...any) error {
 		return fmt.Errorf("%s@%d: "+format, append([]any{raw.Name, pc}, args...)...)
@@ -110,34 +119,98 @@ func CheckAllocation(raw, alloc *Code) error {
 		}
 	}
 
-	// distinct: no two registers of the sets share a slot.
-	distinct := func(pc int, sets ...map[ir.Reg]bool) error {
-		holder := map[ir.Reg]ir.Reg{}
+	// Copy classes: same[pc] is the set of pairs equal on entry to pc (nil
+	// until some path reaches pc), after(pc, i) the set on the edge to
+	// pc's i-th successor. The overflow edge of a checked Arith (i == 1)
+	// writes nothing.
+	type pair [2]ir.Reg // ordered: pair{x, y} with x < y
+	mk := func(x, y ir.Reg) pair { return pair{min(x, y), max(x, y)} }
+	same := make([]map[pair]bool, n+1)
+	after := func(pc, i int) map[pair]bool {
+		in := &raw.Instrs[pc]
+		out := map[pair]bool{}
+		written := in.Dst != ir.NoReg && i == 0 && !(in.Op == ir.Move && in.A == in.Dst)
+		for p := range same[pc] {
+			if !written || p[0] != in.Dst && p[1] != in.Dst {
+				out[p] = true
+			}
+		}
+		if written && in.Op == ir.Move {
+			out[mk(in.Dst, in.A)] = true
+			for p := range same[pc] { // and whatever A was a copy of
+				switch in.A {
+				case p[0]:
+					out[mk(in.Dst, p[1])] = true
+				case p[1]:
+					out[mk(in.Dst, p[0])] = true
+				}
+			}
+			delete(out, pair{in.Dst, in.Dst})
+		}
+		return out
+	}
+	same[0] = map[pair]bool{}
+	for _, pc := range landings {
+		same[pc] = map[pair]bool{}
+	}
+	for changed := true; changed; {
+		changed = false
+		for pc := 0; pc < n; pc++ {
+			if same[pc] == nil {
+				continue
+			}
+			for i, s := range succs(pc) {
+				out := after(pc, i)
+				if same[s] == nil {
+					same[s], changed = out, true
+					continue
+				}
+				for p := range same[s] {
+					if !out[p] {
+						delete(same[s], p)
+						changed = true
+					}
+				}
+			}
+		}
+	}
+
+	// distinct: no two registers of the sets share a slot, unless eq says
+	// they are copies of one another.
+	distinct := func(pc int, eq map[pair]bool, sets ...map[ir.Reg]bool) error {
+		holders := map[ir.Reg][]ir.Reg{}
 		for _, set := range sets {
 			for v := range set {
-				if w, ok := holder[slot[v]]; ok && w != v {
-					return bad(pc, "r%d and r%d are live together and share slot r%d", v, w, slot[v])
+				for _, w := range holders[slot[v]] {
+					if w != v && !eq[mk(v, w)] {
+						return bad(pc, "r%d and r%d are live together, are not copies and share slot r%d", v, w, slot[v])
+					}
 				}
-				holder[slot[v]] = v
+				holders[slot[v]] = append(holders[slot[v]], v)
 			}
 		}
 		return nil
 	}
 	for pc := 0; pc < n; pc++ {
-		after := []map[ir.Reg]bool{}
-		for _, s := range succs(pc) {
-			after = append(after, liveIn[s])
+		in := &raw.Instrs[pc]
+		if err := distinct(pc, same[pc], liveIn[pc]); err != nil {
+			return err
 		}
-		if d := raw.Instrs[pc].Dst; d != ir.NoReg {
-			after = append(after, map[ir.Reg]bool{d: true})
+		for i, s := range succs(pc) {
+			sets := []map[ir.Reg]bool{liveIn[s]}
+			if in.Dst != ir.NoReg && i == 0 {
+				sets = append(sets, map[ir.Reg]bool{in.Dst: true})
+			}
+			if err := distinct(pc, after(pc, i), sets...); err != nil {
+				return err
+			}
+		}
+		if d := in.Dst; d != ir.NoReg {
 			for _, v := range uses[pc] {
-				if v != d && slot[v] == slot[d] {
+				if v != d && slot[v] == slot[d] && !(in.Op == ir.Move && v == in.A) && in.Op != ir.Arith {
 					return bad(pc, "Dst r%d shares slot r%d with operand r%d", d, slot[d], v)
 				}
 			}
-		}
-		if err := errors.Join(distinct(pc, liveIn[pc]), distinct(pc, after...)); err != nil {
-			return err
 		}
 	}
 	params := ir.Reg(RegParamBase + raw.NumParams)

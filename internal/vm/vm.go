@@ -584,8 +584,8 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 		in := &code.Instrs[pc]
 		st.Instrs += int64(in.N)
 		if st.Instrs >= vm.pollAt {
-			if perr := vm.poll(st); perr != nil {
-				return fault(perr, code, pc)
+			if perr := vm.poll(st, code, pc); perr != nil {
+				return obj.Nil(), perr
 			}
 		}
 		st.Cycles += in.Cost
@@ -774,7 +774,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 			fr.regs[in.Dst] = in.Val
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				pc = f.F
@@ -793,7 +793,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 			fr.regs[in.Dst] = o.Fields[in.Index]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				pc = f.F
@@ -817,7 +817,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 			fr.regs[in.Dst] = o.Elems[i]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				pc = f.F
@@ -868,7 +868,7 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				vm.uncharge(st, g)
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				vm.uncharge(st, g)
@@ -882,6 +882,23 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (obj.Value, error) {
 				pc = g.T
 			} else {
 				pc = g.F
+			}
+			continue
+		case opVecLenCmpBr:
+			f := in.Fused
+			o := fr.regs[in.A].Obj()
+			if o == nil {
+				vm.uncharge(st, f)
+				return fault(&RuntimeError{Msg: "vecLen of non-vector"}, code, pc)
+			}
+			fr.regs[in.Dst] = obj.Int(int64(len(o.Elems)))
+			if f.bounds {
+				st.BoundsChecks++
+			}
+			if cmpTaken(f.COp, fr.regs[f.A], fr.regs[f.B]) {
+				pc = f.T
+			} else {
+				pc = f.F
 			}
 			continue
 		default:
@@ -918,8 +935,8 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 		fmt.Fprintf(vm.Trace, "%*s%s @%d: %s\n", vm.depth, "", code.Name, pc, in)
 		st.Instrs += int64(in.N)
 		if st.Instrs >= vm.pollAt {
-			if perr := vm.poll(st); perr != nil {
-				return fault(perr, code, pc)
+			if perr := vm.poll(st, code, pc); perr != nil {
+				return obj.Nil(), perr
 			}
 		}
 		st.Cycles += in.Cost
@@ -1103,7 +1120,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 			fr.regs[in.Dst] = in.Val
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				pc = f.F
@@ -1122,7 +1139,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 			fr.regs[in.Dst] = o.Fields[in.Index]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				pc = f.F
@@ -1146,7 +1163,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 			fr.regs[in.Dst] = o.Elems[i]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				pc = f.F
@@ -1197,7 +1214,7 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				vm.uncharge(st, g)
-				return fault(aerr, code, pc)
+				return faultIn(aerr, code, pc, f)
 			}
 			if br {
 				vm.uncharge(st, g)
@@ -1211,6 +1228,23 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 				pc = g.T
 			} else {
 				pc = g.F
+			}
+			continue
+		case opVecLenCmpBr:
+			f := in.Fused
+			o := fr.regs[in.A].Obj()
+			if o == nil {
+				vm.uncharge(st, f)
+				return fault(&RuntimeError{Msg: "vecLen of non-vector"}, code, pc)
+			}
+			fr.regs[in.Dst] = obj.Int(int64(len(o.Elems)))
+			if f.bounds {
+				st.BoundsChecks++
+			}
+			if cmpTaken(f.COp, fr.regs[f.A], fr.regs[f.B]) {
+				pc = f.T
+			} else {
+				pc = f.F
 			}
 			continue
 		default:
@@ -1230,19 +1264,40 @@ func (vm *VM) runTraced(code *Code, fr *frame, pc int) (obj.Value, error) {
 // not a defer: with this many returns a run loop's defer would not be
 // open-coded, and every activation paid for it.
 func fault(err error, code *Code, pc int) (obj.Value, error) {
-	pushFrame(err, code, pc)
+	pushFrame(err, code, pc, 0)
 	return obj.Nil(), err
+}
+
+// faultIn is fault for an error raised by sub, a tail constituent of
+// the superinstruction at pc.
+func faultIn(err error, code *Code, pc int, sub *Instr) (obj.Value, error) {
+	pushFrame(err, code, pc, code.Instrs[pc].tailLen(sub))
+	return obj.Nil(), err
+}
+
+// tailLen returns how many modelled instructions a superinstruction's
+// tail constituents up to and including sub stand for (nil: all of
+// them): sub's own instruction sits that far past the head's.
+func (in *Instr) tailLen(sub *Instr) int {
+	n := 0
+	for f := in.Fused; f != nil; f = f.Fused {
+		n += int(f.N)
+		if f == sub {
+			break
+		}
+	}
+	return n
 }
 
 // uncharge backs out the precharged cost of a superinstruction's
 // unexecuted tail: when a constituent faults or branches to its
-// overflow target, the remaining constituents never run, and the
-// modelled Stats must match the unfused stream, which would never have
-// dispatched them.
+// overflow target, the remaining constituents — and the self-moves
+// they absorbed — never run, and the modelled Stats must match the
+// unfused stream, which would never have dispatched them.
 func (vm *VM) uncharge(st *RunStats, sub *Instr) {
 	for ; sub != nil; sub = sub.Fused {
-		st.Cycles -= sub.Cost + vm.InstrExtra
-		st.Instrs--
+		st.Cycles -= sub.Cost + vm.InstrExtra*int64(sub.N)
+		st.Instrs -= int64(sub.N)
 	}
 }
 

@@ -174,50 +174,116 @@ func TestRegAllocBitIdentical(t *testing.T) {
 	}
 }
 
+// fuzzEvalSeeds seeds the differential fuzz targets that evaluate
+// arbitrary program text: values, loops, vectors, closures, non-local
+// returns and each kind of fault.
+var fuzzEvalSeeds = []string{
+	"3 + 4 * 2",
+	"| s <- 0 | 1 upTo: 100 Do: [ :i | s: s + i ]. s",
+	"| v | v: vector copySize: 10. v fillFrom: [ :i | i * i ]. (v at: 3) + v size",
+	"[ :x | x * 2 ] value: 21",
+	"| b. n <- 0 | b: [ :x | n: n + x. n ]. (b value: 2) + (b value: 3)",
+	"| v | v: vector copySize: 5 FillWith: 3. v do: [ :e | (e = 3) ifTrue: [ ^ e ] ]. 0",
+	"1 / 0",
+	"nil zork",
+	"(9000000000000000000 * 9000000000000000000) + 1",
+	"| v | v: (vector copySize: 2 FillWith: 0). v at: 17",
+	"| s <- 0 | [ true ] whileTrue: [ s: s + 1 ]. s", // runs out of fuel
+}
+
+// fuzzEval evaluates src on a fresh system under a tight budget and
+// returns everything observable: value, RunStats and compile record, or
+// the fault's kind, message and backtrace.
+func fuzzEval(t *testing.T, cfg selfgo.Config, src string) allocOutcome {
+	sys, err := selfgo.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetBudget(selfgo.Budget{MaxInstrs: 200_000, MaxDepth: 200, MaxAllocs: 100_000})
+	res, err := sys.Eval(src)
+	if err != nil {
+		var re *selfgo.RuntimeError
+		if errors.As(err, &re) {
+			return allocOutcome{Kind: re.Kind, Msg: re.Msg, Trace: re.Trace}
+		}
+		return allocOutcome{Msg: err.Error()} // parse and compile errors
+	}
+	return allocOutcome{Value: res.Value.String(), Run: res.Run, Compile: res.Compile}
+}
+
 // FuzzRegAllocDifferential feeds arbitrary program text to allocated
 // and raw code under a tight budget, checking every allocation on the
 // way, and fails on any observable divergence: value, RunStats, fault
-// kind, message or backtrace. Registered in ci.sh's fuzz smoke stage.
+// kind, message or backtrace (pcs included — the two sides fuse
+// differently, raw code having no self-moves to absorb, and a backtrace
+// names pcs of the code as assembled). Registered in ci.sh's fuzz smoke
+// stage.
 func FuzzRegAllocDifferential(f *testing.F) {
-	for _, s := range []string{
-		"3 + 4 * 2",
-		"| s <- 0 | 1 upTo: 100 Do: [ :i | s: s + i ]. s",
-		"| v | v: vector copySize: 10. v fillFrom: [ :i | i * i ]. (v at: 3) + v size",
-		"[ :x | x * 2 ] value: 21",
-		"| b. n <- 0 | b: [ :x | n: n + x. n ]. (b value: 2) + (b value: 3)",
-		"| v | v: vector copySize: 5 FillWith: 3. v do: [ :e | (e = 3) ifTrue: [ ^ e ] ]. 0",
-		"1 / 0",
-		"nil zork",
-		"(9000000000000000000 * 9000000000000000000) + 1",
-		"| v | v: (vector copySize: 2 FillWith: 0). v at: 17",
-	} {
+	for _, s := range fuzzEvalSeeds {
 		f.Add(s)
-	}
-	eval := func(t *testing.T, src string) allocOutcome {
-		sys, err := selfgo.NewSystem(selfgo.NewSELF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.SetBudget(selfgo.Budget{MaxInstrs: 200_000, MaxDepth: 200, MaxAllocs: 100_000})
-		res, err := sys.Eval(src)
-		if err != nil {
-			var re *selfgo.RuntimeError
-			if errors.As(err, &re) {
-				return allocOutcome{Kind: re.Kind, Msg: re.Msg, Trace: re.Trace}
-			}
-			return allocOutcome{Msg: err.Error()} // parse and compile errors
-		}
-		return allocOutcome{Value: res.Value.String(), Run: res.Run, Compile: res.Compile}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip()
 		}
 		var got, want allocOutcome
-		selfgo.WithCheckedAssembly(t, func() { got = eval(t, src) })
-		selfgo.WithRawAssembly(func() { want = eval(t, src) })
+		selfgo.WithCheckedAssembly(t, func() { got = fuzzEval(t, selfgo.NewSELF, src) })
+		selfgo.WithRawAssembly(func() { want = fuzzEval(t, selfgo.NewSELF, src) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("diverged:\nallocated: %+v\nraw:       %+v", got, want)
 		}
 	})
+}
+
+// TestCoalescingCostsNoFrameStorage: coalescing copies gives a class of
+// registers one slot, which can only cost a frame slots, never save
+// them — so it is pinned that it costs (next to) none. Over the Codes
+// the 21 benchmarks compile under new SELF the slots sum to no more
+// than 5% above the 658 they took before copies were coalesced, and no
+// Code needs a bigger frame size class (pool.go: powers of two from 8)
+// than it did then; widthBefore lists every Code that was past the
+// smallest class.
+func TestCoalescingCostsNoFrameStorage(t *testing.T) {
+	widthBefore := map[string]int{
+		"lobby>>permGen:N:": 9, "lobby>>towersBench": 15, "lobby>>towMove:From:To:Via:": 24,
+		"lobby>>qnTry:": 10, "lobby>>intmmBench": 15, "lobby>>puzzleBench": 21,
+		"lobby>>pzPlace:At:": 10, "lobby>>pzRemove:At:": 10, "lobby>>quickBench": 13,
+		"lobby>>qsSort:Lo:Hi:": 11, "lobby>>bubbleBench": 10, "lobby>>treeBench": 12,
+		"lobby>>trInsert:At:": 9, "obj@2:12>>permute:": 9, "obj@16:14>>move:From:To:Via:": 9,
+		"obj@2:15>>try:": 10, "lobby>>intmmOOBench": 17, "block@22:27": 9,
+		"lobby>>quickOOBench": 24, "obj@2:12>>quickLo:Hi:": 10, "lobby>>bubbleOOBench": 15,
+		"lobby>>treeOOBench": 10, "lobby>>sieveBench": 9, "obj@149:19>>runPacket:": 9,
+	}
+	class := func(n int) int {
+		c := 8
+		for c < n {
+			c <<= 1
+		}
+		return c
+	}
+	total, codes := 0, 0
+	vm.TestHookAssemble = func(_, c *vm.Code) *vm.Code {
+		total += c.NumRegs
+		codes++
+		before, ok := widthBefore[c.Name]
+		if !ok {
+			before = 8
+		}
+		if class(c.NumRegs) > class(before) {
+			t.Errorf("%s takes %d slots (size class %d), took %d (class %d) before coalescing",
+				c.Name, c.NumRegs, class(c.NumRegs), before, class(before))
+		}
+		return c
+	}
+	defer func() { vm.TestHookAssemble = nil }()
+	for _, b := range bench.All() {
+		allocRun(t, selfgo.NewSELF, selfgo.ModeOpt, allocProgram{name: b.Name, src: b.Source, sel: b.Entry}, selfgo.Budget{})
+	}
+	t.Logf("%d Codes, %d slots", codes, total)
+	if codes != 103 {
+		t.Errorf("the suite compiled %d Codes, not the 103 the bound was taken over", codes)
+	}
+	if limit := 658 * 105 / 100; total > limit {
+		t.Errorf("the suite's Codes take %d slots, more than %d (658 before coalescing, +5%%)", total, limit)
+	}
 }

@@ -291,19 +291,33 @@ func (l *sourceLog) snapshot() ([]string, bool) {
 
 // compileLog is the shared, locked compile log. Every reply reports the
 // total compile time and the per-tier counts, so add keeps both as
-// running aggregates: reading them never walks the log.
+// running aggregates over every compile there ever was: reading them
+// never walks the log. The entries themselves are a ring of the last
+// compileLogCap — a server fed never-seen expressions compiles for as
+// long as it lives, and the code cache evicts the code; its log entry
+// must not outlive it by more than the ring.
 type compileLog struct {
 	mu      sync.Mutex
-	entries []MethodCompile
-	total   time.Duration  // sum of the entries' Stats.Duration
-	tiers   map[string]int // entries per tier label
-	built   int64          // sum of the entries' Stats.BuiltNodes
-	kept    int64          // sum of the entries' Stats.Nodes
+	entries []MethodCompile // the latest compileLogCap, entries[added%cap] the oldest once full
+	added   int64           // entries ever added
+	total   time.Duration   // sum of every added entry's Stats.Duration
+	tiers   map[string]int  // added entries per tier label
+	built   int64           // sum of every added entry's Stats.BuiltNodes
+	kept    int64           // sum of every added entry's Stats.Nodes
 }
+
+// compileLogCap bounds the compile log's entries: enough to hold what
+// any one program compiles (puzzle: ~50 methods) many times over.
+const compileLogCap = 4096
 
 func (l *compileLog) add(e MethodCompile) {
 	l.mu.Lock()
-	l.entries = append(l.entries, e)
+	if len(l.entries) < compileLogCap {
+		l.entries = append(l.entries, e)
+	} else {
+		l.entries[l.added%compileLogCap] = e
+	}
+	l.added++
 	l.total += e.Stats.Duration
 	l.tiers[e.Tier]++
 	l.built += int64(e.Stats.BuiltNodes)
@@ -311,10 +325,21 @@ func (l *compileLog) add(e MethodCompile) {
 	l.mu.Unlock()
 }
 
+// snapshot returns the retained entries, oldest first.
 func (l *compileLog) snapshot() []MethodCompile {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]MethodCompile(nil), l.entries...)
+	oldest := 0
+	if len(l.entries) == compileLogCap {
+		oldest = int(l.added % compileLogCap)
+	}
+	return append(append(make([]MethodCompile, 0, len(l.entries)), l.entries[oldest:]...), l.entries[:oldest]...)
+}
+
+func (l *compileLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.entries)
 }
 
 func (l *compileLog) totalDuration() time.Duration {
@@ -886,10 +911,17 @@ func (s *System) DropEvalProgram(p *EvalProgram) {
 }
 
 // CompileLog returns per-method compiler statistics in compilation
-// order. For a shared system the log spans every forked worker.
+// order: the latest 4,096 compilations (everything, for a system that
+// has compiled fewer). For a shared system the log spans every forked
+// worker. TierCounts, CompileNodes and a Result's CompileTime count
+// every compilation, retained or not.
 func (s *System) CompileLog() []MethodCompile {
 	return s.log.snapshot()
 }
+
+// CompileLogLen is how many entries CompileLog would return: it stops
+// growing at the log's bound.
+func (s *System) CompileLogLen() int { return s.log.len() }
 
 func (s *System) totalCompileTime() time.Duration {
 	return s.log.totalDuration()
