@@ -21,6 +21,8 @@ short="${1:-}"
 #   - affinity routing compiles each distinct program on exactly ONE
 #     replica (fleet compile-once), and a second replay of the same
 #     trace compiles nothing anywhere,
+#   - the router reuses its upstream connections (dials stay at or below
+#     the replay's client count),
 #   - an overloaded home replica sheds and the router retries the
 #     next-ranked replica (>= 1 shed failover observed),
 #   - SIGTERM-draining a replica mid-run loses zero requests at the
@@ -89,6 +91,19 @@ cluster_smoke() {
     [ $((i1 + i2 + i3)) -eq 8 ] || {
         echo "ci: fleet interned $i1+$i2+$i3 exprs for 8 distinct programs"; exit 1; }
     echo "   compile-once held: interned $i1/$i2/$i3 across replicas"
+    # Pooled upstream connections: 48 replayed requests (and the health
+    # probes, which share the pool) must not have opened more
+    # connections than one replay can have clients in flight (24, were
+    # every request of the open-loop trace to overlap).
+    dials=0
+    for rep in "$cr1" "$cr2" "$cr3"; do
+        d=$(scrape "$crouter" "selfrouter_upstream_dials_total{replica=\"$rep\"}")
+        [ "$d" -ge 1 ] || { echo "ci: no upstream dial recorded for $rep ($d)"; exit 1; }
+        dials=$((dials + d))
+    done
+    [ "$dials" -le 24 ] || {
+        echo "ci: $dials upstream dials for 2 x 24 replayed requests; connections are not being reused"; exit 1; }
+    echo "   upstream connections reused: $dials dials for 48 requests"
 
     # Shed failover: flood one affinity key's home replica (pool 2 +
     # queue 2) until it sheds; the router must retry the next-ranked
@@ -437,6 +452,8 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzDecodeEvalRequest$' -fuzztime 10s ./internal/wire
     echo "== fuzz smoke: FuzzDecodeRunRequest"
     go test -run '^$' -fuzz '^FuzzDecodeRunRequest$' -fuzztime 5s ./internal/wire
+    echo "== fuzz smoke: FuzzUpstreamResponse"
+    go test -run '^$' -fuzz '^FuzzUpstreamResponse$' -fuzztime 10s ./internal/router
     echo "== fuzz smoke: FuzzNativeDifferential"
     go test -run '^$' -fuzz '^FuzzNativeDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzBBVDifferential"

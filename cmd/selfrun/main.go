@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -141,8 +142,7 @@ func main() {
 	}
 	if err != nil {
 		if *jsonOut {
-			out := &wire.Result{Error: wire.NewError(err)}
-			_ = out.Encode(os.Stdout)
+			_ = printJSON(&wire.Result{Error: wire.NewError(err)})
 			os.Exit(1)
 		}
 		fatal(err)
@@ -160,7 +160,7 @@ func main() {
 				MeanLatencyMS: float64(ps.MeanLatency) / float64(time.Millisecond),
 			}
 		}
-		if err := out.Encode(os.Stdout); err != nil {
+		if err := printJSON(out); err != nil {
 			fatal(err)
 		}
 		return
@@ -261,6 +261,14 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, "selfrun:", err)
 	}
+}
+
+// printJSON prints a result indented: the encoding is the server's, the
+// layout is for the person at the terminal.
+func printJSON(res *wire.Result) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(res)
 }
 
 func fatal(err error) {

@@ -158,8 +158,12 @@ type shard[V any] struct {
 	// false instead of starting a second compile.
 	promoting map[Key]bool
 
-	hits, misses, waits, evicted              int64
-	promotions, promoteFails, promoteDiscards int64
+	hits, misses, waits, evicted int64
+
+	// Promotion outcomes are atomics, written under mu like the rest but
+	// readable without it: every reply a server builds reports them
+	// (PromotionCounts), and that read must not queue behind compiles.
+	promotions, promoteFails, promoteDiscards atomic.Int64
 }
 
 // maxCompileFails bounds retry storms: after this many consecutive
@@ -409,11 +413,23 @@ func (c *Cache[V]) Flush() int {
 	return n
 }
 
+// stats snapshots one shard's counters.
+func (s *shard[V]) stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Stats{
+		Hits: s.hits, Misses: s.misses, Waits: s.waits,
+		Evicted: s.evicted, Entries: int64(len(s.entries)),
+		Promotions: s.promotions.Load(), PromoteFails: s.promoteFails.Load(),
+		PromoteDiscards: s.promoteDiscards.Load(),
+	}
+}
+
 // Stats sums the per-shard counters.
 func (c *Cache[V]) Stats() Stats {
 	var t Stats
-	for _, s := range c.ShardStats() {
-		t.Add(s)
+	for i := range c.shards {
+		t.Add(c.shards[i].stats())
 	}
 	return t
 }
@@ -423,17 +439,21 @@ func (c *Cache[V]) Stats() Stats {
 func (c *Cache[V]) ShardStats() []Stats {
 	out := make([]Stats, numShards)
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out[i] = Stats{
-			Hits: s.hits, Misses: s.misses, Waits: s.waits,
-			Evicted: s.evicted, Entries: int64(len(s.entries)),
-			Promotions: s.promotions, PromoteFails: s.promoteFails,
-			PromoteDiscards: s.promoteDiscards,
-		}
-		s.mu.Unlock()
+		out[i] = c.shards[i].stats()
 	}
 	return out
+}
+
+// PromotionCounts sums the promotion outcomes alone, taking no shard
+// lock: what a server reads for every reply it builds.
+func (c *Cache[V]) PromotionCounts() (installed, fails, discards int64) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		installed += s.promotions.Load()
+		fails += s.promoteFails.Load()
+		discards += s.promoteDiscards.Load()
+	}
+	return installed, fails, discards
 }
 
 // CompileOnce reports the cache's core invariant for a warmed run: each

@@ -76,17 +76,17 @@ func (c *Cache[V]) Promote(k Key, compile func() (V, error), onDone func(v V, er
 		delete(s.promoting, k)
 		switch {
 		case err != nil:
-			s.promoteFails++
+			s.promoteFails.Add(1)
 		case s.entries[k] != e:
 			// Invalidated (or replaced by a fresh flight) while we
 			// compiled: the promoted code was built against a world
 			// shape that may no longer hold. Discard — installing it
 			// would resurrect stale code past the invalidation.
-			s.promoteDiscards++
+			s.promoteDiscards.Add(1)
 		default:
 			ne := &entry[V]{done: closedChan(), val: v}
 			s.entries[k] = ne
-			s.promotions++
+			s.promotions.Add(1)
 			installed = true
 		}
 		s.mu.Unlock()

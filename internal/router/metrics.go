@@ -19,6 +19,7 @@ type routerMetrics struct {
 	noReplica *metrics.Counter      // requests refused with no healthy replica
 
 	transitions *metrics.CounterVec // replica, direction: ring membership changes
+	dials       *metrics.CounterVec // replica: upstream connections opened
 }
 
 func (rt *Router) registerMetrics() {
@@ -40,6 +41,9 @@ func (rt *Router) registerMetrics() {
 	rt.m.transitions = r.CounterVec("selfrouter_replica_transitions_total",
 		"Ring membership changes per replica, by direction (up/down).", "replica", "direction")
 
+	rt.m.dials = r.CounterVec("selfrouter_upstream_dials_total",
+		"Connections opened to each replica; flat once the pool is warm.", "replica")
+
 	// Pre-create the per-replica and per-reason series so scrapes see
 	// zeros instead of absent series before the first event.
 	for _, rep := range rt.replicas {
@@ -49,19 +53,29 @@ func (rt *Router) registerMetrics() {
 		rt.m.failovers.With(reason)
 	}
 
-	r.RegisterFunc("selfrouter_replica_healthy",
-		"1 while the replica's latest /readyz probe answered 200.",
-		metrics.KindGauge, []string{"replica"}, func() []metrics.Sample {
+	// perReplica samples one value per replica at scrape time.
+	perReplica := func(value func(*replica) float64) func() []metrics.Sample {
+		return func() []metrics.Sample {
 			out := make([]metrics.Sample, 0, len(rt.replicas))
 			for _, rep := range rt.replicas {
-				v := 0.0
-				if rep.healthy.Load() {
-					v = 1
-				}
-				out = append(out, metrics.Sample{Labels: []string{rep.name}, Value: v})
+				out = append(out, metrics.Sample{Labels: []string{rep.name}, Value: value(rep)})
 			}
 			return out
-		})
+		}
+	}
+	r.RegisterFunc("selfrouter_replica_healthy",
+		"1 while the replica's latest /readyz probe answered 200.",
+		metrics.KindGauge, []string{"replica"}, perReplica(func(rep *replica) float64 {
+			if rep.healthy.Load() {
+				return 1
+			}
+			return 0
+		}))
+	r.RegisterFunc("selfrouter_upstream_idle_conns",
+		"Pooled connections to each replica awaiting a request (bounded by a constant cap).",
+		metrics.KindGauge, []string{"replica"}, perReplica(func(rep *replica) float64 {
+			return float64(rep.up.idleConns())
+		}))
 	r.GaugeFunc("selfrouter_replicas_healthy",
 		"Replicas currently in the rendezvous ring.",
 		func() float64 { return float64(len(rt.healthySnapshot())) })

@@ -34,14 +34,10 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -78,11 +74,6 @@ type Config struct {
 	// routing and retry (default wire.DefaultMaxBody). Larger bodies
 	// are rejected with 413 before any replica sees them.
 	MaxBody int64
-
-	// Client issues the proxied requests (default: a client with no
-	// overall timeout — per-request deadlines belong to the replicas'
-	// budget machinery, and benchmark runs can be legitimately slow).
-	Client *http.Client
 }
 
 // Policy is the routing policy.
@@ -127,16 +118,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxBody <= 0 {
 		c.MaxBody = wire.DefaultMaxBody
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	return c
 }
 
-// replica is one backend and its gate state.
+// replica is one backend: its gate state and the connections to it.
 type replica struct {
 	name    string // base URL, also the metrics label
 	healthy atomic.Bool
+	up      *upstream
 }
 
 // Router is the proxy's state. Build with New, serve Handler(), stop
@@ -162,6 +151,10 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("router: at least one replica is required")
 	}
+	// The tenant header's name is written on the wire as given.
+	if !isToken([]byte(cfg.TenantHeader)) {
+		return nil, fmt.Errorf("router: bad tenant header name %q", cfg.TenantHeader)
+	}
 	seen := map[string]bool{}
 	rt := &Router{
 		cfg:     cfg,
@@ -180,15 +173,25 @@ func New(cfg Config) (*Router, error) {
 		rt.replicas = append(rt.replicas, r)
 	}
 	rt.registerMetrics()
+	for _, r := range rt.replicas {
+		var err error
+		if r.up, err = newUpstream(r.name, cfg.MaxBody, rt.m.dials.With(r.name)); err != nil {
+			return nil, fmt.Errorf("router: replica %q: %v", r.name, err)
+		}
+	}
 	rt.bootDur = time.Since(rt.start)
 	go rt.healthLoop()
 	return rt, nil
 }
 
-// Close stops the health loop.
+// Close stops the health loop and closes the connections to every
+// replica.
 func (rt *Router) Close() {
 	close(rt.stop)
 	<-rt.stopped
+	for _, r := range rt.replicas {
+		r.up.closeIdle(true)
+	}
 }
 
 // Registry exposes the router's metrics registry.
@@ -224,29 +227,27 @@ func (rt *Router) probeAll() {
 	}
 }
 
+// probe asks a replica's /readyz over the same pooled connections the
+// proxy path uses, the whole exchange bounded by HealthTimeout.
 func (rt *Router) probe(r *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", r.name+"/readyz", nil)
-	if err != nil {
+	rq := upstreamRequest{method: "GET", target: "/readyz", deadline: time.Now().Add(rt.cfg.HealthTimeout)}
+	var rp reply
+	if err := r.up.roundTrip(context.Background(), &rq, &rp); err != nil {
 		return false
 	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	rp.release()
+	return rp.status == http.StatusOK
 }
 
 // markUnhealthy drops a replica from the ring immediately on a
 // transport failure, without waiting for the next probe — the probe
-// loop will re-admit it when /readyz answers again.
+// loop will re-admit it when /readyz answers again. Its pooled
+// connections go with it: whatever broke one has likely broken all.
 func (rt *Router) markUnhealthy(r *replica) {
 	if r.healthy.Swap(false) {
 		rt.m.transitions.With(r.name, "down").Inc()
 	}
+	r.up.closeIdle(false)
 }
 
 // healthySnapshot returns the replicas currently in the ring.
@@ -263,16 +264,27 @@ func (rt *Router) healthySnapshot() []*replica {
 // ---------------------------------------------------------------------
 // Rendezvous hashing
 
+// FNV-1a, 64 bit: the constants of hash/fnv, inlined so that ranking
+// allocates no hasher.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
 // score is the rendezvous weight of (key, replica): a 64-bit FNV-1a
 // over the key and the replica name, separated so "ab"+"c" and
 // "a"+"bc" cannot collide. Deterministic across processes and
-// restarts — the ranking is a pure function of the strings.
-func score(key, replicaName string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	h.Write([]byte{0xff})
-	io.WriteString(h, replicaName)
-	return h.Sum64()
+// restarts — the ranking is a pure function of the strings. keyHash is
+// the hash of the key alone, which every replica's score starts from.
+func score(keyHash uint64, replicaName string) uint64 {
+	return fnvString((keyHash^0xff)*fnvPrime, replicaName)
 }
 
 // rank orders the given replicas by descending rendezvous score for
@@ -280,14 +292,26 @@ func score(key, replicaName string) uint64 {
 // and so on. Ties (vanishingly rare) break on name for determinism.
 func rank(key string, replicas []*replica) []*replica {
 	ranked := append([]*replica(nil), replicas...)
-	sort.Slice(ranked, func(i, j int) bool {
-		si, sj := score(key, ranked[i].name), score(key, ranked[j].name)
-		if si != sj {
-			return si > sj
-		}
-		return ranked[i].name < ranked[j].name
-	})
+	rankInPlace(key, ranked)
 	return ranked
+}
+
+// rankInPlace is rank over a slice the caller owns. Each replica is
+// scored once; rings are a handful of replicas, so an insertion sort
+// beside a stack array of scores beats sort.Slice and allocates nothing.
+func rankInPlace(key string, replicas []*replica) {
+	var stack [16]uint64
+	scores := stack[:0]
+	keyHash := fnvString(fnvOffset, key)
+	for i, r := range replicas {
+		sc := score(keyHash, r.name)
+		scores = append(scores, sc)
+		j := i
+		for ; j > 0 && (scores[j-1] < sc || (scores[j-1] == sc && replicas[j-1].name > r.name)); j-- {
+			scores[j], replicas[j] = scores[j-1], replicas[j-1]
+		}
+		scores[j], replicas[j] = sc, r
+	}
 }
 
 // preference computes the routing order for one request: the key's
@@ -297,8 +321,8 @@ func rank(key string, replicas []*replica) []*replica {
 // every replica).
 func (rt *Router) preference(key string) []*replica {
 	healthy := rt.healthySnapshot()
-	if len(healthy) == 0 {
-		return nil
+	if len(healthy) <= 1 {
+		return healthy // nothing to choose between
 	}
 	if rt.cfg.Policy == PolicyRandom {
 		// A splitmix-style scramble of a sequence counter: uniform,
@@ -312,14 +336,15 @@ func (rt *Router) preference(key string) []*replica {
 		}
 		return out
 	}
-	return rank(key, healthy)
+	rankInPlace(key, healthy)
+	return healthy
 }
 
 // affinityKey derives the routing key: tenant header first (coarse,
 // isolates tenants), else the body's program identity via wire, else
 // a raw-bytes hash.
-func (rt *Router) affinityKey(r *http.Request, endpoint string, body []byte) (key, source string) {
-	if tenant := r.Header.Get(rt.cfg.TenantHeader); tenant != "" {
+func (rt *Router) affinityKey(tenant, endpoint string, body []byte) (key, source string) {
+	if tenant != "" {
 		return "tenant:" + tenant, "tenant"
 	}
 	if key, ok := wire.AffinityKey(endpoint, body); ok {
@@ -361,17 +386,30 @@ func (rt *Router) proxy(endpoint string) http.Handler {
 	})
 }
 
+// statusClientClosedRequest is the (nginx-convention) status counted
+// when the client went away before an answer existed. It never reaches
+// the client; it keeps the router's metrics honest about why nothing
+// was relayed, and keeps a hang-up from being blamed on the replica.
+const statusClientClosedRequest = 499
+
 // route is the proxy path: buffer the body, derive the key, walk the
 // key's preference list with at most one failover, relay the answer.
 // Returns the status sent to the client.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string) int {
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBody+1))
-	if err != nil {
-		return rt.fail(w, r, http.StatusBadRequest, "request", fmt.Sprintf("reading body: %v", err))
+	buf := bufPool.Get().(*[]byte)
+	defer putBuf(buf)
+	var body []byte
+	err := errTooLarge // a declared size over the limit is not worth reading
+	if r.ContentLength <= rt.cfg.MaxBody {
+		body, err = readBounded(r.Body, *buf, r.ContentLength, rt.cfg.MaxBody)
+		*buf = body
 	}
-	if int64(len(body)) > rt.cfg.MaxBody {
+	if err == errTooLarge {
 		return rt.fail(w, r, http.StatusRequestEntityTooLarge, "request",
 			fmt.Sprintf("body exceeds %d bytes", rt.cfg.MaxBody))
+	}
+	if err != nil {
+		return rt.fail(w, r, http.StatusBadRequest, "request", fmt.Sprintf("reading body: %v", err))
 	}
 
 	// One id per client request, forwarded to every attempt, echoed on
@@ -382,7 +420,15 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 	}
 	w.Header().Set(wire.RequestIDHeader, rid)
 
-	key, source := rt.affinityKey(r, endpoint, body)
+	// The tenant travels upstream verbatim, so it is checked here: a
+	// value that could end its header line must reach no replica.
+	tenant := r.Header.Get(rt.cfg.TenantHeader)
+	if !validHeaderValue(tenant) {
+		return rt.fail(w, r, http.StatusBadRequest, "request",
+			fmt.Sprintf("%s carries a control character", rt.cfg.TenantHeader))
+	}
+
+	key, source := rt.affinityKey(tenant, endpoint, body)
 	rt.m.keys.With(source).Inc()
 
 	prefs := rt.preference(key)
@@ -394,11 +440,16 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 		prefs = prefs[:2] // home + one failover: bounded work under overload
 	}
 
-	var lastShed *http.Response // kept only for the final 429 relay
-	var lastShedBody []byte
+	rq := upstreamRequest{method: "POST", target: endpoint, rid: rid,
+		tenantHeader: rt.cfg.TenantHeader, tenant: tenant, body: body}
+	var shed reply // the 429 with the larger Retry-After, kept for the final relay
+	defer shed.release()
 	for i, rep := range prefs {
-		resp, err := rt.forward(r, rep, endpoint, body, rid)
-		if err != nil {
+		var rp reply
+		if err := rep.up.roundTrip(r.Context(), &rq, &rp); err != nil {
+			if r.Context().Err() != nil {
+				return statusClientClosedRequest // nobody to answer, and not the replica's fault
+			}
 			rt.markUnhealthy(rep)
 			if i+1 < len(prefs) {
 				rt.m.failovers.With(reasonTransport).Inc()
@@ -407,27 +458,27 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 			return rt.fail(w, r, http.StatusBadGateway, "transport",
 				fmt.Sprintf("replica %s: %v", rep.name, err))
 		}
-		switch resp.StatusCode {
+		switch rp.status {
 		case http.StatusTooManyRequests:
 			// Shed-aware failover: the replica told us its queue is
 			// full; the next replica in the preference list may have
 			// room. Honor the Retry-After either way — if the retry
 			// also sheds, the client gets the larger of the two hints.
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
-			resp.Body.Close()
-			if lastShed == nil || retryAfterOf(resp) > retryAfterOf(lastShed) {
-				lastShed, lastShedBody = resp, b
+			if shed.buf == nil || rp.retryAfterSeconds() > shed.retryAfterSeconds() {
+				shed.release()
+				shed = rp
+			} else {
+				rp.release()
 			}
 			if i+1 < len(prefs) {
 				rt.m.failovers.With(reasonShed).Inc()
 				continue
 			}
-			return rt.relayBuffered(w, lastShed, lastShedBody)
+			return relay(w, &shed)
 		case http.StatusServiceUnavailable:
 			// The replica is draining and the health poll hasn't
 			// flipped it yet. Take it out now and fail over.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			rp.release()
 			rt.markUnhealthy(rep)
 			if i+1 < len(prefs) {
 				rt.m.failovers.With(reasonDraining).Inc()
@@ -437,62 +488,29 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 				fmt.Sprintf("replica %s is draining", rep.name))
 		}
 		rt.m.routed.With(rep.name).Inc()
-		return rt.relay(w, resp)
+		code := relay(w, &rp)
+		rp.release()
+		return code
 	}
 	// Unreachable: the loop always returns on its last iteration.
 	return rt.fail(w, r, http.StatusInternalServerError, "internal", "routing fell through")
 }
 
-// forward re-issues the buffered request to one replica.
-func (rt *Router) forward(r *http.Request, rep *replica, endpoint string, body []byte, rid string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(r.Context(), "POST", rep.name+endpoint, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+// relay writes a replica's answer to the client: status, the headers
+// that matter (content type, Retry-After), and the body — already whole
+// in memory, so it goes out under its true Content-Length.
+func relay(w http.ResponseWriter, rp *reply) int {
+	h := w.Header()
+	if rp.contentType != "" {
+		h.Set("Content-Type", rp.contentType)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(wire.RequestIDHeader, rid)
-	if tenant := r.Header.Get(rt.cfg.TenantHeader); tenant != "" {
-		req.Header.Set(rt.cfg.TenantHeader, tenant)
+	if rp.retryAfter != "" {
+		h.Set("Retry-After", rp.retryAfter)
 	}
-	return rt.cfg.Client.Do(req)
-}
-
-// relay copies a replica's answer to the client: status, the headers
-// that matter (content type, Retry-After), then the body streamed
-// through.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) int {
-	defer resp.Body.Close()
-	copyRelayHeaders(w, resp)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return resp.StatusCode
-}
-
-// relayBuffered relays an answer whose body was already drained (the
-// shed path reads bodies so it can pick the larger Retry-After).
-func (rt *Router) relayBuffered(w http.ResponseWriter, resp *http.Response, body []byte) int {
-	copyRelayHeaders(w, resp)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(body)
-	return resp.StatusCode
-}
-
-func copyRelayHeaders(w http.ResponseWriter, resp *http.Response) {
-	for _, h := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-}
-
-// retryAfterOf parses a response's Retry-After seconds (0 if absent
-// or malformed).
-func retryAfterOf(resp *http.Response) int {
-	n, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
+	h.Set("Content-Length", strconv.Itoa(len(rp.body)))
+	w.WriteHeader(rp.status)
+	_, _ = w.Write(rp.body) // a failed write means the client left; there is no one to tell
+	return rp.status
 }
 
 // fail answers a router-level error in the wire error encoding, so

@@ -1,11 +1,16 @@
 package router
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -662,6 +667,8 @@ func TestStatuszAndMetricsExposition(t *testing.T) {
 		`selfrouter_failovers_total{reason="shed"} 0`,
 		"selfrouter_replicas_healthy 1",
 		`selfrouter_affinity_keys_total{source="body"} 1`,
+		`selfrouter_upstream_dials_total{replica="` + stub.ts.URL + `"} `,
+		`selfrouter_upstream_idle_conns{replica="` + stub.ts.URL + `"} `,
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics exposition missing %q", want)
@@ -696,5 +703,354 @@ func TestStatuszBootProvenance(t *testing.T) {
 	}
 	if view.Boot.BootSeconds <= 0 {
 		t.Fatalf("router boot_seconds %v, want > 0", view.Boot.BootSeconds)
+	}
+}
+
+// ---------------------------------------------------------------------
+// The upstream client: failure framing, outside input, connection lifecycle
+
+// TestScoreIsFNV1a pins the inlined hash to hash/fnv: the ranking is a
+// contract with running fleets (a changed score reshuffles every key).
+func TestScoreIsFNV1a(t *testing.T) {
+	for _, c := range [][2]string{{"", ""}, {"eval:abc", "http://a"}, {"tenant:t1", "http://127.0.0.1:8701"}} {
+		h := fnv.New64a()
+		io.WriteString(h, c[0])
+		h.Write([]byte{0xff})
+		io.WriteString(h, c[1])
+		if got := score(fnvString(fnvOffset, c[0]), c[1]); got != h.Sum64() {
+			t.Errorf("score(%q, %q) = %x, hash/fnv says %x", c[0], c[1], got, h.Sum64())
+		}
+	}
+}
+
+// TestNewRefusesWhatItCannotSpeak: the upstream client speaks plain
+// HTTP to a host and port, and writes the tenant header's name as given.
+func TestNewRefusesWhatItCannotSpeak(t *testing.T) {
+	for _, cfg := range []Config{
+		{Replicas: []string{"https://127.0.0.1:1"}},
+		{Replicas: []string{"http://127.0.0.1:1/prefix"}},
+		{Replicas: []string{"127.0.0.1:1"}},
+		{Replicas: []string{"http://127.0.0.1:1"}, TenantHeader: "X Tenant"},
+	} {
+		if rt, err := New(cfg); err == nil {
+			rt.Close()
+			t.Errorf("New(%+v) succeeded", cfg)
+		}
+	}
+}
+
+// rawReplica is a replica at the socket level: /readyz is answered
+// properly, every other request is handed to script with the
+// connection, to answer as badly as the test needs.
+func rawReplica(t *testing.T, script func(c net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, req.Body)
+					if req.URL.Path == "/readyz" {
+						io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+						continue
+					}
+					script(c)
+					return
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String()
+}
+
+// TestTruncatedReplyIsTransportFailure: a replica that dies mid-reply
+// (500 bytes declared, 100 sent) is a transport failure — failed over
+// when there is somewhere to go, 502 when there is not. Streaming the
+// reply through, as the router once did, answered 200 with 100 bytes.
+func TestTruncatedReplyIsTransportFailure(t *testing.T) {
+	dying := rawReplica(t, func(c net.Conn) {
+		io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 500\r\n\r\n"+
+			strings.Repeat("x", 100))
+	})
+	alive := newStub(t, ok200)
+
+	rt, ts := newTestRouter(t, Config{Replicas: []string{dying, alive.ts.URL}, HealthEvery: time.Hour})
+	resp := postTenant(t, ts.URL, tenantFor(t, rt, dying), `{"expr": "3 + 4"}`)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || !strings.Contains(string(body), `"int": 7`) {
+		t.Fatalf("with a healthy second replica: %d %q %v", resp.StatusCode, body, err)
+	}
+	if got := rt.m.failovers.With(reasonTransport).Value(); got != 1 {
+		t.Fatalf("transport failovers %d, want 1", got)
+	}
+
+	_, ts = newTestRouter(t, Config{Replicas: []string{dying}, HealthEvery: time.Hour})
+	resp = postTenant(t, ts.URL, "", `{"expr": "3 + 4"}`)
+	var res wire.Result
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || err != nil || res.Error == nil || res.Error.Kind != "transport" {
+		t.Fatalf("with nowhere to go: %d %v %+v", resp.StatusCode, err, res.Error)
+	}
+}
+
+// TestForwardedHeaderInjectionRefused: the tenant value is written
+// upstream verbatim, so one that could end its header line is answered
+// 400 before any replica is contacted. (A net/http listener refuses
+// such a value itself; the handler must not depend on its caller.)
+func TestForwardedHeaderInjectionRefused(t *testing.T) {
+	stub := newStub(t, ok200)
+	rt, _ := newTestRouter(t, Config{Replicas: []string{stub.ts.URL}})
+	for _, tenant := range []string{"a\rX-Evil: 1", "a\r\nX-Evil: 1", "a\nb", "a\x00b"} {
+		req := httptest.NewRequest("POST", "/eval", strings.NewReader(`{"expr": "1"}`))
+		req.Header["X-Tenant"] = []string{tenant}
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("tenant %q: status %d, want 400", tenant, w.Code)
+		}
+	}
+	if n := stub.hitCount(); n != 0 {
+		t.Fatalf("%d forged requests reached the replica", n)
+	}
+}
+
+// settled waits for the boot-time probe to finish, so that a test can
+// count dials from a quiet pool: one connection dialled, and idle.
+func settled(t *testing.T, rep *replica) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !(rep.up.dials.Value() == 1 && rep.up.idleConns() == 1) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never settled: %d dials, %d idle", rep.up.dials.Value(), rep.up.idleConns())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func mustPost200(t *testing.T, url string) {
+	t.Helper()
+	resp := postTenant(t, url, "", `{"expr": "1"}`)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Errorf("status %d, want 200", resp.StatusCode)
+	}
+}
+
+func noFailovers(t *testing.T, rt *Router) {
+	t.Helper()
+	for _, reason := range []string{reasonShed, reasonDraining, reasonTransport} {
+		if n := rt.m.failovers.With(reason).Value(); n != 0 {
+			t.Errorf("%d %s failovers, want none", n, reason)
+		}
+	}
+	if got := len(rt.healthySnapshot()); got != len(rt.replicas) {
+		t.Errorf("%d of %d replicas healthy", got, len(rt.replicas))
+	}
+}
+
+// TestReplicaWithoutKeepAlives: a replica that closes every connection
+// after answering says so (Connection: close); the router believes it,
+// dials each time, and nothing about that is a failure.
+func TestReplicaWithoutKeepAlives(t *testing.T) {
+	stub := newStub(t, ok200)
+	stub.ts.Config.SetKeepAlivesEnabled(false)
+	rt, ts := newTestRouter(t, Config{Replicas: []string{stub.ts.URL}, HealthEvery: time.Hour})
+	for i := 0; i < 200; i++ {
+		mustPost200(t, ts.URL)
+	}
+	noFailovers(t, rt)
+	if n := stub.hitCount(); n != 200 {
+		t.Errorf("replica saw %d requests, want 200", n)
+	}
+	if idle := rt.replicas[0].up.idleConns(); idle != 0 {
+		t.Errorf("%d connections pooled though the replica closes each", idle)
+	}
+}
+
+// TestStaleConnectionRedialled: a replica that drops idle connections
+// costs one redial per stale connection, on the same replica, and none
+// of it counts as a failover or against the replica's health.
+func TestStaleConnectionRedialled(t *testing.T) {
+	stub := newStub(t, ok200)
+	rt, ts := newTestRouter(t, Config{Replicas: []string{stub.ts.URL}, HealthEvery: time.Hour})
+	rep := rt.replicas[0]
+	settled(t, rep)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		stub.ts.CloseClientConnections() // the pooled connection is now dead, and the router cannot know
+		mustPost200(t, ts.URL)
+	}
+	noFailovers(t, rt)
+	if got := rep.up.dials.Value(); got != 1+rounds {
+		t.Errorf("%d dials, want %d: one per stale connection", got, 1+rounds)
+	}
+	if n := stub.hitCount(); n != rounds {
+		t.Errorf("replica saw %d requests, want %d", n, rounds)
+	}
+}
+
+// TestPoolBounded: as many closed-loop clients as the pool holds never
+// dial more connections than there are clients, and a burst beyond the
+// cap leaves no more than the cap behind.
+func TestPoolBounded(t *testing.T) {
+	stub := newStub(t, func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Millisecond) // hold the connection, so the clients overlap
+		ok200(w, r)
+	})
+	rt, _ := newTestRouter(t, Config{Replicas: []string{stub.ts.URL}, HealthEvery: time.Hour})
+	rep := rt.replicas[0]
+	settled(t, rep)
+	h := rt.Handler()
+	burst := func(clients, each int) {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest("POST", "/eval", strings.NewReader(`{"expr": "1"}`)))
+					if w.Code != 200 {
+						t.Errorf("status %d, want 200", w.Code)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	burst(64, 20)
+	if got := rep.up.dials.Value(); got > 64 {
+		t.Errorf("64 clients caused %d dials", got)
+	}
+	burst(2*maxIdleConns, 2)
+	if idle := rep.up.idleConns(); idle > maxIdleConns {
+		t.Errorf("%d idle connections, cap is %d", idle, maxIdleConns)
+	}
+	noFailovers(t, rt)
+}
+
+// TestNewCloseLeavesNoDescriptors: a router that is built, used and
+// closed gives back every descriptor (the benchmark does this 20+ times
+// per process, a test binary hundreds of times).
+func TestNewCloseLeavesNoDescriptors(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	stub := newStub(t, ok200)
+	before := openFDs()
+	for i := 0; i < 200; i++ {
+		rt, err := New(Config{Replicas: []string{stub.ts.URL}, HealthEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/eval", strings.NewReader(`{"expr": "1"}`)))
+		if w.Code != 200 {
+			t.Fatalf("cycle %d: status %d", i, w.Code)
+		}
+		rt.Close()
+	}
+	// The stub's ends close when it reads our FIN: give it a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for openFDs() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("%d descriptors open after 200 New/Close cycles, %d before", after, before)
+	}
+}
+
+// TestClientHangupCancelsReplicaRun: a client that leaves during a long
+// run takes the upstream connection with it, so the replica aborts the
+// guest (and counts a 499) instead of finishing work nobody wants; the
+// router blames neither the replica nor the transport.
+func TestClientHangupCancelsReplicaRun(t *testing.T) {
+	servers, rt, front := newCluster(t, 1, PolicyAffinity, server.Config{Pool: 1, DefaultDeadline: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", front.URL+"/eval",
+		strings.NewReader(`{"expr": "| s <- 0 | 1 upTo: 500000000 Do: [ :i | s: s + 1 ]. s"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for servers[0].InFlight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled request returned an answer")
+	}
+	scrape := func() string {
+		var b strings.Builder
+		servers[0].Registry().WriteText(&b)
+		return b.String()
+	}
+	const want = `selfserved_requests_total{endpoint="eval",code="499"} 1`
+	for !strings.Contains(scrape(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never counted the 499:\n%s", scrape())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for rt.m.requests.With("/eval", "499").Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("router never counted the hang-up")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	noFailovers(t, rt)
+}
+
+// TestBodyOverMaxBody: a request body over the limit is answered 413
+// whether its size was declared or not, and reaches no replica.
+func TestBodyOverMaxBody(t *testing.T) {
+	stub := newStub(t, ok200)
+	rt, _ := newTestRouter(t, Config{Replicas: []string{stub.ts.URL}, MaxBody: 64})
+	for _, declared := range []bool{true, false} {
+		req := httptest.NewRequest("POST", "/eval", strings.NewReader(`{"expr": "`+strings.Repeat("1 + ", 20)+`1"}`))
+		if !declared {
+			req.ContentLength = -1
+		}
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared=%v: status %d, want 413", declared, w.Code)
+		}
+	}
+	if n := stub.hitCount(); n != 0 {
+		t.Fatalf("%d oversized requests reached the replica", n)
 	}
 }

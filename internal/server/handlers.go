@@ -109,12 +109,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	})
 }
 
+// writeJSON answers v as compact JSON: replies are read by routers and
+// clients, and every byte of one is copied at each hop.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeRunError maps a failed guest run (or admission failure) to an
@@ -369,7 +369,11 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		benches = append(benches, name)
 	}
 	sort.Strings(benches)
-	s.writeJSON(w, http.StatusOK, &statuszView{
+	// /statusz is read by people: the one reply that stays indented.
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(&statuszView{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		TierMode:       s.cfg.Mode.String(),
 		Strategy:       s.cfg.Compiler.Strategy.String(),

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"selfgo"
+	"selfgo/internal/obj"
 	"selfgo/internal/wire"
 )
 
@@ -865,5 +866,29 @@ func TestFrameMetricsPlateau(t *testing.T) {
 	}
 	if float64(view.Frames.Allocs) != allocs2 || float64(view.Frames.PoolBytes) != bytes2 || view.Frames.Reuses == 0 {
 		t.Errorf("statusz frames %+v disagree with /metrics (allocs %v, bytes %v)", view.Frames, allocs2, bytes2)
+	}
+}
+
+// discardWriter is a ResponseWriter that allocates nothing itself.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestReplyAllocations pins what building and writing a hot /eval reply
+// allocates. It was 17 when replies were indented (the indenting
+// encoder's second buffer) and carried a snapshot of all sixteen cache
+// shards (a 1 KB slice, taken under their locks) to report three
+// counters; neither may creep back. It is 8 now; the bound leaves room
+// for the race detector, under which sync.Pool drops some of what the
+// encoder returns to it.
+func TestReplyAllocations(t *testing.T) {
+	s, _ := newTestServer(t, Config{Pool: 1})
+	res := &selfgo.Result{Value: obj.Int(4951)}
+	res.Run.Instrs, res.Run.Cycles = 1234, 5678
+	w := &discardWriter{h: http.Header{}}
+	if n := testing.AllocsPerRun(200, func() { s.writeJSON(w, http.StatusOK, s.result(res)) }); n > 12 {
+		t.Errorf("a reply allocates %.0f times, want at most 12", n)
 	}
 }

@@ -442,11 +442,10 @@ func NewResult(v obj.Value, run vm.RunStats, comp vm.CompileRecord, compileTime 
 	}
 }
 
-// Encode writes r as indented JSON.
+// Encode writes r as one line of compact JSON: the form replies travel
+// in. Output meant for people indents at its own call site.
 func (r *Result) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return json.NewEncoder(w).Encode(r)
 }
 
 // String renders r for logs and tests.

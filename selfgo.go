@@ -745,8 +745,7 @@ func (s *System) PromotionStats() PromotionStats {
 	if s.shared == nil {
 		return ps
 	}
-	cs := s.shared.Stats()
-	ps.Installed, ps.Fails, ps.Discards = cs.Promotions, cs.PromoteFails, cs.PromoteDiscards
+	ps.Installed, ps.Fails, ps.Discards = s.shared.PromotionCounts()
 	s.prom.mu.Lock()
 	if s.prom.installed > 0 {
 		ps.MeanLatency = s.prom.total / time.Duration(s.prom.installed)
