@@ -130,7 +130,7 @@ func TestAllocChargingDifferential(t *testing.T) {
 // value. Globally-unique epochs make the barrier fire: B's epoch must
 // be abandoned and the published value stay intact.
 func TestCrossWorkerEpochIdentity(t *testing.T) {
-	root, err := selfgo.NewSharedSystem(selfgo.NewSELF)
+	root, err := selfgo.NewSystem(selfgo.NewSELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,8 @@ func TestCrossWorkerEpochIdentity(t *testing.T) {
 	if err := root.LoadSource(src); err != nil {
 		t.Fatal(err)
 	}
-	a, err := root.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := root.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := root.Fork()
+	b := root.Fork()
 
 	// Worker A: escape a vector to the shared world, then reset. Both
 	// workers' arenas have now each seen exactly one reset-relevant
@@ -195,7 +189,7 @@ func TestCrossWorkerEpochIdentity(t *testing.T) {
 // pinned by the embedder) survive the reset because the dirty epoch is
 // abandoned to the garbage collector instead of recycled.
 func TestArenaLifecycle(t *testing.T) {
-	root, err := selfgo.NewSharedSystem(selfgo.NewSELF)
+	root, err := selfgo.NewSystem(selfgo.NewSELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +204,7 @@ func TestArenaLifecycle(t *testing.T) {
 	if err := root.LoadSource(src); err != nil {
 		t.Fatal(err)
 	}
-	w, err := root.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := root.Fork()
 
 	// Clean epochs: nothing escapes, so every reset recycles.
 	for i := 0; i < 3; i++ {
@@ -266,10 +257,7 @@ func TestArenaLifecycle(t *testing.T) {
 	// goroutines must be race-free (this test matters under -race).
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		f, err := root.Fork()
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := root.Fork()
 		wg.Add(1)
 		go func(sys *selfgo.System) {
 			defer wg.Done()

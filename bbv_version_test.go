@@ -153,13 +153,13 @@ func TestBBVShapeInvalidation(t *testing.T) {
 	if res1.Run.BBVElidedShape <= 0 {
 		t.Fatal("no shape-derived elisions recorded: the test is not exercising typed shapes")
 	}
-	before, _ := sys.CacheStats()
+	before := sys.CacheStats()
 
 	// The widening store: x held smallInt everywhere, now a string.
 	if _, err := sys.Eval("point setX: 'str'"); err != nil {
 		t.Fatal(err)
 	}
-	mid, _ := sys.CacheStats()
+	mid := sys.CacheStats()
 	if mid.Evicted <= before.Evicted {
 		t.Fatalf("widening evicted nothing: evicted %d -> %d", before.Evicted, mid.Evicted)
 	}
@@ -180,7 +180,7 @@ func TestBBVShapeInvalidation(t *testing.T) {
 	if res2.Run.BBVElidedShape != 0 {
 		t.Fatalf("post-widening run still elided %d shape tests; the tag must stay polymorphic", res2.Run.BBVElidedShape)
 	}
-	after, _ := sys.CacheStats()
+	after := sys.CacheStats()
 	if after.Misses <= mid.Misses {
 		t.Fatalf("post-widening run recompiled nothing: misses %d -> %d", mid.Misses, after.Misses)
 	}

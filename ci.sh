@@ -296,6 +296,13 @@ go run ./cmd/selfbench -bench richards -tier adaptive -promote 50 -assert-promot
 echo "== tier differential"
 go test -run 'TestTierOptBitIdentical' .
 
+# Code cache: every system finds its code through one cache, so a
+# redefinition or a typed-shape widening must reach code compiled
+# before it (inlined callers, inline-cache memos, bbv versions), and a
+# fork must share its root's compiles.
+echo "== code cache"
+go test -run 'TestRedefinitionReachesCompiledCallers|TestSharedCacheInvalidation|TestForkRequiresSharedCache|TestBBVShapeInvalidation' .
+
 # BBV differential: the lazy basic-block versioning strategy must stay
 # bit-identical to splitting on every benchmark and conformance program
 # (values and fault taxonomy), plateau at the version cap on

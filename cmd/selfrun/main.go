@@ -70,17 +70,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var sys *selfgo.System
-	if *workers > 0 {
-		if *expr != "" {
-			fatal(fmt.Errorf("-workers runs a selector; it cannot be combined with -e"))
-		}
-		sys, err = selfgo.NewTieredSystem(cfg, mode, *promote)
-	} else if mode != selfgo.ModeOpt {
-		sys, err = selfgo.NewTieredSystem(cfg, mode, *promote)
-	} else {
-		sys, err = selfgo.NewSystem(cfg)
+	if *workers > 0 && *expr != "" {
+		fatal(fmt.Errorf("-workers runs a selector; it cannot be combined with -e"))
 	}
+	sys, err := selfgo.NewTieredSystem(cfg, mode, *promote)
 	if err != nil {
 		fatal(err)
 	}
@@ -205,10 +198,7 @@ func runWorkers(ctx context.Context, root *selfgo.System, n int, sel string, arg
 	systems := make([]*selfgo.System, n)
 	systems[0] = root
 	for i := 1; i < n; i++ {
-		var err error
-		if systems[i], err = root.Fork(); err != nil {
-			return err
-		}
+		systems[i] = root.Fork()
 	}
 	results := make([]*selfgo.Result, n)
 	errs := make([]error, n)
@@ -240,7 +230,7 @@ func runWorkers(ctx context.Context, root *selfgo.System, n int, sel string, arg
 	}
 	fmt.Println(results[0].Value)
 	if stats {
-		st, _ := root.CacheStats()
+		st := root.CacheStats()
 		fmt.Printf("%d workers in %v; shared cache: %d compiled, %d hits, %d waits, %d evicted, compile-once=%v\n",
 			n, elapsed.Round(time.Microsecond), st.Misses, st.Hits, st.Waits, st.Evicted, st.CompileOnce())
 		if root.Mode == selfgo.ModeAdaptive {

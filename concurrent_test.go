@@ -26,7 +26,7 @@ func TestConcurrentSharedCache(t *testing.T) {
 			t.Parallel()
 			src := newProgGen(seed).generate(4, 2, 12)
 
-			// Single-threaded oracle on a private, unshared system.
+			// Single-threaded oracle: one system, one VM.
 			oracle, err := NewSystem(NewSELF)
 			if err != nil {
 				t.Fatal(err)
@@ -39,7 +39,7 @@ func TestConcurrentSharedCache(t *testing.T) {
 				t.Fatalf("oracle: %v\n%s", err, src)
 			}
 
-			root, err := NewSharedSystem(NewSELF)
+			root, err := NewSystem(NewSELF)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,9 +49,7 @@ func TestConcurrentSharedCache(t *testing.T) {
 			systems := make([]*System, workers)
 			systems[0] = root
 			for i := 1; i < workers; i++ {
-				if systems[i], err = root.Fork(); err != nil {
-					t.Fatal(err)
-				}
+				systems[i] = root.Fork()
 			}
 
 			got := make([]int64, workers)
@@ -89,10 +87,7 @@ func TestConcurrentSharedCache(t *testing.T) {
 				}
 			}
 
-			st, ok := root.CacheStats()
-			if !ok {
-				t.Fatal("shared system reports no cache stats")
-			}
+			st := root.CacheStats()
 			if !st.CompileOnce() {
 				t.Errorf("compile-once violated: misses=%d entries=%d evicted=%d", st.Misses, st.Entries, st.Evicted)
 			}
@@ -103,15 +98,35 @@ func TestConcurrentSharedCache(t *testing.T) {
 	}
 }
 
-// TestForkRequiresSharedCache pins the API contract: only systems
-// created with NewSharedSystem can fork workers.
+// TestForkRequiresSharedCache pins the API contract: every system has a
+// code cache, so a plain NewSystem forks, and root and fork compute the
+// same value from code compiled once between them.
 func TestForkRequiresSharedCache(t *testing.T) {
-	sys, err := NewSystem(NewSELF)
+	root, err := NewSystem(NewSELF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Fork(); err == nil {
-		t.Fatal("Fork on an unshared system should fail")
+	if err := root.LoadSource("triangle: n = ( | s <- 0 | 1 upTo: n Do: [ :i | s: s + i ]. s )."); err != nil {
+		t.Fatal(err)
+	}
+	fork := root.Fork()
+	want, err := root.Call("triangle:", IntValue(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fork.Call("triangle:", IntValue(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Value.I() != 4950 || got.Value.I() != want.Value.I() {
+		t.Fatalf("root computed %d, fork %d; want 4950 from both", want.Value.I(), got.Value.I())
+	}
+	if got.Compile.Methods != 0 || got.Compile.CacheHits == 0 {
+		t.Errorf("fork compiled %d methods with %d cache hits; want all its code from the root's compiles",
+			got.Compile.Methods, got.Compile.CacheHits)
+	}
+	if st := root.CacheStats(); !st.CompileOnce() || st.Misses == 0 {
+		t.Errorf("compile-once violated across root and fork: %+v", st)
 	}
 }
 
@@ -119,7 +134,7 @@ func TestForkRequiresSharedCache(t *testing.T) {
 // the world's change hook evicts its customizations from the shared
 // cache and that subsequent calls see the new definition.
 func TestSharedCacheInvalidation(t *testing.T) {
-	root, err := NewSharedSystem(NewSELF)
+	root, err := NewSystem(NewSELF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +148,7 @@ func TestSharedCacheInvalidation(t *testing.T) {
 	if res.Value.I() != 41 {
 		t.Fatalf("got %d, want 41", res.Value.I())
 	}
-	st, _ := root.CacheStats()
+	st := root.CacheStats()
 	if st.Misses == 0 {
 		t.Fatal("first call should have compiled through the shared cache")
 	}
@@ -149,13 +164,45 @@ func TestSharedCacheInvalidation(t *testing.T) {
 	if res.Value.I() != 42 {
 		t.Fatalf("after redefinition got %d, want 42 (stale code survived invalidation)", res.Value.I())
 	}
-	st, _ = root.CacheStats()
+	st = root.CacheStats()
 	if st.Evicted == 0 {
 		t.Error("redefinition did not evict anything from the shared cache")
 	}
 	if !st.CompileOnce() {
 		t.Errorf("compile-once violated after invalidation: misses=%d entries=%d evicted=%d",
 			st.Misses, st.Entries, st.Evicted)
+	}
+}
+
+// TestRedefinitionReachesCompiledCallers pins customization's soundness
+// rule on a plain NewSystem: code compiled against a map is dropped
+// when that map changes. A caller compiled before a redefinition must
+// run the new body afterwards, whether the compiler inlined the callee
+// (new SELF) or the send's inline cache memoized its code (ST-80).
+func TestRedefinitionReachesCompiledCallers(t *testing.T) {
+	for _, cfg := range []Config{NewSELF, ST80} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.LoadSource("answer = ( 41 ). go = ( answer )."); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := sys.Call("go"); err != nil || res.Value.I() != 41 {
+				t.Fatalf("before redefinition: %v, %v; want 41", res, err)
+			}
+			if err := sys.LoadSource("answer = ( 42 )."); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Call("go")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Value.I() != 42 {
+				t.Fatalf("after redefinition go returned %d, want 42 (a compiled caller kept the old body)", res.Value.I())
+			}
+		})
 	}
 }
 
@@ -184,9 +231,7 @@ stepStats: n = ( spinStats: n ).
 	systems := make([]*System, workers)
 	systems[0] = root
 	for i := 1; i < workers; i++ {
-		if systems[i], err = root.Fork(); err != nil {
-			t.Fatal(err)
-		}
+		systems[i] = root.Fork()
 	}
 
 	stop := make(chan struct{})
@@ -202,11 +247,7 @@ stepStats: n = ( spinStats: n ).
 				return
 			default:
 			}
-			st, ok := root.CacheStats()
-			if !ok {
-				snapErr <- fmt.Errorf("shared system reported no cache")
-				return
-			}
+			st := root.CacheStats()
 			if st.Hits < prev.Hits || st.Misses < prev.Misses ||
 				st.Waits < prev.Waits || st.Evicted < prev.Evicted ||
 				st.Promotions < prev.Promotions {
@@ -289,7 +330,7 @@ stepStats: n = ( spinStats: n ).
 
 	// Post-drain: the final snapshot still satisfies compile-once, and
 	// the adaptive schedule actually promoted something.
-	st, _ := root.CacheStats()
+	st := root.CacheStats()
 	if !st.CompileOnce() {
 		t.Errorf("final snapshot violates compile-once: %+v", st)
 	}

@@ -66,8 +66,8 @@ func TestImageRoundTripConformance(t *testing.T) {
 			if !reflect.DeepEqual(got.Run, want.Run) {
 				t.Fatalf("RunStats diverged:\nfresh    %+v\nrestored %+v", want.Run, got.Run)
 			}
-			fs, _ := fresh.CacheStats()
-			rs, _ := boot.Sys.CacheStats()
+			fs := fresh.CacheStats()
+			rs := boot.Sys.CacheStats()
 			if fs.Misses != rs.Misses || fs.Evicted != rs.Evicted {
 				t.Fatalf("compile counters diverged: fresh misses=%d evicted=%d, restored misses=%d evicted=%d",
 					fs.Misses, fs.Evicted, rs.Misses, rs.Evicted)
@@ -121,7 +121,7 @@ func TestImageWarmDifferential(t *testing.T) {
 		t.Fatalf("pre-promoted %d of %d manifest entries", compiled, boot.ManifestLen())
 	}
 
-	before, _ := boot.Sys.CacheStats()
+	before := boot.Sys.CacheStats()
 	want, err := ref.Call("churn:", IntValue(50))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestImageWarmDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := boot.Sys.CacheStats()
+	after := boot.Sys.CacheStats()
 	if got.Value.I() != want.Value.I() {
 		t.Fatalf("restored value %d != reference %d", got.Value.I(), want.Value.I())
 	}
@@ -176,14 +176,14 @@ func TestImageManifestRestoresTiers(t *testing.T) {
 	}
 	// And the seeded hotness keeps it there: more traffic must not
 	// re-trigger promotions for the already-promoted keys.
-	before, _ := boot.Sys.CacheStats()
+	before := boot.Sys.CacheStats()
 	for i := 0; i < 30; i++ {
 		if _, err := boot.Sys.Call("churn:", IntValue(20)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	boot.Sys.DrainPromotions()
-	after, _ := boot.Sys.CacheStats()
+	after := boot.Sys.CacheStats()
 	if after.Misses != before.Misses {
 		t.Fatalf("restored hot code was recompiled: %d new misses", after.Misses-before.Misses)
 	}
@@ -267,8 +267,8 @@ func TestImageReclassificationOracle(t *testing.T) {
 		t.Fatalf("RunStats diverged across snapshot boundary:\nstraight %+v / %+v\nrestored %+v / %+v",
 			sr1, sr2, rr1, rr2)
 	}
-	ss, _ := straight.CacheStats()
-	rs, _ := boot.Sys.CacheStats()
+	ss := straight.CacheStats()
+	rs := boot.Sys.CacheStats()
 	if ss.Misses != rs.Misses || ss.Evicted != rs.Evicted {
 		t.Fatalf("compile counters diverged: straight misses=%d evicted=%d, restored misses=%d evicted=%d",
 			ss.Misses, ss.Evicted, rs.Misses, rs.Evicted)
@@ -419,14 +419,8 @@ func TestForkCOW(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f1, err := sys.ForkCOW()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := sys.ForkCOW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1 := sys.ForkCOW()
+	f2 := sys.ForkCOW()
 
 	// The base is frozen now: further loads must be refused, and the
 	// refusal must NOT poison the source log (nothing was installed).

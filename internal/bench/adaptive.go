@@ -61,7 +61,6 @@ func RunTiered(b Benchmark, cfg selfgo.Config, mode selfgo.TierMode, threshold i
 		return nil, fmt.Errorf("%s under %s/%s: value changed across promotion: %d -> %d",
 			b.Name, cfg.Name, mode, first.Value.I(), steady.Value.I())
 	}
-	cache, _ := sys.CacheStats()
 	return &TieredMeasurement{
 		Bench:      b.Name,
 		Mode:       mode,
@@ -69,6 +68,6 @@ func RunTiered(b Benchmark, cfg selfgo.Config, mode selfgo.TierMode, threshold i
 		FirstRun:   first.Run,
 		SteadyRun:  steady.Run,
 		Promotions: sys.PromotionStats(),
-		Cache:      cache,
+		Cache:      sys.CacheStats(),
 	}, nil
 }

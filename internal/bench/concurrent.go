@@ -68,7 +68,7 @@ func RunConcurrentLimits(b Benchmark, cfg selfgo.Config, workers, reps int, lim 
 	if workers < 1 || reps < 1 {
 		return nil, fmt.Errorf("workers and reps must be positive")
 	}
-	root, err := selfgo.NewSharedSystem(cfg)
+	root, err := selfgo.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -79,9 +79,7 @@ func RunConcurrentLimits(b Benchmark, cfg selfgo.Config, workers, reps int, lim 
 	systems := make([]*selfgo.System, workers)
 	systems[0] = root
 	for i := 1; i < workers; i++ {
-		if systems[i], err = root.Fork(); err != nil {
-			return nil, err
-		}
+		systems[i] = root.Fork()
 	}
 	ctx := context.Background()
 	if lim.Timeout > 0 {
@@ -146,7 +144,6 @@ func RunConcurrentLimits(b Benchmark, cfg selfgo.Config, workers, reps int, lim 
 		m.TotalCycles += cycles[i]
 		m.Methods += methods[i]
 	}
-	st, _ := root.CacheStats()
-	m.Cache = st
+	m.Cache = root.CacheStats()
 	return m, nil
 }

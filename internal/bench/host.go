@@ -69,13 +69,7 @@ func HostBenchOne(cfg selfgo.Config, b Benchmark) (*HostRecord, error) {
 // and the record carries the per-tier compile counts and promotion
 // latency.
 func HostBenchOneMode(cfg selfgo.Config, b Benchmark, mode selfgo.TierMode, threshold int64) (*HostRecord, error) {
-	var sys *selfgo.System
-	var err error
-	if mode == selfgo.ModeOpt {
-		sys, err = selfgo.NewSystem(cfg)
-	} else {
-		sys, err = selfgo.NewTieredSystem(cfg, mode, threshold)
-	}
+	sys, err := selfgo.NewTieredSystem(cfg, mode, threshold)
 	if err != nil {
 		return nil, err
 	}

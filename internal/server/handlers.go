@@ -362,7 +362,7 @@ type statuszBBV struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	cs := s.cacheStats()
+	cs := s.root.CacheStats()
 	ps := s.root.PromotionStats()
 	benches := make([]string, 0, len(s.benches))
 	for name := range s.benches {

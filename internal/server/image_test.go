@@ -106,14 +106,14 @@ func TestImageSaveAndWarmBoot(t *testing.T) {
 	}
 
 	// The warmed workload must hit pre-promoted code only: no compiles.
-	before := warm.cacheStats()
+	before := warm.root.CacheStats()
 	if code, res := postJSON(t, wts.URL+"/run", `{"bench": "sumTo"}`); code != http.StatusOK {
 		t.Fatalf("warm run: status %d %+v", code, res)
 	}
 	if code, res := postJSON(t, wts.URL+"/eval", `{"expr": "6 * 7"}`); code != http.StatusOK || res.Int != 42 {
 		t.Fatalf("warm eval: status %d %+v", code, res)
 	}
-	after := warm.cacheStats()
+	after := warm.root.CacheStats()
 	if after.Misses != before.Misses {
 		t.Fatalf("warm server compiled under the warmed workload: %d new misses", after.Misses-before.Misses)
 	}

@@ -127,19 +127,19 @@ func (s *Server) registerMetrics() {
 	// hits_total climbs, every request is running cached code.
 	r.CounterFunc("selfgo_codecache_hits_total",
 		"Shared-cache lookups that found compiled code.",
-		func() float64 { return float64(s.cacheStats().Hits) })
+		func() float64 { return float64(s.root.CacheStats().Hits) })
 	r.CounterFunc("selfgo_codecache_misses_total",
 		"Shared-cache lookups that ran the compiler (one compile each).",
-		func() float64 { return float64(s.cacheStats().Misses) })
+		func() float64 { return float64(s.root.CacheStats().Misses) })
 	r.CounterFunc("selfgo_codecache_waits_total",
 		"Shared-cache lookups that blocked on another worker's compile.",
-		func() float64 { return float64(s.cacheStats().Waits) })
+		func() float64 { return float64(s.root.CacheStats().Waits) })
 	r.CounterFunc("selfgo_codecache_evicted_total",
 		"Shared-cache entries removed by invalidation.",
-		func() float64 { return float64(s.cacheStats().Evicted) })
+		func() float64 { return float64(s.root.CacheStats().Evicted) })
 	r.GaugeFunc("selfgo_codecache_entries",
 		"Shared-cache entries resident.",
-		func() float64 { return float64(s.cacheStats().Entries) })
+		func() float64 { return float64(s.root.CacheStats().Entries) })
 
 	// World-image warm start. restore_seconds and prepromoted_total
 	// are 0 on a cold boot; time_to_ready covers New-to-ready
@@ -168,13 +168,13 @@ func (s *Server) registerMetrics() {
 	// Adaptive tier promotion.
 	r.CounterFunc("selfgo_promotions_installed_total",
 		"Background tier promotions installed into the shared cache.",
-		func() float64 { return float64(s.cacheStats().Promotions) })
+		func() float64 { return float64(s.root.CacheStats().Promotions) })
 	r.CounterFunc("selfgo_promotions_failed_total",
 		"Background tier promotions whose recompile failed.",
-		func() float64 { return float64(s.cacheStats().PromoteFails) })
+		func() float64 { return float64(s.root.CacheStats().PromoteFails) })
 	r.CounterFunc("selfgo_promotions_discarded_total",
 		"Background tier promotions discarded (entry invalidated meanwhile).",
-		func() float64 { return float64(s.cacheStats().PromoteDiscards) })
+		func() float64 { return float64(s.root.CacheStats().PromoteDiscards) })
 	r.GaugeFunc("selfgo_promotion_mean_latency_seconds",
 		"Mean hot-trigger-to-install latency of installed promotions.",
 		func() float64 { return s.root.PromotionStats().MeanLatency.Seconds() })
@@ -201,13 +201,6 @@ func (s *Server) registerMetrics() {
 			}
 			return out
 		})
-}
-
-// cacheStats snapshots the shared cache (always present: the server is
-// built on NewTieredSystem).
-func (s *Server) cacheStats() selfgo.CacheStats {
-	cs, _ := s.root.CacheStats()
-	return cs
 }
 
 // observe records one finished request.

@@ -295,11 +295,7 @@ func New(cfg Config) (*Server, error) {
 	// at a time.
 	s.pool <- s.root
 	for i := 1; i < cfg.Pool; i++ {
-		w, err := s.root.Fork()
-		if err != nil {
-			return nil, err
-		}
-		s.pool <- w
+		s.pool <- s.root.Fork()
 	}
 
 	s.registerMetrics()

@@ -124,7 +124,7 @@ func TestCompileOnceAcrossConnections(t *testing.T) {
 	if code, res := postJSON(t, ts.URL+"/eval", exprBody); code != 200 || res.Int != 4950 {
 		t.Fatalf("warm-up expr: %d %+v", code, res)
 	}
-	warm := s.cacheStats()
+	warm := s.root.CacheStats()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -162,7 +162,7 @@ func TestCompileOnceAcrossConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after := s.cacheStats()
+	after := s.root.CacheStats()
 	if after.Misses != warm.Misses {
 		t.Errorf("compile-once violated: misses %d -> %d under steady load", warm.Misses, after.Misses)
 	}
@@ -467,7 +467,7 @@ func TestExprLRUEviction(t *testing.T) {
 	if got := s.m.exprEvicted.Value(); got != 8 {
 		t.Fatalf("evicted %d, want 8", got)
 	}
-	if s.cacheStats().Evicted == 0 {
+	if s.root.CacheStats().Evicted == 0 {
 		t.Fatal("LRU rotation did not evict shared-cache entries")
 	}
 
@@ -529,7 +529,7 @@ func TestCompileLogBounded(t *testing.T) {
 		t.Errorf("/metrics selfgo_compile_log_entries = %v (present: %v), want %d", got, ok, bound)
 	}
 	// Every compilation is a cache miss and the other way round.
-	compiles := int(s.cacheStats().Misses)
+	compiles := int(s.root.CacheStats().Misses)
 	if compiles < n {
 		t.Fatalf("%d requests ran %d compilations: the expressions were not all new", n, compiles)
 	}

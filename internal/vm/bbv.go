@@ -163,7 +163,7 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 			finish(pc, elide, outT, ctx)
 			return
 		case ir.Return, ir.NLReturn, ir.Fail:
-			bytes += bbvSize(in)
+			bytes += int64(instrSize(in))
 			finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
 			return
 		case ir.Const:
@@ -212,11 +212,11 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 			// A fused or otherwise unexpected opcode (BBV code is never
 			// fused, but stay defensive): end the region with no
 			// terminating branch; the next run-time branch re-anchors.
-			bytes += bbvSize(in)
+			bytes += int64(instrSize(in))
 			finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
 			return
 		}
-		bytes += bbvSize(in)
+		bytes += int64(instrSize(in))
 	}
 	finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
 }
@@ -227,55 +227,6 @@ func bbvCopyFact(ctx bbv.Context, dst, src ir.Reg) bbv.Context {
 		return ctx.With(int32(dst), f.Map, f.Shape, ctx.Generation())
 	}
 	return ctx.Without(int32(dst))
-}
-
-// bbvSize is the modelled byte size of one linearized instruction —
-// sizeOf's twin over Instr instead of ir.Node, used to price what a
-// lazy code generator would emit for a materialized region.
-func bbvSize(in *Instr) int64 {
-	switch in.Op {
-	case opJmp:
-		return SizeSimple
-	case ir.Const:
-		return SizeConst
-	case ir.Move:
-		return SizeSimple
-	case ir.LoadF, ir.StoreF, ir.LoadE, ir.StoreE, ir.VecLen:
-		return SizeLoadF
-	case ir.NewVec:
-		return SizeNewVec
-	case ir.CloneOp:
-		return SizeClone
-	case ir.Arith:
-		if in.Checked {
-			return SizeArithChk
-		}
-		return SizeSimple
-	case ir.CmpBr:
-		return SizeBranch
-	case ir.TypeTest:
-		return SizeTypeTest
-	case ir.Send:
-		if in.Direct {
-			return SizeCall
-		}
-		return SizeSend
-	case ir.Call:
-		return SizeCall
-	case ir.PrimOp:
-		return SizePrimOp
-	case ir.MkBlk:
-		return SizeMkBlk + SizeMkBlkCap*int64(len(in.Caps))
-	case ir.Fail:
-		return SizeFail
-	case ir.Return:
-		return SizeReturn
-	case ir.NLReturn:
-		return SizeNLReturn
-	case ir.LoadUp, ir.StoreUp:
-		return SizeUpAccess
-	}
-	return 0
 }
 
 // bbvElide executes an elided type test: back out the precharged

@@ -86,7 +86,7 @@ type inlineCache struct {
 	m      *obj.Map
 	slot   *obj.Slot
 	holder *obj.Object // inherited data slots live in the holder object
-	code   *Code       // what a method slot compiles to for m; nil until first invoked
+	code   *linked     // what a method slot compiles to for m; nil until first invoked
 
 	pic []picEntry
 }
@@ -95,7 +95,7 @@ type picEntry struct {
 	m      *obj.Map
 	slot   *obj.Slot
 	holder *obj.Object
-	code   *Code
+	code   *linked
 }
 
 // picEntries bounds the polymorphic cache, as in the SELF PIC work.
@@ -170,7 +170,13 @@ type Code struct {
 	Instrs  []Instr
 	NumRegs int // frame slots an activation needs (after register allocation)
 	Bytes   int // modelled code size
-	ics     []inlineCache
+
+	// numICs is how many inline caches the code's Send and Call
+	// instructions index (Instr.IC). The caches themselves are per VM
+	// (see linked), so a Code is immutable once assembled — only its
+	// Hot counters and bbv store change, both synchronized — and every
+	// VM attached to a code cache runs the same one.
+	numICs int
 
 	// pcs, on fused code, maps a pc to the pc the entry's own instruction
 	// (its head, past whatever the entry absorbed) had in the stream
@@ -278,11 +284,11 @@ func linearize(g *ir.Graph) *Code {
 	}
 	schedule(g.Entry, false)
 
-	emit := func(in Instr, size int) int {
+	emit := func(in Instr) int {
 		in.Cost = staticCost(&in)
 		in.N = 1
 		c.Instrs = append(c.Instrs, in)
-		c.Bytes += size
+		c.Bytes += instrSize(&in)
 		return len(c.Instrs) - 1
 	}
 
@@ -295,7 +301,7 @@ func linearize(g *ir.Graph) *Code {
 			return nil
 		}
 		if p, done := pc[s]; done {
-			emit(jump(p), SizeSimple)
+			emit(jump(p))
 			return nil
 		}
 		return s
@@ -305,7 +311,7 @@ func linearize(g *ir.Graph) *Code {
 		for n != nil {
 			if p, done := pc[n]; done {
 				_ = p
-				emit(jump(p), SizeSimple)
+				emit(jump(p))
 				return
 			}
 			pc[n] = len(c.Instrs)
@@ -313,10 +319,10 @@ func linearize(g *ir.Graph) *Code {
 			case ir.Start, ir.Merge, ir.LoopHead:
 				// Labels only; no code.
 			case ir.Return, ir.NLReturn, ir.Fail:
-				emit(instrOf(n), sizeOf(n))
+				emit(instrOf(n))
 				return
 			case ir.CmpBr, ir.TypeTest:
-				i := emit(instrOf(n), sizeOf(n))
+				i := emit(instrOf(n))
 				tN, fN := succ(n, 0), succ(n, 1)
 				// Lay out the common (true/pass) side next; the other
 				// side is a branch target, deferred out of line when
@@ -335,7 +341,7 @@ func linearize(g *ir.Graph) *Code {
 				return
 			case ir.Arith:
 				if n.Checked {
-					i := emit(instrOf(n), sizeOf(n))
+					i := emit(instrOf(n))
 					ovf := succ(n, 1)
 					if ovf != nil {
 						idx := i
@@ -347,15 +353,15 @@ func linearize(g *ir.Graph) *Code {
 					n = fallthroughTo(succ(n, 0))
 					continue
 				}
-				emit(instrOf(n), sizeOf(n))
+				emit(instrOf(n))
 			default:
 				if !dead[n] {
 					in := instrOf(n)
 					if n.Op == ir.Send || n.Op == ir.Call {
-						in.IC = len(c.ics)
-						c.ics = append(c.ics, inlineCache{})
+						in.IC = c.numICs
+						c.numICs++
 					}
-					idx := emit(in, sizeOf(n))
+					idx := emit(in)
 					if n.Op == ir.MkBlk && n.Landing != nil {
 						c.hasLandings = true
 						landing := n.Landing
@@ -419,8 +425,13 @@ func instrOf(n *ir.Node) Instr {
 	}
 }
 
-func sizeOf(n *ir.Node) int {
-	switch n.Op {
+// instrSize is the modelled byte size of one linearized instruction:
+// what linearize charges into Code.Bytes, and what bbvMaterialize
+// charges for the region a lazy code generator would emit.
+func instrSize(in *Instr) int {
+	switch in.Op {
+	case opJmp:
+		return SizeSimple
 	case ir.Const:
 		return SizeConst
 	case ir.Move:
@@ -432,7 +443,7 @@ func sizeOf(n *ir.Node) int {
 	case ir.CloneOp:
 		return SizeClone
 	case ir.Arith:
-		if n.Checked {
+		if in.Checked {
 			return SizeArithChk
 		}
 		return SizeSimple
@@ -441,7 +452,7 @@ func sizeOf(n *ir.Node) int {
 	case ir.TypeTest:
 		return SizeTypeTest
 	case ir.Send:
-		if n.Direct {
+		if in.Direct {
 			return SizeCall
 		}
 		return SizeSend
@@ -450,7 +461,7 @@ func sizeOf(n *ir.Node) int {
 	case ir.PrimOp:
 		return SizePrimOp
 	case ir.MkBlk:
-		return SizeMkBlk + SizeMkBlkCap*len(n.Caps)
+		return SizeMkBlk + SizeMkBlkCap*len(in.Caps)
 	case ir.Fail:
 		return SizeFail
 	case ir.Return:

@@ -58,7 +58,7 @@ func TestElemErrorsSplitNilVsOOB(t *testing.T) {
 	for _, c := range cases {
 		machine := &VM{World: w}
 		code := Assemble(elemGraph(c.op, c.recv, c.idx))
-		_, err := machine.invoke(code, obj.Nil(), nil)
+		_, err := machine.invokeCode(code, obj.Nil(), nil)
 		if err == nil {
 			t.Fatalf("%s: no error", c.name)
 		}

@@ -47,7 +47,7 @@ func TestSharedCompilePanicContained(t *testing.T) {
 	shared := codecache.New[*vm.Code]()
 	cc := core.New(w, core.NewSELF)
 	newVM := func() *vm.VM {
-		m := &vm.VM{World: w, Customize: true, Shared: shared}
+		m := &vm.VM{World: w, Customize: true, Cache: shared}
 		m.CompileMethod = func(meth *obj.Method, rmap *obj.Map) (*vm.Code, error) {
 			if meth.Sel == "broken" {
 				panic("optimizer bug in " + meth.Sel)

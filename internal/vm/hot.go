@@ -50,11 +50,13 @@ const maxFeedbackMaps = 3
 // at code's send sites, as type feedback for a higher compilation
 // tier: for each dynamically-dispatched selector, the monomorphic
 // entry's map followed by the PIC's maps, deduplicated, megamorphic
-// selectors dropped. The snapshot reads only this VM's own IC state
-// (the per-VM side table when code is shared), so it is safe to call
-// from the VM's goroutine at any point, including from inside OnHot.
+// selectors dropped. The snapshot reads only this VM's own inline
+// caches (see linked), so it is safe to call from the VM's goroutine at
+// any point, including from inside OnHot.
 func (vm *VM) Harvest(code *Code) *types.Feedback {
 	vm.init()
+	vm.checkGen()
+	ics := vm.link(code).ics
 	fb := types.NewFeedback()
 	over := map[string]bool{}
 	for i := range code.Instrs {
@@ -62,7 +64,7 @@ func (vm *VM) Harvest(code *Code) *types.Feedback {
 		if in.Op != ir.Send || in.Direct || over[in.Sel] {
 			continue
 		}
-		ic := vm.icFor(code, in.IC)
+		ic := &ics[in.IC]
 		if ic.m != nil {
 			fb.Add(in.Sel, ic.m)
 		}

@@ -15,7 +15,7 @@ func runGraph(t *testing.T, w *obj.World, g *ir.Graph, recv obj.Value, args ...o
 	machine := &VM{World: w}
 	g.NumParams = len(args)
 	code := Assemble(g)
-	v, err := machine.invoke(code, recv, args)
+	v, err := machine.invokeCode(code, recv, args)
 	if err != nil {
 		t.Fatalf("exec: %v\n%s", err, code.Disasm())
 	}
@@ -323,7 +323,7 @@ func TestOpPrimOpAllSelectors(t *testing.T) {
 		nodes = append(nodes, p, ret)
 		chain(g, nodes...)
 		machine := &VM{World: w}
-		return machine.invoke(Assemble(g), obj.Nil(), nil)
+		return machine.invokeCode(Assemble(g), obj.Nil(), nil)
 	}
 	vec := obj.Obj(w.NewVector(4, obj.Int(2)))
 
@@ -394,7 +394,7 @@ func TestOpFail(t *testing.T) {
 	fl.A = msg
 	chain(g, cm, fl)
 	machine := &VM{World: w}
-	_, err := machine.invoke(Assemble(g), obj.Nil(), nil)
+	_, err := machine.invokeCode(Assemble(g), obj.Nil(), nil)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("got %v", err)
 	}

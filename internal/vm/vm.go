@@ -57,8 +57,8 @@ type RunStats struct {
 // CompileRecord aggregates on-the-fly compilation work triggered by a
 // run: the paper's compile-time and code-space numbers are sums over
 // all methods compiled while the benchmark warms up. Methods and
-// CodeBytes count only compilations this VM itself performed — with a
-// shared cache, code another VM compiled arrives as a CacheHits or
+// CodeBytes count only compilations this VM itself performed — code
+// another VM sharing the cache compiled arrives as a CacheHits or
 // CacheWaits instead.
 type CompileRecord struct {
 	Methods   int
@@ -69,9 +69,10 @@ type CompileRecord struct {
 	// failed or panicked (see core.Degraded).
 	Degraded int
 
-	// Shared-cache outcomes observed by this VM; all zero when the VM
-	// runs against its private per-VM cache.
-	CacheHits   int64 // code found already compiled in the shared cache
+	// Code-cache outcomes observed by this VM. A lone VM hits code it
+	// compiled itself once its memos were dropped (a load or
+	// promotion moved the cache's generation).
+	CacheHits   int64 // code found already compiled in the cache
 	CacheMisses int64 // compilations this VM won (== compiler runs)
 	CacheWaits  int64 // blocked on another VM's in-flight compilation
 }
@@ -103,7 +104,7 @@ type VM struct {
 	PICs bool
 
 	// Strategy distinguishes code compiled under different
-	// specialization strategies in the shared code cache (see
+	// specialization strategies in the code cache (see
 	// core.Strategy; the numeric value is mixed into every cache key).
 	// Execution itself keys off Code.bbv, not this field.
 	Strategy uint8
@@ -131,14 +132,14 @@ type VM struct {
 	// pooled VM returns to the pool. Nil keeps plain heap allocation.
 	Arena *obj.Arena
 
-	// Shared, when non-nil, replaces the private per-VM code caches
-	// with a process-wide sharded single-flight cache: compiled Code is
-	// shared read-only across every VM attached to the same cache, and
-	// the mutable inline-cache state moves into per-VM side tables (see
-	// icFor). A VM itself is single-goroutine; concurrency comes from
-	// running one VM per goroutine against one Shared cache and one
-	// World (read-side).
-	Shared *codecache.Cache[*Code]
+	// Cache is where the VM finds all code: a sharded single-flight
+	// code cache, which may be shared by many VMs. Compiled Code is
+	// read-only once assembled; each VM keeps its own inline caches for
+	// it (see linked). A VM built without a Cache gets one of its own in
+	// init. A VM itself is single-goroutine; concurrency comes from
+	// running one VM per goroutine against one Cache and one World
+	// (read-side).
+	Cache *codecache.Cache[*Code]
 
 	// Out receives _Print output (defaults to io.Discard).
 	Out io.Writer
@@ -153,20 +154,15 @@ type VM struct {
 	Stats   RunStats
 	Compile CompileRecord
 
-	methodCache map[methodKey]*Code
-	blockCache  map[*ast.Block]*Code
-
-	// sharedICs holds this VM's inline-cache state for shared Code:
-	// the Code object is immutable after assembly, so each VM keeps its
-	// own send-site caches, exactly as each native SELF process would
-	// have its own writable inline-cache words.
-	sharedICs map[*Code][]inlineCache
-
-	// sharedGen is the cache generation at which this VM's private
-	// memos (methodCache/blockCache acting as an L1 over Shared) were
-	// valid; when the shared cache's generation moves past it, the
-	// memos and inline caches are dropped.
-	sharedGen int64
+	// methods and blocks memoize what Cache resolved (an L1 over it:
+	// sends are far hotter than compiles, so resolving them here keeps
+	// VMs off the shard locks), and links holds this VM's linked form of
+	// every Code it has run. All three were filled at cache generation
+	// gen, and are dropped when the generation moves (see checkGen).
+	methods map[methodKey]*linked
+	blocks  map[*ast.Block]*linked
+	links   map[*Code]*linked
+	gen     int64
 
 	depth int
 
@@ -221,9 +217,21 @@ type methodKey struct {
 	rmap *obj.Map
 }
 
+// linked is a Code as one VM runs it: the shared Code plus this VM's
+// inline caches for its send sites, exactly as each native SELF
+// process would have its own writable inline-cache words. The memos,
+// the inline caches' callee memos and every frame hold linked code, so
+// a steady-state send reaches its cache with no map lookup.
+type linked struct {
+	code *Code
+	ics  []inlineCache
+	gen  int64 // the cache generation the link was made at
+}
+
 // frame is one activation.
 type frame struct {
 	regs []obj.Value
+	lk   *linked               // the running code and this VM's inline caches for it (see relink)
 	up   map[string]*obj.Value // block frames: captured variables
 	home homeRef               // where a non-local return lands
 	dead bool
@@ -241,7 +249,7 @@ type frame struct {
 // the whole frame".
 type homeRef struct {
 	fr     *frame
-	resume int
+	resume int32
 	reg    ir.Reg
 }
 
@@ -255,14 +263,13 @@ func (vm *VM) init() {
 	if vm.pollAt == 0 {
 		vm.pollAt = math.MaxInt64
 	}
-	if vm.methodCache == nil {
-		vm.methodCache = map[methodKey]*Code{}
+	if vm.Cache == nil {
+		vm.Cache = codecache.New[*Code]()
 	}
-	if vm.blockCache == nil {
-		vm.blockCache = map[*ast.Block]*Code{}
-	}
-	if vm.sharedICs == nil && vm.Shared != nil {
-		vm.sharedICs = map[*Code][]inlineCache{}
+	if vm.links == nil {
+		vm.methods = map[methodKey]*linked{}
+		vm.blocks = map[*ast.Block]*linked{}
+		vm.links = map[*Code]*linked{}
 	}
 	if vm.Out == nil {
 		vm.Out = io.Discard
@@ -272,66 +279,50 @@ func (vm *VM) init() {
 // CodeFor returns (compiling on demand) the code for meth with
 // receiver map rmap.
 func (vm *VM) CodeFor(meth *obj.Method, rmap *obj.Map) (*Code, error) {
+	l, err := vm.methodCode(meth, rmap)
+	if err != nil {
+		return nil, err
+	}
+	return l.code, nil
+}
+
+func (vm *VM) methodCode(meth *obj.Method, rmap *obj.Map) (*linked, error) {
 	vm.init()
+	vm.checkGen()
 	key := methodKey{meth: meth}
 	if vm.Customize {
 		key.rmap = rmap
 	}
-	if vm.Shared != nil {
-		vm.checkSharedGen()
-		if c, ok := vm.methodCache[key]; ok {
-			return c, nil
-		}
-		c, err := vm.sharedGet(codecache.Key{Meth: meth, RMap: key.rmap, Strat: vm.Strategy}, func() (*Code, error) {
-			return vm.CompileMethod(meth, key.rmap)
-		})
-		if err != nil {
-			return nil, err
-		}
-		vm.methodCache[key] = c
-		return c, nil
+	if l, ok := vm.methods[key]; ok {
+		return l, nil
 	}
-	if c, ok := vm.methodCache[key]; ok {
-		return c, nil
-	}
-	c, err := vm.CompileMethod(meth, key.rmap)
+	c, err := vm.cacheGet(codecache.Key{Meth: meth, RMap: key.rmap, Strat: vm.Strategy}, func() (*Code, error) {
+		return vm.CompileMethod(meth, key.rmap)
+	})
 	if err != nil {
 		return nil, err
 	}
-	vm.methodCache[key] = c
-	vm.Compile.Methods++
-	vm.Compile.CodeBytes += c.Bytes
-	return c, nil
+	l := vm.link(c)
+	vm.methods[key] = l
+	return l, nil
 }
 
-func (vm *VM) blockCodeFor(cl *obj.Closure) (*Code, error) {
+func (vm *VM) blockCode(cl *obj.Closure) (*linked, error) {
 	vm.init()
+	vm.checkGen()
 	b := cl.Ast
-	if vm.Shared != nil {
-		vm.checkSharedGen()
-		if c, ok := vm.blockCache[b]; ok {
-			return c, nil
-		}
-		c, err := vm.sharedGet(codecache.Key{Blk: b, Strat: vm.Strategy}, func() (*Code, error) {
-			return vm.CompileBlock(b, upNamesOf(cl))
-		})
-		if err != nil {
-			return nil, err
-		}
-		vm.blockCache[b] = c
-		return c, nil
+	if l, ok := vm.blocks[b]; ok {
+		return l, nil
 	}
-	if c, ok := vm.blockCache[b]; ok {
-		return c, nil
-	}
-	c, err := vm.CompileBlock(b, upNamesOf(cl))
+	c, err := vm.cacheGet(codecache.Key{Blk: b, Strat: vm.Strategy}, func() (*Code, error) {
+		return vm.CompileBlock(b, upNamesOf(cl))
+	})
 	if err != nil {
 		return nil, err
 	}
-	vm.blockCache[b] = c
-	vm.Compile.Methods++
-	vm.Compile.CodeBytes += c.Bytes
-	return c, nil
+	l := vm.link(c)
+	vm.blocks[b] = l
+	return l, nil
 }
 
 func upNamesOf(cl *obj.Closure) []string {
@@ -343,28 +334,38 @@ func upNamesOf(cl *obj.Closure) []string {
 	return names
 }
 
-// checkSharedGen drops this VM's private memos (methodCache/blockCache
-// acting as an L1 over Shared, plus the shared-Code inline caches) when
-// the shared cache's invalidation generation has moved. Sends are far
-// hotter than compiles, so resolving them from the private memo keeps
-// workers off the shard locks; the generation check is one atomic load.
-func (vm *VM) checkSharedGen() {
-	if g := vm.Shared.Generation(); g != vm.sharedGen {
-		clear(vm.methodCache)
-		clear(vm.blockCache)
-		clear(vm.sharedICs)
-		vm.sharedGen = g
+// link returns this VM's linked form of c, with fresh inline caches the
+// first time c runs here (or runs again after the generation moved).
+func (vm *VM) link(c *Code) *linked {
+	l := vm.links[c]
+	if l == nil {
+		l = &linked{code: c, ics: make([]inlineCache, c.numICs), gen: vm.gen}
+		vm.links[c] = l
+	}
+	return l
+}
+
+// checkGen drops this VM's memos and inline caches when the cache's
+// invalidation generation has moved: whatever they resolved may since
+// have been evicted (a map changed shape) or promoted. The check is one
+// atomic load.
+func (vm *VM) checkGen() {
+	if g := vm.Cache.Generation(); g != vm.gen {
+		clear(vm.methods)
+		clear(vm.blocks)
+		clear(vm.links)
+		vm.gen = g
 	}
 }
 
-// sharedGet routes a compilation through the shared cache, folding the
+// cacheGet routes a compilation through the code cache, folding the
 // single-flight outcome into this VM's compile record: only the flight
 // winner charges Methods/CodeBytes, so summing records across VMs still
 // counts each compilation exactly once. A compile callback that
 // panicked inside the flight surfaces to every caller as a
 // KindInternal RuntimeError with the Go stack attached.
-func (vm *VM) sharedGet(key codecache.Key, compile func() (*Code, error)) (*Code, error) {
-	c, outcome, err := vm.Shared.Get(key, compile)
+func (vm *VM) cacheGet(key codecache.Key, compile func() (*Code, error)) (*Code, error) {
+	c, outcome, err := vm.Cache.Get(key, compile)
 	if err != nil {
 		var pe *codecache.PanicError
 		if errors.As(err, &pe) {
@@ -385,22 +386,14 @@ func (vm *VM) sharedGet(key codecache.Key, compile func() (*Code, error)) (*Code
 	return c, nil
 }
 
-// icFor returns the send site's inline-cache slot: the Code's own array
-// when the code is private to this VM, or this VM's side table when the
-// Code is shared (shared Code must stay immutable).
-func (vm *VM) icFor(code *Code, idx int) *inlineCache {
-	if vm.Shared == nil {
-		return &code.ics[idx]
-	}
-	// The entries memoize callee code, so they answer to the generation
-	// exactly as methodCache does.
-	vm.checkSharedGen()
-	ics := vm.sharedICs[code]
-	if ics == nil {
-		ics = make([]inlineCache, len(code.ics))
-		vm.sharedICs[code] = ics
-	}
-	return &ics[idx]
+// relink gives fr its code's current link. A send site's inline cache
+// memoizes callee code, so it answers to the generation exactly as the
+// memos do: execSend and execCall compare the frame's link against the
+// cache's generation (one atomic load) before touching the cache, and
+// relink when it has moved — after an invalidation, to fresh caches.
+func (vm *VM) relink(fr *frame) {
+	vm.checkGen()
+	fr.lk = vm.link(fr.lk.code)
 }
 
 const maxDepth = 100000
@@ -431,19 +424,20 @@ func (vm *VM) runMethod(ctx context.Context, meth *obj.Method, recv obj.Value, a
 			val, err = obj.Nil(), containPanic(r)
 		}
 	}()
-	code, err := vm.CodeFor(meth, vm.World.MapOf(recv))
+	l, err := vm.methodCode(meth, vm.World.MapOf(recv))
 	if err != nil {
 		return obj.Nil(), err
 	}
-	return vm.invoke(code, recv, args)
+	return vm.invoke(l, recv, args)
 }
 
 // invoke runs method code in a fresh frame (invokeClosure runs blocks).
-func (vm *VM) invoke(code *Code, recv obj.Value, args []obj.Value) (val obj.Value, err error) {
+func (vm *VM) invoke(l *linked, recv obj.Value, args []obj.Value) (val obj.Value, err error) {
+	code := l.code
 	if vm.OnHot != nil {
 		vm.noteInvoke(code)
 	}
-	fr, err := vm.enter(code)
+	fr, err := vm.enter(l)
 	if err != nil {
 		return obj.Nil(), err
 	}
@@ -474,9 +468,9 @@ func (vm *VM) invoke(code *Code, recv obj.Value, args []obj.Value) (val obj.Valu
 	return vm.exec(code, fr)
 }
 
-// enter begins one activation of code: depth accounting, the depth
-// limit, and a zeroed frame.
-func (vm *VM) enter(code *Code) (*frame, error) {
+// enter begins one activation of l: depth accounting, the depth limit,
+// and a zeroed frame running l.
+func (vm *VM) enter(l *linked) (*frame, error) {
 	vm.depth++
 	if vm.depth > vm.Stats.MaxDepth {
 		vm.Stats.MaxDepth = vm.depth
@@ -485,7 +479,9 @@ func (vm *VM) enter(code *Code) (*frame, error) {
 		vm.depth--
 		return nil, &RuntimeError{Kind: KindStackOverflow, Msg: "stack overflow"}
 	}
-	return vm.getFrame(code.NumRegs), nil
+	fr := vm.getFrame(l.code.NumRegs)
+	fr.lk = l
+	return fr, nil
 }
 
 // setArgs stores an activation's arguments. Surplus ones (a block given
@@ -524,7 +520,7 @@ func (vm *VM) execFrom(code *Code, fr *frame, startPC int) (val obj.Value, resum
 		if r := recover(); r != nil {
 			if n, ok := r.(nlr); ok && n.ref.fr == fr && n.ref.resume >= 0 {
 				fr.regs[n.ref.reg] = n.val
-				resumePC = n.ref.resume
+				resumePC = int(n.ref.resume)
 				return
 			}
 			panic(r)
@@ -699,7 +695,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			pc = target
 			continue
 		case ir.Send:
-			v, serr := vm.execSend(in, fr, code)
+			v, serr := vm.execSend(in, fr)
 			if serr != nil {
 				return fault(serr, code, pc)
 			}
@@ -707,7 +703,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				fr.regs[in.Dst] = v
 			}
 		case ir.Call:
-			v, cerr := vm.execCall(in, fr, code)
+			v, cerr := vm.execCall(in, fr)
 			if cerr != nil {
 				return fault(cerr, code, pc)
 			}
@@ -1150,7 +1146,7 @@ func (vm *VM) makeBlock(st *RunStats, fr *frame, in *Instr) {
 	// home (method frames are their own home; block frames inherited
 	// theirs).
 	if in.Resume >= 0 {
-		cl.Home = homeRef{fr: fr, resume: in.Resume, reg: in.A}
+		cl.Home = homeRef{fr: fr, resume: int32(in.Resume), reg: in.A}
 	} else {
 		cl.Home = fr.home
 	}
@@ -1195,15 +1191,18 @@ func errElemOOB(code *Code, what string, i int64, n int) error {
 // execCall performs a statically-bound call. The callee is fixed at
 // compile time, so after the first call the site's cache entry (only
 // its code memo is used) is the answer.
-func (vm *VM) execCall(in *Instr, fr *frame, code *Code) (obj.Value, error) {
+func (vm *VM) execCall(in *Instr, fr *frame) (obj.Value, error) {
 	vm.Stats.Calls++
-	ic := vm.icFor(code, in.IC)
+	if fr.lk.gen != vm.Cache.Generation() {
+		vm.relink(fr)
+	}
+	ic := &fr.lk.ics[in.IC]
 	if ic.code == nil {
-		c, err := vm.CodeFor(in.Callee.Meth, in.Callee.RMap)
+		l, err := vm.methodCode(in.Callee.Meth, in.Callee.RMap)
 		if err != nil {
 			return obj.Nil(), err
 		}
-		ic.code = c
+		ic.code = l
 	}
 	return vm.invoke(ic.code, fr.regs[in.Args[0]], vm.argVals(in.Args[1:], fr))
 }
@@ -1241,7 +1240,7 @@ func isValueSel(sel string, nargs int) bool {
 
 // execSend performs a dynamically-dispatched send with a monomorphic
 // inline cache (Deutsch & Schiffman).
-func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
+func (vm *VM) execSend(in *Instr, fr *frame) (obj.Value, error) {
 	st := &vm.Stats
 	recv := fr.regs[in.Args[0]]
 	args := vm.argVals(in.Args[1:], fr)
@@ -1262,12 +1261,15 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 	}
 
 	m := vm.World.MapOf(recv)
-	ic := vm.icFor(code, in.IC)
+	if fr.lk.gen != vm.Cache.Generation() {
+		vm.relink(fr)
+	}
+	ic := &fr.lk.ics[in.IC]
 	var slot *obj.Slot
 	var holder *obj.Object
 	// callee points at the cache entry's memo of the code a method slot
 	// resolves to for this receiver map, filled on first use: a hit goes
-	// straight to callee code, not through CodeFor's table.
+	// straight to callee code, not through the memo tables.
 	callee := &ic.code
 	if ic.m == m {
 		// A statically-bound site is not a modelled inline cache (no hit
@@ -1344,11 +1346,11 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 		return args[0], nil
 	case obj.MethodSlot:
 		if *callee == nil {
-			c, err := vm.CodeFor(slot.Meth, m)
+			l, err := vm.methodCode(slot.Meth, m)
 			if err != nil {
 				return obj.Nil(), err
 			}
-			*callee = c
+			*callee = l
 		}
 		return vm.invoke(*callee, recv, args)
 	}
@@ -1357,11 +1359,12 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 
 // invokeClosure runs a block closure out of line.
 func (vm *VM) invokeClosure(cl *obj.Closure, args []obj.Value) (obj.Value, error) {
-	code, err := vm.blockCodeFor(cl)
+	l, err := vm.blockCode(cl)
 	if err != nil {
 		return obj.Nil(), err
 	}
-	fr, err := vm.enter(code)
+	code := l.code
+	fr, err := vm.enter(l)
 	if err != nil {
 		return obj.Nil(), err
 	}

@@ -18,6 +18,12 @@
 // does; adaptive mode compiles at the cheap baseline tier first and
 // promotes hot methods in the background to the optimizing tier,
 // seeded with receiver types harvested from the inline caches.
+//
+// Every System finds its code through one code cache, keyed by method
+// and receiver map: a later load that reshapes a map evicts the code
+// compiled against it, so a redefinition reaches every compiled caller.
+// Fork runs further VMs, one per goroutine, against the same world and
+// the same cache, and each customization is compiled once among them.
 package selfgo
 
 import (
@@ -66,7 +72,7 @@ type (
 	Graph = ir.Graph
 	// Code is assembled register bytecode.
 	Code = vm.Code
-	// CacheStats is a snapshot of the shared code cache's counters.
+	// CacheStats is a snapshot of the code cache's counters.
 	CacheStats = codecache.Stats
 	// Budget bounds one execution (instructions, depth, allocations);
 	// zero fields are unlimited. See SetBudget and CallCtx.
@@ -140,7 +146,7 @@ const (
 	// invocation+backedge count reaches the promotion threshold are
 	// recompiled at the optimizing tier in the background, seeded with
 	// receiver-map feedback harvested from the inline caches, and
-	// atomically swapped into the shared code cache. Optimizing is the
+	// atomically swapped into the code cache. Optimizing is the
 	// top tier: optimizing code never promotes again.
 	ModeAdaptive
 )
@@ -196,15 +202,15 @@ func IntValue(i int64) Value  { return obj.Int(i) }
 func StrValue(s string) Value { return obj.Str(s) }
 func NilValue() Value         { return obj.Nil() }
 
-// System is a loaded world plus a compiler configuration and a VM with
-// its dynamic-compilation cache.
+// System is a loaded world plus a compiler configuration, a code cache
+// and a VM that finds all its code through that cache.
 //
 // A System (and its VM) is single-goroutine. Concurrency comes from
-// NewSharedSystem/NewTieredSystem + Fork: each Fork shares the world,
-// the compile pipelines and one sharded single-flight code cache, but
-// runs its own VM, so worker systems may call methods concurrently once
-// loading is done. Adaptive promotion compiles run on background
-// goroutines against the same shared cache.
+// Fork: each fork shares the world, the compile pipelines and the one
+// sharded single-flight code cache, but runs its own VM, so worker
+// systems may call methods concurrently once loading is done. Adaptive
+// promotion compiles run on background goroutines against the same
+// cache.
 type System struct {
 	Cfg Config
 	// Mode is the tier schedule this system runs under (ModeOpt unless
@@ -223,8 +229,9 @@ type System struct {
 	machine    *vm.VM
 	framesSeen FrameStats // machine.Frames as of the last TakeFrameStats
 
-	// shared is the process-wide code cache, nil for a private system.
-	shared *codecache.Cache[*vm.Code]
+	// cache holds every compiled Code of this system and its forks;
+	// world map changes invalidate it (see newSystem).
+	cache *codecache.Cache[*vm.Code]
 
 	// promoteThreshold is the hotness count that triggers promotion in
 	// ModeAdaptive.
@@ -370,7 +377,7 @@ type MethodCompile struct {
 
 // PromotionStats summarizes adaptive-tier promotion activity.
 type PromotionStats struct {
-	Installed int64 // promoted code swapped into the shared cache
+	Installed int64 // promoted code swapped into the code cache
 	Fails     int64 // promotion compiles that failed (tier kept)
 	Discards  int64 // promoted code discarded (entry invalidated meanwhile)
 	// MeanLatency is the average hot-trigger-to-install time of the
@@ -390,40 +397,31 @@ type Result struct {
 }
 
 // NewSystem creates a world with the standard prelude loaded, ready to
-// accept program source. Its code cache is private to the one VM, as in
-// the original single-process SELF system.
+// accept program source, compiling every method eagerly at the
+// optimizing tier: NewTieredSystem(cfg, ModeOpt, 0).
 func NewSystem(cfg Config) (*System, error) {
-	return newSystem(cfg, nil, ModeOpt, 0, true)
+	return NewTieredSystem(cfg, ModeOpt, 0)
 }
 
-// NewSharedSystem creates a system whose VM compiles through a shared
-// sharded single-flight code cache. After loading sources, Fork returns
-// additional worker systems running against the same world and cache;
-// each (method, receiver map) customization is then compiled exactly
-// once no matter how many workers request it concurrently.
-func NewSharedSystem(cfg Config) (*System, error) {
-	return newSystem(cfg, codecache.New[*vm.Code](), ModeOpt, 0, true)
-}
-
-// NewTieredSystem creates a shared-cache system running the given tier
-// schedule. promoteThreshold applies to ModeAdaptive (values <= 0 use
-// DefaultPromoteThreshold); the other modes ignore it. ModeOpt behaves
-// exactly like NewSharedSystem.
+// NewTieredSystem creates a system running the given tier schedule.
+// promoteThreshold applies to ModeAdaptive (values <= 0 use
+// DefaultPromoteThreshold); the other modes ignore it. After loading
+// sources, Fork returns additional worker systems running against the
+// same world and code cache; each (method, receiver map) customization
+// is then compiled exactly once no matter how many workers request it
+// concurrently.
 func NewTieredSystem(cfg Config, mode TierMode, promoteThreshold int64) (*System, error) {
 	if promoteThreshold <= 0 {
 		promoteThreshold = DefaultPromoteThreshold
 	}
-	return newSystem(cfg, codecache.New[*vm.Code](), mode, promoteThreshold, true)
+	return newSystem(cfg, mode, promoteThreshold, true)
 }
 
 // newSystem builds a system. loadPrelude is false only when booting
 // from a world image, whose recorded source list starts with the
 // prelude text the saving process loaded — replaying that (possibly
 // older) text is what makes the image self-contained.
-func newSystem(cfg Config, shared *codecache.Cache[*vm.Code], mode TierMode, promoteThreshold int64, loadPrelude bool) (*System, error) {
-	if mode == ModeAdaptive && shared == nil {
-		return nil, fmt.Errorf("adaptive mode requires a shared code cache")
-	}
+func newSystem(cfg Config, mode TierMode, promoteThreshold int64, loadPrelude bool) (*System, error) {
 	w := obj.NewWorld()
 	if cfg.Strategy != core.StrategySplit {
 		// Typed shapes must observe every field store from the first
@@ -432,8 +430,9 @@ func newSystem(cfg Config, shared *codecache.Cache[*vm.Code], mode TierMode, pro
 		// bit-identical behavior to the pre-BBV system.
 		w.ShapeTracking = true
 	}
+	cache := codecache.New[*vm.Code]()
 	s := &System{
-		Cfg: cfg, Mode: mode, world: w, shared: shared,
+		Cfg: cfg, Mode: mode, world: w, cache: cache,
 		promoteThreshold: promoteThreshold,
 		prom:             &promAgg{}, log: &compileLog{tiers: map[string]int{}},
 		sources: &sourceLog{},
@@ -442,11 +441,10 @@ func newSystem(cfg Config, shared *codecache.Cache[*vm.Code], mode TierMode, pro
 	s.pipeBase = core.NewPipeline(w, cfg, core.TierBaseline)
 	s.pipeDeg = core.NewPipeline(w, cfg, core.TierDegraded)
 	s.machine = s.newVM()
-	if shared != nil {
-		// Invalidate customizations when later loads reshape a map the
-		// compiler already specialized against.
-		w.OnMapChange = func(m *obj.Map) { shared.InvalidateMap(m) }
-	}
+	// Invalidate customizations when a later load (or, under bbv, a
+	// typed-shape widening) reshapes a map the compiler already
+	// specialized against.
+	w.OnMapChange = func(m *obj.Map) { cache.InvalidateMap(m) }
 	if loadPrelude {
 		if err := s.LoadSource(prelude.Source); err != nil {
 			return nil, fmt.Errorf("loading prelude: %w", err)
@@ -463,8 +461,8 @@ var compileFault func(name string, degraded bool) error
 
 // safeCompile runs one compiler invocation with a panic backstop: a
 // panicking pass surfaces as a KindInternal error (with the Go stack
-// attached) instead of unwinding into the caller — or, under the
-// shared cache, into the single-flight Get.
+// attached) instead of unwinding into the code cache's single-flight
+// Get.
 func safeCompile(f func() (*vm.Code, error)) (c *vm.Code, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -516,8 +514,8 @@ func (s *System) firstTier() *core.Pipeline {
 	return s.pipeBase
 }
 
-// newVM builds a VM wired to this system's world, tier pipelines,
-// shared cache and compile log.
+// newVM builds a VM wired to this system's world, tier pipelines, code
+// cache and compile log.
 //
 // Compilation is tiered: fresh code compiles at the mode's first tier
 // (optimizing for ModeOpt, baseline otherwise); when that compilation
@@ -537,7 +535,7 @@ func (s *System) newVM() *vm.VM {
 		MissHandlers: cfg.CallSiteICMissHandlers,
 		PICs:         cfg.PolymorphicInlineCaches,
 		Strategy:     uint8(cfg.Strategy),
-		Shared:       s.shared,
+		Cache:        s.cache,
 		Arena:        obj.NewArena(),
 	}
 	m.CompileMethod = func(meth *obj.Method, rmap *obj.Map) (*vm.Code, error) {
@@ -573,7 +571,7 @@ func (s *System) newVM() *vm.VM {
 
 // onHot runs on m's goroutine when code first crosses the promotion
 // threshold: harvest the receiver maps m's inline caches observed, then
-// ask the shared cache to recompile the method at the optimizing tier
+// ask the code cache to recompile the method at the optimizing tier
 // in the background, seeded with that feedback. Baseline (or degraded)
 // code promotes; optimizing code is the top tier and never does. The
 // swap is atomic under the cache's generation discipline; a failed
@@ -587,7 +585,7 @@ func (s *System) onHot(m *vm.VM, code *vm.Code) {
 	m.Stats.Harvests++
 	meth, rmap := code.Origin.Meth, code.Origin.RMap
 	t0 := time.Now()
-	started := s.shared.Promote(
+	started := s.cache.Promote(
 		codecache.Key{Meth: meth, RMap: rmap, Strat: uint8(s.Cfg.Strategy)},
 		func() (*vm.Code, error) {
 			return s.compileMethodAt(s.pipeOpt, meth, rmap, fb)
@@ -605,14 +603,10 @@ func (s *System) onHot(m *vm.VM, code *vm.Code) {
 
 // Fork returns a worker system sharing this system's world, pipelines,
 // code cache and compile log, with a fresh VM (own run statistics, own
-// inline caches, own hotness bookkeeping). Only shared systems fork.
-// Sources must be fully loaded before forking: workers read the world
-// but must not LoadSource, and world loading is not synchronized with
-// running workers.
-func (s *System) Fork() (*System, error) {
-	if s.shared == nil {
-		return nil, fmt.Errorf("Fork requires a system built with NewSharedSystem")
-	}
+// inline caches, own hotness bookkeeping). Sources must be fully loaded
+// before forking: workers read the world but must not LoadSource, and
+// world loading is not synchronized with running workers.
+func (s *System) Fork() *System {
 	w := &System{
 		Cfg:              s.Cfg,
 		Mode:             s.Mode,
@@ -620,7 +614,7 @@ func (s *System) Fork() (*System, error) {
 		pipeOpt:          s.pipeOpt,
 		pipeBase:         s.pipeBase,
 		pipeDeg:          s.pipeDeg,
-		shared:           s.shared,
+		cache:            s.cache,
 		promoteThreshold: s.promoteThreshold,
 		prom:             s.prom,
 		log:              s.log,
@@ -628,7 +622,7 @@ func (s *System) Fork() (*System, error) {
 	}
 	w.machine = w.newVM()
 	w.machine.Budget = s.machine.Budget
-	return w, nil
+	return w
 }
 
 // SetBudget bounds every subsequent Call/Eval on this system (and on
@@ -683,41 +677,21 @@ func (s *System) MarkEscaped(v Value) {
 	}
 }
 
-// CacheStats snapshots the shared code cache's summed counters; ok is
-// false for a private (non-shared) system.
-func (s *System) CacheStats() (CacheStats, bool) {
-	if s.shared == nil {
-		return CacheStats{}, false
-	}
-	return s.shared.Stats(), true
-}
-
-// CacheShardStats snapshots the shared cache per shard, for tools that
-// want to show lock spread.
-func (s *System) CacheShardStats() []CacheStats {
-	if s.shared == nil {
-		return nil
-	}
-	return s.shared.ShardStats()
-}
+// CacheStats snapshots the code cache's summed counters (shared by this
+// system and its forks).
+func (s *System) CacheStats() CacheStats { return s.cache.Stats() }
 
 // DrainPromotions blocks until every in-flight background promotion has
-// finished (installed, failed, or discarded). No-op outside adaptive
-// mode. Benchmarks call it to separate warm-up from steady state.
-func (s *System) DrainPromotions() {
-	if s.shared != nil {
-		s.shared.DrainPromotions()
-	}
-}
+// finished (installed, failed, or discarded); outside adaptive mode
+// there are none. Benchmarks call it to separate warm-up from steady
+// state.
+func (s *System) DrainPromotions() { s.cache.DrainPromotions() }
 
 // PromotionStats summarizes promotion outcomes and mean install
 // latency across this system and its forks.
 func (s *System) PromotionStats() PromotionStats {
 	var ps PromotionStats
-	if s.shared == nil {
-		return ps
-	}
-	ps.Installed, ps.Fails, ps.Discards = s.shared.PromotionCounts()
+	ps.Installed, ps.Fails, ps.Discards = s.cache.PromotionCounts()
 	s.prom.mu.Lock()
 	if s.prom.installed > 0 {
 		ps.MeanLatency = s.prom.total / time.Duration(s.prom.installed)
@@ -807,7 +781,7 @@ func (s *System) EvalCtx(ctx context.Context, src string) (*Result, error) {
 // scratch method is built once, so the code cache key — which is the
 // method's identity — is stable across runs and across forked workers.
 // Eval/EvalCtx build a fresh scratch method per call, which is right
-// for a one-shot CLI but would grow a shared cache without bound in a
+// for a one-shot CLI but would grow the code cache without bound in a
 // server that re-evaluates the same program; interning through
 // ParseEval gives repeated programs the compile-once behaviour named
 // methods already have.
@@ -866,25 +840,20 @@ func (s *System) EvalProgramCtx(ctx context.Context, p *EvalProgram) (*Result, e
 
 // DropEvalProgram evicts p's compiled code (the scratch method for
 // every receiver-map customization seen, and its out-of-line blocks)
-// from the shared cache, so a host that interns a bounded set of eval
+// from the code cache, so a host that interns a bounded set of eval
 // programs can rotate old ones out without leaking cache entries.
-// No-op on a private system — its per-VM caches die with the VM.
 func (s *System) DropEvalProgram(p *EvalProgram) {
-	if s.shared == nil || p == nil {
-		return
-	}
 	strat := uint8(s.Cfg.Strategy)
-	s.shared.Invalidate(codecache.Key{Meth: p.meth, RMap: s.world.Lobby.Map, Strat: strat})
-	s.shared.Invalidate(codecache.Key{Meth: p.meth, Strat: strat}) // customization off
+	s.cache.Invalidate(codecache.Key{Meth: p.meth, RMap: s.world.Lobby.Map, Strat: strat})
+	s.cache.Invalidate(codecache.Key{Meth: p.meth, Strat: strat}) // customization off
 	for _, b := range p.blocks {
-		s.shared.Invalidate(codecache.Key{Blk: b, Strat: strat})
+		s.cache.Invalidate(codecache.Key{Blk: b, Strat: strat})
 	}
 }
 
 // CompileLog returns per-method compiler statistics in compilation
 // order: the latest 4,096 compilations (everything, for a system that
-// has compiled fewer). For a shared system the log spans every forked
-// worker. TierCounts, CompileNodes and a Result's CompileTime count
+// has compiled fewer). The log spans every forked worker. TierCounts, CompileNodes and a Result's CompileTime count
 // every compilation, retained or not.
 func (s *System) CompileLog() []MethodCompile {
 	return s.log.snapshot()
@@ -918,7 +887,7 @@ func (s *System) GraphFor(selector string) (*Graph, *CompileStats, error) {
 	return s.pipeOpt.Compiler().CompileMethod(r.Slot.Meth, rmap)
 }
 
-// CodeFor compiles selector to bytecode (through the VM's cache).
+// CodeFor compiles selector to bytecode (through the code cache).
 func (s *System) CodeFor(selector string) (*Code, error) {
 	r := obj.Lookup(s.world.Lobby.Map, selector)
 	if r == nil || r.Slot.Kind != obj.MethodSlot {

@@ -260,20 +260,17 @@ func TestGraphAndCodeAccessors(t *testing.T) {
 // builds a fresh cache entry per call; DropEvalProgram evicts the
 // interned entries again.
 func TestEvalProgramInterning(t *testing.T) {
-	root, err := NewSharedSystem(NewSELF)
+	root, err := NewSystem(NewSELF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := root.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := root.Fork()
 	const src = `| s <- 0 | 1 upTo: 50 Do: [ :i | s: s + i ]. s`
 	p, err := root.ParseEval(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := root.CacheStats()
+	base := root.CacheStats()
 	for i := 0; i < 3; i++ {
 		for _, sys := range []*System{root, w} {
 			res, err := sys.EvalProgramCtx(context.Background(), p)
@@ -285,7 +282,7 @@ func TestEvalProgramInterning(t *testing.T) {
 			}
 		}
 	}
-	st, _ := root.CacheStats()
+	st := root.CacheStats()
 	grew := st.Entries - base.Entries
 	if grew < 1 {
 		t.Fatalf("interned program added no cache entries (entries %d -> %d)", base.Entries, st.Entries)
@@ -297,14 +294,14 @@ func TestEvalProgramInterning(t *testing.T) {
 	if _, err := root.Eval(src); err != nil {
 		t.Fatal(err)
 	}
-	st2, _ := root.CacheStats()
+	st2 := root.CacheStats()
 	if st2.Entries <= st.Entries {
 		t.Fatalf("plain Eval did not add entries (entries %d -> %d)", st.Entries, st2.Entries)
 	}
 	// …while the interned program's entries can be evicted precisely.
 	evicted0 := st2.Evicted
 	root.DropEvalProgram(p)
-	st3, _ := root.CacheStats()
+	st3 := root.CacheStats()
 	if st3.Evicted-evicted0 < grew {
 		t.Fatalf("DropEvalProgram evicted %d entries, want >= %d", st3.Evicted-evicted0, grew)
 	}

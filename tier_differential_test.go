@@ -31,9 +31,10 @@ type legacyMeasurement struct {
 // legacyRun executes b the way the system did before the pass pipeline
 // and tiers existed: a bare core.Compiler driven directly, its graphs
 // linearized with vm.Assemble + vm.Fuse, a degraded-config retry on
-// compile failure, and a private VM. No Pipeline, no Tier, no cache
-// sharing — the compile path the refactor replaced, reconstructed from
-// primitives so any drift the refactor introduced shows up here.
+// compile failure, and a bare VM (which makes its own code cache). No
+// Pipeline, no Tier, no System — the compile path the refactor replaced,
+// reconstructed from primitives so any drift the refactor introduced
+// shows up here.
 func legacyRun(t *testing.T, b bench.Benchmark, cfg selfgo.Config) *legacyMeasurement {
 	t.Helper()
 	w := obj.NewWorld()
@@ -107,8 +108,7 @@ func legacyRun(t *testing.T, b bench.Benchmark, cfg selfgo.Config) *legacyMeasur
 
 // TestTierOptBitIdentical is the committed differential the refactor is
 // gated on: for every benchmark in the suite, the tiered system at
-// -tier=opt (both the private NewSystem and the shared NewTieredSystem
-// construction) agrees with the hand-built legacy compile path in the
+// -tier=opt agrees with the hand-built legacy compile path in the
 // check value and EVERY modelled quantity — the full RunStats struct,
 // methods compiled, and code bytes emitted. The pipeline refactor,
 // hotness counters and promotion machinery must be invisible in opt
@@ -123,34 +123,27 @@ func TestTierOptBitIdentical(t *testing.T) {
 			cfg := selfgo.NewSELF
 			want := legacyRun(t, b, cfg)
 
-			check := func(label string, sys *selfgo.System, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if err := sys.LoadSource(b.Source); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				res, err := sys.Call(b.Entry)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if res.Value.I() != want.Value {
-					t.Errorf("%s: value = %d, legacy = %d", label, res.Value.I(), want.Value)
-				}
-				if !reflect.DeepEqual(res.Run, want.Run) {
-					t.Errorf("%s: RunStats diverge from legacy:\n got %+v\nwant %+v", label, res.Run, want.Run)
-				}
-				if res.Compile.Methods != want.Methods || res.Compile.CodeBytes != want.CodeBytes {
-					t.Errorf("%s: compile record diverges: %d methods/%d bytes, legacy %d/%d",
-						label, res.Compile.Methods, res.Compile.CodeBytes, want.Methods, want.CodeBytes)
-				}
-			}
-
 			sys, err := selfgo.NewSystem(cfg)
-			check("NewSystem", sys, err)
-			tiered, err := selfgo.NewTieredSystem(cfg, selfgo.ModeOpt, 0)
-			check("NewTieredSystem(opt)", tiered, err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.LoadSource(b.Source); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Call(b.Entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Value.I() != want.Value {
+				t.Errorf("value = %d, legacy = %d", res.Value.I(), want.Value)
+			}
+			if !reflect.DeepEqual(res.Run, want.Run) {
+				t.Errorf("RunStats diverge from legacy:\n got %+v\nwant %+v", res.Run, want.Run)
+			}
+			if res.Compile.Methods != want.Methods || res.Compile.CodeBytes != want.CodeBytes {
+				t.Errorf("compile record diverges: %d methods/%d bytes, legacy %d/%d",
+					res.Compile.Methods, res.Compile.CodeBytes, want.Methods, want.CodeBytes)
+			}
 		})
 	}
 }
@@ -302,9 +295,7 @@ func adaptiveRichards(t *testing.T, workers int) (bench.Benchmark, []*selfgo.Sys
 	systems := make([]*selfgo.System, workers)
 	systems[0] = root
 	for i := 1; i < workers; i++ {
-		if systems[i], err = root.Fork(); err != nil {
-			t.Fatal(err)
-		}
+		systems[i] = root.Fork()
 	}
 	return b, systems
 }
@@ -384,11 +375,7 @@ func TestConcurrentAdaptivePromotion(t *testing.T) {
 	if ps.Fails != 0 {
 		t.Errorf("%d promotions failed", ps.Fails)
 	}
-	cs, ok := root.CacheStats()
-	if !ok {
-		t.Fatal("shared system reports no cache stats")
-	}
-	if !cs.CompileOnce() {
+	if cs := root.CacheStats(); !cs.CompileOnce() {
 		t.Errorf("compile-once violated: %+v", cs)
 	}
 

@@ -38,7 +38,7 @@ type ImageInfo struct {
 }
 
 // SaveImage serializes the system's world, the given interned eval
-// programs, and the shared code cache's manifest (keys, tiers,
+// programs, and the code cache's manifest (keys, tiers,
 // hotness — never machine code) to out. The caller must ensure the
 // system is quiescent: no Call/Eval running on it or any fork, no
 // in-flight background promotion mutating the cache mid-walk (the
@@ -72,22 +72,19 @@ func (s *System) SaveImage(out io.Writer, progs []*EvalProgram) (*ImageInfo, err
 	}, nil
 }
 
-// manifestEntries drains the shared cache into pointer-form manifest
+// manifestEntries drains the code cache into pointer-form manifest
 // entries. Block entries need the capture-name list their compilation
 // used; it is recovered from the MkBlk instructions of the cached
 // codes (the VM derives it the same way, by sorting the closure's
 // captured names), and a block no cached code creates anymore is
 // skipped — nothing could ever run it.
 func (s *System) manifestEntries() ([]image.Manifest, int) {
-	if s.shared == nil {
-		return nil, 0
-	}
 	type kc struct {
 		k codecache.Key
 		c *vm.Code
 	}
 	var all []kc
-	s.shared.ForEach(func(k codecache.Key, c *vm.Code) { all = append(all, kc{k, c}) })
+	s.cache.ForEach(func(k codecache.Key, c *vm.Code) { all = append(all, kc{k, c}) })
 	upNames := map[*ast.Block][]string{}
 	for _, e := range all {
 		for i := range e.c.Instrs {
@@ -157,8 +154,7 @@ type Boot struct {
 // ManifestLen reports how many code-cache entries the image carries.
 func (b *Boot) ManifestLen() int { return len(b.manifest) }
 
-// BootFromImage reads a world image and builds a shared-cache system
-// from it: the recorded sources are replayed (the image's own prelude
+// BootFromImage reads a world image and builds a system from it: the recorded sources are replayed (the image's own prelude
 // text first — nothing else is auto-loaded), the saved object state is
 // restored on top, and the eval programs are re-parsed. Restored maps
 // are ordinary world maps, wired to the same OnMapChange →
@@ -182,7 +178,7 @@ func BootFromImage(r io.Reader, cfg Config, mode TierMode, promoteThreshold int6
 		promoteThreshold = DefaultPromoteThreshold
 	}
 	t0 := time.Now()
-	s, err := newSystem(cfg, codecache.New[*vm.Code](), mode, promoteThreshold, false)
+	s, err := newSystem(cfg, mode, promoteThreshold, false)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +211,7 @@ func BootFromImage(r io.Reader, cfg Config, mode TierMode, promoteThreshold int6
 }
 
 // Prepromote re-compiles every manifest entry at its recorded tier
-// through the shared cache, restoring its hotness counters, so the
+// through the code cache, restoring its hotness counters, so the
 // request path finds hot code already resident instead of re-earning
 // promotions under load. Blocking; hosts that warm in the background
 // run it in a goroutine and gate readiness on its return. Returns how
@@ -224,9 +220,6 @@ func BootFromImage(r io.Reader, cfg Config, mode TierMode, promoteThreshold int6
 // never a correctness gate).
 func (b *Boot) Prepromote(workers int) (compiled, failed int) {
 	s := b.Sys
-	if s.shared == nil || len(b.manifest) == 0 {
-		return 0, 0
-	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -279,7 +272,7 @@ func (s *System) prepromoteOne(ent image.RestoredManifest) bool {
 		key = codecache.Key{Meth: ent.Meth, RMap: ent.RMap, Strat: strat}
 		compile = func() (*vm.Code, error) { return s.compileMethodAt(p, ent.Meth, ent.RMap, nil) }
 	}
-	c, _, err := s.shared.Get(key, compile)
+	c, _, err := s.cache.Get(key, compile)
 	if err != nil {
 		return false
 	}
@@ -299,17 +292,11 @@ func (s *System) prepromoteOne(ent image.RestoredManifest) bool {
 // storage, never Values), so maps, inline caches and Eq behave exactly
 // as on a private world; only field and element state diverges per
 // fork.
-func (s *System) ForkCOW() (*System, error) {
-	if s.shared == nil {
-		return nil, fmt.Errorf("ForkCOW requires a system built with a shared cache")
-	}
+func (s *System) ForkCOW() *System {
 	baseEp := s.world.Freeze()
-	f, err := s.Fork()
-	if err != nil {
-		return nil, err
-	}
+	f := s.Fork()
 	f.machine.EnableCOW(baseEp)
-	return f, nil
+	return f
 }
 
 // COWShadowCount reports how many base objects this system's VM has
