@@ -22,7 +22,8 @@ func strategyVariants() []Config {
 // under split, bbv and both: all three strategies must compute
 // bit-identical values. Modelled cycles legitimately differ (versioning
 // charges different instruction streams) so they are asserted recorded,
-// never equal.
+// never equal — across strategies; within bbv and both, fused and
+// unfused code must run bit-identically.
 func TestBBVConformanceAcrossStrategies(t *testing.T) {
 	for _, p := range conformancePrograms {
 		p := p
@@ -58,6 +59,13 @@ func TestBBVConformanceAcrossStrategies(t *testing.T) {
 					}
 					if res.Run.BBVVersionBytes <= 0 {
 						t.Errorf("[%s] no modelled version bytes recorded", cfg.Name)
+					}
+					// Versions over fused code are the unfused stream's.
+					cfg.NoSuperinstructions = true
+					plain, err := newSys(t, cfg, p.src).Call(p.sel, p.args...)
+					if err != nil || plain.Value.I() != got || plain.Run != res.Run || plain.Compile != res.Compile {
+						t.Errorf("[%s] fusion changed the run (%v):\nfused:   %d %+v %+v\nunfused: %+v",
+							cfg.Name, err, got, res.Run, res.Compile, plain)
 					}
 				}
 			}

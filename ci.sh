@@ -307,9 +307,13 @@ go test -run 'TestRedefinitionReachesCompiledCallers|TestSharedCacheInvalidation
 # bit-identical to splitting on every benchmark and conformance program
 # (values and fault taxonomy), plateau at the version cap on
 # megamorphic code, and invalidate shape-specialized versions through
-# OnMapChange like any other customization.
+# OnMapChange like any other customization. Versions sit over fused
+# code: under bbv and both, fused and unfused runs are bit-identical
+# (RunStats with every versioning counter, faults pc by pc), and the
+# two prefix-charge rules hold on a hand-built stream.
 echo "== bbv differential"
-go test -run 'TestBBVVsSplitBenchmarks|TestBBVConformanceAcrossStrategies|TestBBVFaultDifferential|TestBBVVersionCapBound|TestBBVShapeInvalidation' .
+go test -run 'TestBBVVsSplitBenchmarks|TestBBVConformanceAcrossStrategies|TestBBVFaultDifferential|TestBBVVersionCapBound|TestBBVShapeInvalidation|TestFusedVsUnfused' .
+go test -run 'TestBBVVersionsFusedEntries' ./internal/vm
 
 # Register-allocation differential: vm.CheckAllocation over every Code
 # the benchmarks and conformance programs compile under every preset,

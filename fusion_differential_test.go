@@ -21,23 +21,24 @@ func unfused(cfg selfgo.Config) selfgo.Config {
 // TestFusedVsUnfusedBenchmarks: superinstruction fusion is a host-speed
 // optimization only. Every benchmark must produce the identical check
 // value, identical full RunStats (cycles, instrs, sends, type tests,
-// overflow/bounds checks, allocs, depth), and identical modelled code
-// size with fusion on and off.
+// overflow/bounds checks, allocs, depth, and under bbv and both every
+// versioning counter), and identical modelled code size with fusion on
+// and off.
 func TestFusedVsUnfusedBenchmarks(t *testing.T) {
-	configs := map[string][]bench.Benchmark{
-		"new SELF":    bench.All(),
-		"optimized C": bench.All(),
-		"ST-80":       bench.ByGroup("small"),
+	configs := []struct {
+		cfg     selfgo.Config
+		benches []bench.Benchmark
+	}{
+		{selfgo.NewSELF, bench.All()},
+		{selfgo.OptimizedC, bench.All()},
+		{selfgo.ST80, bench.ByGroup("small")},
+		{bbvStrategyConfig(selfgo.StrategyBBV), bench.All()},
+		{bbvStrategyConfig(selfgo.StrategyBoth), bench.All()},
 	}
-	byName := map[string]selfgo.Config{
-		"new SELF":    selfgo.NewSELF,
-		"optimized C": selfgo.OptimizedC,
-		"ST-80":       selfgo.ST80,
-	}
-	for name, benches := range configs {
-		cfg := byName[name]
-		t.Run(name, func(t *testing.T) {
-			for _, b := range benches {
+	for _, c := range configs {
+		cfg := c.cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			for _, b := range c.benches {
 				fused, err := bench.Run(b, cfg)
 				if err != nil {
 					t.Fatalf("%s fused: %v", b.Name, err)
@@ -66,13 +67,14 @@ func TestFusedVsUnfusedBenchmarks(t *testing.T) {
 // the same Self-level backtrace, frame by frame, pcs included: a frame
 // names the pc in the code as assembled (Code.sourcePC).
 func TestFusedVsUnfusedFaultBacktraces(t *testing.T) {
-	cases := []struct {
+	type faultCase struct {
 		name  string
 		cfg   selfgo.Config
 		src   string
 		entry string
 		args  []selfgo.Value
-	}{
+	}
+	cases := []faultCase{
 		{
 			// DNU under real activation frames (ST-80 keeps user sends
 			// out of line) — the program from TestErrorKindDNU.
@@ -112,6 +114,16 @@ vecAt: i = ( | v | v: (vector copySize: 3 FillWith: 0). v at: i ).
 			entry: "blow:",
 			args:  []selfgo.Value{selfgo.IntValue(1 << 40)},
 		},
+	}
+	// Under both versioning strategies: the overflow above and the
+	// strategy oracle's fault programs.
+	for _, strat := range []selfgo.Strategy{selfgo.StrategyBBV, selfgo.StrategyBoth} {
+		cfg := bbvStrategyConfig(strat)
+		ovf := cases[3]
+		cases = append(cases, faultCase{ovf.name + " " + strat.String(), cfg, ovf.src, ovf.entry, ovf.args})
+		for _, p := range bbvFaultPrograms {
+			cases = append(cases, faultCase{p.name + " " + strat.String(), cfg, p.src, p.sel, nil})
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -175,7 +187,8 @@ func FuzzFusionDifferential(f *testing.F) {
 		if len(src) > 4096 {
 			t.Skip()
 		}
-		for _, cfg := range []selfgo.Config{selfgo.NewSELF, selfgo.ST80} {
+		for _, cfg := range []selfgo.Config{selfgo.NewSELF, selfgo.ST80,
+			bbvStrategyConfig(selfgo.StrategyBBV), bbvStrategyConfig(selfgo.StrategyBoth)} {
 			got, want := fuzzEval(t, cfg, src), fuzzEval(t, unfused(cfg), src)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s diverged:\nfused:   %+v\nunfused: %+v", cfg.Name, got, want)

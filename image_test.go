@@ -470,15 +470,38 @@ func TestForkCOW(t *testing.T) {
 	}
 }
 
-// TestBootFromImageRejectsGarbage: hostile bytes error cleanly.
+// TestBootFromImageRejectsGarbage: hostile bytes error cleanly — among
+// them a well-formed image whose block manifest entry names its cells
+// out of capture order, which would compile block code against a cell
+// layout its closures do not have.
 func TestBootFromImageRejectsGarbage(t *testing.T) {
+	sys := newSys(t, ST80, `go = ( | c <- 0. blk | blk: [ c: c + 1 ]. blk value. c ).`)
+	if _, err := sys.Call("go"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sys.SaveImage(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	img, err := image.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(img.Manifest, func(m image.ManifestRec) bool { return m.Block })
+	if i < 0 || !slices.Equal(img.Manifest[i].UpNames, []string{"c", "self"}) {
+		t.Fatalf("want a block entry with cells [c self], manifest %+v", img.Manifest)
+	}
+	img.Manifest[i].UpNames = []string{"self", "c"}
+	permuted := image.Encode(img)
+
 	for _, data := range [][]byte{
 		nil,
 		[]byte("not an image"),
 		[]byte("SELFIMG1"),
 		append([]byte("SELFIMG1"), make([]byte, 32)...),
+		permuted,
 	} {
-		if _, err := BootFromImage(bytes.NewReader(data), NewSELF, ModeOpt, 0); err == nil {
+		if _, err := BootFromImage(bytes.NewReader(data), ST80, ModeOpt, 0); err == nil {
 			t.Fatalf("BootFromImage accepted %d garbage bytes", len(data))
 		}
 	}

@@ -85,28 +85,25 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 	return g, cp.stats, cp.err
 }
 
-// CompileBlock compiles a block as out-of-line closure code: the named
+// CompileBlock compiles a block as out-of-line closure code: the
 // captures become up-level accesses, ^ becomes a non-local return.
-// upNames must list the closure's captured variables (the names the
-// MkBlk instruction recorded), so compilation agrees with the runtime
-// representation.
-func (c *Compiler) CompileBlock(blk *ast.Block, upNames []string) (*ir.Graph, *Stats, error) {
-	return c.compileBlockFB(blk, upNames, nil)
+// cells must name the closure's cells in order (the capture names of
+// the MkBlk that makes the closure), so the code indexes the cells the
+// closure has.
+func (c *Compiler) CompileBlock(blk *ast.Block, cells []string) (*ir.Graph, *Stats, error) {
+	return c.compileBlockFB(blk, cells, nil)
 }
 
 // compileBlockFB is CompileBlock with optional type feedback (see
 // compileMethodFB).
-func (c *Compiler) compileBlockFB(blk *ast.Block, upNames []string, fb *types.Feedback) (*ir.Graph, *Stats, error) {
+func (c *Compiler) compileBlockFB(blk *ast.Block, cells []string, fb *types.Feedback) (*ir.Graph, *Stats, error) {
 	cp := newCompilation(c)
 	cp.fb = fb
 	g := ir.NewGraph(fmt.Sprintf("block@%s", blk.P))
 	g.NumParams = len(blk.Params)
 	cp.g = g
 
-	sc := &scope{kind: blockScope, compiledBlock: true, vars: map[string]ir.Reg{}, params: map[string]bool{}, upNames: map[string]bool{}}
-	for _, n := range upNames {
-		sc.upNames[n] = true
-	}
+	sc := &scope{kind: blockScope, compiledBlock: true, vars: map[string]ir.Reg{}, params: map[string]bool{}, cells: cells}
 	sc.selfReg = cp.newVarReg()
 	sc.ret = &retCollector{resultReg: cp.newVarReg()}
 	cp.topScope = sc
@@ -115,6 +112,7 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, upNames []string, fb *types.Fe
 	selfLoad := g.NewNode(ir.LoadUp)
 	selfLoad.Dst = sc.selfReg
 	selfLoad.Sel = "self"
+	_, selfLoad.Index, _ = sc.lookupVar("self")
 	cp.emit(f0, selfLoad)
 	f0.env.set(sc.selfReg, types.Unknown{})
 
@@ -570,8 +568,8 @@ func (cp *compilation) compileIdent(flows []*flow, n *ast.Ident, sc *scope) ([]*
 	if n.Name == "self" {
 		return flows, sc.selfScope().selfReg
 	}
-	if r, up, ok := sc.lookupVar(n.Name); ok {
-		if !up {
+	if r, cell, ok := sc.lookupVar(n.Name); ok {
+		if cell < 0 {
 			return flows, r
 		}
 		// Up-level variable of an out-of-line block.
@@ -580,6 +578,7 @@ func (cp *compilation) compileIdent(flows []*flow, n *ast.Ident, sc *scope) ([]*
 			ld := cp.g.NewNode(ir.LoadUp)
 			ld.Dst = dst
 			ld.Sel = n.Name
+			ld.Index = cell
 			cp.emit(f, ld)
 			f.env.set(dst, types.Unknown{})
 		}
@@ -596,12 +595,12 @@ func (cp *compilation) compileKeyword(flows []*flow, n *ast.KeywordMsg, sc *scop
 		parts := ast.SplitSelector(n.Sel)
 		if len(parts) == 1 && len(n.Args) == 1 {
 			name := n.Sel[:len(n.Sel)-1]
-			if r, up, ok := sc.lookupVar(name); ok {
+			if r, cell, ok := sc.lookupVar(name); ok {
 				if sc.isParam(name) {
 					cp.errorf("%s: cannot assign to parameter %q", n.P, name)
 					return flows, r
 				}
-				return cp.compileAssign(flows, r, up, name, n.Args[0], sc)
+				return cp.compileAssign(flows, r, cell, name, n.Args[0], sc)
 			}
 		}
 		recv := sc.selfScope().selfReg
@@ -623,15 +622,16 @@ func (cp *compilation) compileKeyword(flows []*flow, n *ast.KeywordMsg, sc *scop
 	return cp.compileSend(flows, rr, n.Sel, args, sc)
 }
 
-func (cp *compilation) compileAssign(flows []*flow, r ir.Reg, up bool, name string, arg ast.Expr, sc *scope) ([]*flow, ir.Reg) {
+func (cp *compilation) compileAssign(flows []*flow, r ir.Reg, cell int, name string, arg ast.Expr, sc *scope) ([]*flow, ir.Reg) {
 	flows, ar := cp.compileExpr(flows, arg, sc)
 	for _, f := range flows {
-		if up {
+		if cell >= 0 {
 			// Up-level storage is runtime state: block values must be
 			// real closures there.
 			cp.materialize(f, ar)
 			st := cp.g.NewNode(ir.StoreUp)
 			st.Sel = name
+			st.Index = cell
 			st.A = ar
 			cp.emit(f, st)
 			continue

@@ -168,9 +168,9 @@ type Config struct {
 	// NoSuperinstructions disables the VM's superinstruction fusion
 	// pass (internal/vm/fuse.go), a host-speed interpreter-dispatch
 	// optimization with no effect on any modelled quantity. The zero
-	// value — fusion on — is right for every preset; the flag exists so
-	// differential tests can run the unfused interpreter as a bit-exact
-	// oracle against the fused one.
+	// value — fusion on — is right for every preset and strategy; the
+	// flag exists so differential tests can run the unfused interpreter
+	// as a bit-exact oracle against the fused one.
 	NoSuperinstructions bool
 
 	// PerInstrOverhead adds cycles to every executed instruction,
@@ -200,12 +200,10 @@ type Config struct {
 // repertoire (customization, prediction, method and primitive
 // inlining) that BBV's run-time versioning then specializes; under
 // StrategyBoth the full eager repertoire stays on and versioning
-// removes what survives it. Both BBV strategies force unfused code:
-// versions anchor on per-instruction pcs, so superinstruction fusion
-// (a host-speed selection with no modelled effect) is disabled.
+// removes what survives it. Every strategy runs the same fused stream:
+// versions anchor on fused entry pcs (vm/bbv.go).
 func ApplyStrategy(c Config) Config {
-	switch c.Strategy {
-	case StrategyBBV:
+	if c.Strategy == StrategyBBV {
 		c.TypeAnalysis = false
 		c.RangeAnalysis = false
 		c.LocalSplitting = false
@@ -213,9 +211,6 @@ func ApplyStrategy(c Config) Config {
 		c.IterativeLoops = false
 		c.MultiVersionLoops = false
 		c.ComparisonFacts = false
-		c.NoSuperinstructions = true
-	case StrategyBoth:
-		c.NoSuperinstructions = true
 	}
 	return c
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"selfgo/internal/ir"
@@ -405,11 +406,11 @@ type scope struct {
 	stackDepth int
 
 	// compiledBlock is set when this scope is the body of a block
-	// being compiled out-of-line (a runtime closure): names in upNames
-	// resolve to up-level accesses through the closure; anything else
-	// unresolved is an implicit-self send as usual.
+	// being compiled out-of-line (a runtime closure): a name in cells
+	// resolves to an up-level access of the closure cell at its index;
+	// anything else unresolved is an implicit-self send as usual.
 	compiledBlock bool
-	upNames       map[string]bool
+	cells         []string
 }
 
 // retCollector gathers early-return flows for a method scope so they
@@ -420,24 +421,22 @@ type retCollector struct {
 }
 
 // lookupVar resolves a name through the scope chain. It reports the
-// register and true, or — when crossing into an out-of-line block
-// compilation — NoReg with upLevel=true, meaning the variable lives in
-// the closure's captured environment.
-func (s *scope) lookupVar(name string) (reg ir.Reg, upLevel, ok bool) {
+// register, cell -1 and true, or — when crossing into an out-of-line
+// block compilation — the index of the closure cell the variable lives
+// in.
+func (s *scope) lookupVar(name string) (reg ir.Reg, cell int, ok bool) {
 	for cur := s; cur != nil; cur = cur.parent {
 		if r, found := cur.vars[name]; found {
-			return r, false, true
+			return r, -1, true
 		}
 		if cur.compiledBlock && cur.parent == nil {
 			// Out-of-line block: captured names resolve through the
 			// closure; anything else is not a variable.
-			if cur.upNames[name] {
-				return ir.NoReg, true, true
-			}
-			return ir.NoReg, false, false
+			cell := slices.Index(cur.cells, name)
+			return ir.NoReg, cell, cell >= 0
 		}
 	}
-	return ir.NoReg, false, false
+	return ir.NoReg, -1, false
 }
 
 // isParam reports whether name resolves to a parameter. Parameters are

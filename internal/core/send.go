@@ -524,7 +524,7 @@ func (cp *compilation) materialize(f *flow, reg ir.Reg) {
 	f.env.set(reg, types.NewClass(cp.w.BlockMap, cp.intMap()))
 	if sc, ok := bt.Scope.(*scope); ok {
 		for _, name := range assignedUpNames(bt.B) {
-			if r, up, found := sc.lookupVar(name); found && !up && !slices.Contains(cp.volatile, r) {
+			if r, cell, found := sc.lookupVar(name); found && cell < 0 && !slices.Contains(cp.volatile, r) {
 				cp.volatile = append(cp.volatile, r)
 			}
 		}
@@ -600,25 +600,27 @@ func assignedUpNames(blk *ast.Block) []string {
 }
 
 // scanCaptures computes the closure's captured variables: every free
-// name of the block that resolves in its lexical scope, plus self.
+// name of the block that resolves in its lexical scope, plus self. Their
+// order — names sorted, self included — is the closure's cell layout:
+// the block compile indexes the cells by it and world images record it.
 func (cp *compilation) scanCaptures(bt types.Blk) []ir.Capture {
 	sc, _ := bt.Scope.(*scope)
 	if sc == nil {
 		return nil
 	}
-	names := freeNames(bt.B)
+	names := append(freeNames(bt.B), "self")
 	sort.Strings(names)
 	var caps []ir.Capture
 	for _, name := range names {
-		if r, up, ok := sc.lookupVar(name); ok {
-			caps = append(caps, ir.Capture{Name: name, Src: r, FromUp: up, ByValue: sc.isParam(name)})
+		r, cell, ok := sc.lookupVar(name)
+		switch {
+		case cell >= 0:
+			caps = append(caps, ir.Capture{Name: name, Src: ir.Reg(cell), FromUp: true})
+		case name == "self":
+			caps = append(caps, ir.Capture{Name: name, Src: sc.selfScope().selfReg})
+		case ok:
+			caps = append(caps, ir.Capture{Name: name, Src: r, ByValue: sc.isParam(name)})
 		}
-	}
-	selfSc := sc.selfScope()
-	if selfSc.compiledBlock {
-		caps = append(caps, ir.Capture{Name: "self", FromUp: true, Src: ir.NoReg})
-	} else {
-		caps = append(caps, ir.Capture{Name: "self", Src: selfSc.selfReg})
 	}
 	return caps
 }

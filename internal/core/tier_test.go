@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"selfgo/internal/obj"
@@ -287,6 +288,27 @@ func TestPipelineOptMatchesBareCompiler(t *testing.T) {
 		if len(pc.Instrs) != len(bc.Instrs) || pc.Bytes != bc.Bytes || pc.NumRegs != bc.NumRegs {
 			t.Errorf("%s: code diverges: %d/%d instrs, %d/%d bytes",
 				cfg.Name, len(pc.Instrs), len(bc.Instrs), pc.Bytes, bc.Bytes)
+		}
+	}
+}
+
+// TestVersioningStrategiesRunFusedCode: no strategy selects the unfused
+// stream — bbv and both version the same fused code split runs.
+func TestVersioningStrategiesRunFusedCode(t *testing.T) {
+	for _, strat := range []Strategy{StrategyBBV, StrategyBoth} {
+		cfg := NewSELF
+		cfg.Strategy = strat
+		if ApplyStrategy(cfg).NoSuperinstructions {
+			t.Errorf("%s: ApplyStrategy turned fusion off", strat)
+		}
+		w := buildWorld(t, triangleSrc)
+		r := obj.Lookup(w.Lobby.Map, "triangleNumber:")
+		c, _, err := NewPipeline(w, cfg, TierOptimizing).CompileMethod(r.Slot.Meth, w.Lobby.Map, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.BBVState() == nil || !strings.Contains(c.Disasm(), "fused{") {
+			t.Errorf("%s: want versioned fused code, got:\n%s", strat, c.Disasm())
 		}
 	}
 }

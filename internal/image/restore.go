@@ -2,6 +2,7 @@ package image
 
 import (
 	"fmt"
+	"slices"
 
 	"selfgo/internal/ast"
 	"selfgo/internal/obj"
@@ -160,6 +161,16 @@ func Restore(img *Image, w *obj.World, evalMeths []*obj.Method) (*Restored, erro
 			Requested:   rec.Requested,
 		}
 		if rec.Block {
+			// A block's names are its closures' cell layout: captures
+			// sorted without repeats, self included. Code compiled from
+			// any other names would index cells its closures lack.
+			inOrder := slices.Contains(rec.UpNames, "self")
+			for i := 1; i < len(rec.UpNames); i++ {
+				inOrder = inOrder && rec.UpNames[i-1] < rec.UpNames[i]
+			}
+			if !inOrder {
+				return nil, fmt.Errorf("restore: block manifest names %q are not in capture order", rec.UpNames)
+			}
 			bs, err := ownerBlks(rec.Owner)
 			if err != nil {
 				return nil, err

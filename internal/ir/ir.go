@@ -106,10 +106,10 @@ func (c CmpKind) String() string {
 	return [...]string{"<", "<=", ">", ">=", "=", "!="}[c]
 }
 
-// Capture names one variable captured by a closure. The block sees the
-// enclosing activation's register (Src) by name, or — when the
-// enclosing activation is itself a block — one of its own up-level
-// captures (FromUp).
+// Capture names one variable captured by a closure, and where its cell
+// comes from: the enclosing activation's register Src, or — FromUp,
+// when the enclosing activation is itself a block — that closure's
+// cell number Src.
 type Capture struct {
 	Name   string
 	Src    Reg
@@ -122,6 +122,15 @@ type Capture struct {
 	ByValue bool
 }
 
+// CaptureNames lists the captures' names: a closure's cell layout.
+func CaptureNames(caps []Capture) []string {
+	names := make([]string, len(caps))
+	for i, c := range caps {
+		names[i] = c.Name
+	}
+	return names
+}
+
 // Node is one node of the control flow graph.
 type Node struct {
 	ID   int
@@ -132,7 +141,7 @@ type Node struct {
 	Args []Reg
 
 	Val     obj.Value // Const
-	Index   int       // LoadF/StoreF field index
+	Index   int       // LoadF/StoreF field index; LoadUp/StoreUp closure cell
 	Sel     string    // Send/PrimOp selector
 	AOp     ArithKind
 	COp     CmpKind

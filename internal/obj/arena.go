@@ -30,7 +30,7 @@ import "sync/atomic"
 // detection is a single epoch compare on the store fast path, and the
 // abandoned chunks are ordinary heap memory so escaped closures and
 // NLR homes stay valid forever. Blocks escape conservatively: a
-// closure's UpLocals alias frame slots that can be written after the
+// closure's Cells alias frame slots that can be written after the
 // store, so any block crossing an epoch boundary dirties the epoch.
 //
 // The arena is single-VM (not goroutine-safe), like the frame pool.

@@ -351,17 +351,17 @@ func (o *Object) Clone() *Object {
 }
 
 // Closure is a runtime block: code plus the captured home context.
-// Home identifies the activation of the lexically enclosing method for
-// non-local return and up-level variable access; its representation is
-// owned by the VM (an activation token), stored here as an opaque
-// pointer.
+// Cells are the captured variables, one per capture of the block
+// literal in the compiler's capture order (names sorted, self
+// included); block code reads and writes them by index. A cell aliases
+// the enclosing activation's slot or closure cell, or holds a copy of a
+// parameter. Env belongs to the VM and is opaque here: the home
+// activation for non-local return and the capture list naming Cells.
 type Closure struct {
-	Ast  *ast.Block
-	Map  *Map
-	Home any
-	// UpLocals exposes the enclosing activation's variables by name;
-	// set by the VM when the closure is created.
-	UpLocals map[string]*Value
+	Ast   *ast.Block
+	Map   *Map
+	Env   any
+	Cells []*Value
 }
 
 // LookupResult is the outcome of message lookup. Holder is the object

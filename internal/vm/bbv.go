@@ -31,9 +31,9 @@ const bbvElideNone = bbv.ElideNone
 
 // EnableBBV attaches a lazy-versioning store to freshly assembled
 // code. Must be called before the Code is published to other VMs; the
-// pipeline does it for any strategy other than split. BBV code must be
-// the unfused interpreter stream (versions anchor on per-instruction
-// pcs), which core.ApplyStrategy guarantees.
+// pipeline does it for any strategy other than split, after Fuse:
+// versions anchor on the entry pcs of the stream the code runs, fused
+// or not.
 func EnableBBV(c *Code, maxVers int) {
 	c.bbv = bbv.NewState(maxVers)
 }
@@ -103,6 +103,12 @@ func (vm *VM) bbvEdge(code *Code, ver *bbv.Version, pc int, taken bool, target i
 // register→map facts, the modelled bytes a lazy code generator would
 // emit for exactly this region, and — when the region ends in a type
 // test an accumulated fact already proves — the elision.
+//
+// The walk visits a fused entry's constituents in order (fusion never
+// puts a branch target inside a group, so versions key on entry pcs),
+// and a fused branch ends the region at its entry's pc. The self-moves
+// an entry absorbed transfer no fact, but their bytes are counted, so a
+// version's Bytes are the unfused stream's.
 func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 	w := vm.World
 	ctx := v.Ctx
@@ -127,96 +133,100 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 	}
 
 	for pc := v.Entry; pc >= 0 && pc < len(code.Instrs); pc++ {
-		in := &code.Instrs[pc]
-		switch in.Op {
-		case opJmp:
-			bytes += SizeSimple
-			finish(pc, bbv.ElideNone, ctx, bbv.Context{})
-			return
-		case ir.CmpBr:
-			bytes += SizeBranch
-			finish(pc, bbv.ElideNone, ctx, ctx)
-			return
-		case ir.TypeTest:
-			elide := bbv.ElideNone
-			f := ctx.Get(int32(in.A))
-			switch {
-			case f == nil:
-				bytes += SizeTypeTest
-			case f.Map == in.TestMap && f.Shape:
-				elide = bbv.ElideTrueShape
-			case f.Map == in.TestMap:
-				elide = bbv.ElideTrue
-			case f.Shape:
-				elide = bbv.ElideFalseShape
-			default:
-				elide = bbv.ElideFalse
-			}
-			// The taken edge proves the fact; keep an existing fact's
-			// provenance (a shape-proven fact stays guarded), otherwise
-			// record it as run-time verified — when an elision's stale
-			// guard forces the real test, this is the edge it verified.
-			outT := ctx
-			if f == nil || f.Map != in.TestMap {
-				outT = ctx.With(int32(in.A), in.TestMap, false, bbv.NoShapeGen)
-			}
-			finish(pc, elide, outT, ctx)
-			return
-		case ir.Return, ir.NLReturn, ir.Fail:
-			bytes += int64(instrSize(in))
-			finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
-			return
-		case ir.Const:
-			ctx = ctx.With(int32(in.Dst), w.MapOf(in.Val), false, bbv.NoShapeGen)
-		case ir.Move:
-			ctx = bbvCopyFact(ctx, in.Dst, in.A)
-		case ir.CloneOp:
-			// A clone keeps its source's map (immediates clone to
-			// themselves), so the fact transfers.
-			ctx = bbvCopyFact(ctx, in.Dst, in.A)
-		case ir.Arith:
-			// Fallthrough assumed: the result is a small integer. A
-			// run-time overflow transfer desynchronizes and re-anchors
-			// at the next branch (see the file comment).
-			ctx = ctx.With(int32(in.Dst), w.IntMap, false, bbv.NoShapeGen)
-		case ir.VecLen:
-			ctx = ctx.With(int32(in.Dst), w.IntMap, false, bbv.NoShapeGen)
-		case ir.NewVec:
-			ctx = ctx.With(int32(in.Dst), w.VecMap, false, bbv.NoShapeGen)
-		case ir.MkBlk:
-			ctx = ctx.With(int32(in.Dst), w.BlockMap, false, bbv.NoShapeGen)
-		case ir.LoadF:
-			// The typed-shape payoff: a load from a receiver whose map
-			// the context knows contributes the slot's tag as a fact
-			// without any test. Generation read BEFORE the tag — see
-			// World.NoteFieldStore for why this order can never stamp
-			// a current generation on a stale tag.
-			set := false
-			if f := ctx.Get(int32(in.A)); f != nil {
-				rg := w.ShapeGen.Load()
-				if tag := w.SlotTypeTag(f.Map, in.Index); tag != nil {
-					ctx = ctx.With(int32(in.Dst), tag, true, rg)
-					set = true
-				}
-			}
-			if !set {
-				ctx = ctx.Without(int32(in.Dst))
-			}
-		case ir.Send, ir.Call, ir.PrimOp, ir.LoadE, ir.LoadUp:
-			if in.Dst != ir.NoReg {
-				ctx = ctx.Without(int32(in.Dst))
-			}
-		case ir.StoreF, ir.StoreE, ir.StoreUp:
-			// No register changes.
-		default:
-			// A fused or otherwise unexpected opcode (BBV code is never
-			// fused, but stay defensive): end the region with no
-			// terminating branch; the next run-time branch re-anchors.
-			bytes += int64(instrSize(in))
-			finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
-			return
+		// in is each constituent in turn, the head with its own Op and its
+		// own share of N; N-1 is what the constituent absorbed.
+		in := code.Instrs[pc]
+		in.N -= int32(in.tailLen(nil))
+		if base, ok := fusedHeadOp(in.Op); ok {
+			in.Op = base
 		}
-		bytes += int64(instrSize(in))
+		for {
+			bytes += int64(in.N-1) * SizeSimple
+			switch in.Op {
+			case opJmp:
+				bytes += SizeSimple
+				finish(pc, bbv.ElideNone, ctx, bbv.Context{})
+				return
+			case ir.CmpBr:
+				bytes += SizeBranch
+				finish(pc, bbv.ElideNone, ctx, ctx)
+				return
+			case ir.TypeTest:
+				elide := bbv.ElideNone
+				f := ctx.Get(int32(in.A))
+				switch {
+				case f == nil:
+					bytes += SizeTypeTest
+				case f.Map == in.TestMap && f.Shape:
+					elide = bbv.ElideTrueShape
+				case f.Map == in.TestMap:
+					elide = bbv.ElideTrue
+				case f.Shape:
+					elide = bbv.ElideFalseShape
+				default:
+					elide = bbv.ElideFalse
+				}
+				// The taken edge proves the fact; keep an existing fact's
+				// provenance (a shape-proven fact stays guarded), otherwise
+				// record it as run-time verified — when an elision's stale
+				// guard forces the real test, this is the edge it verified.
+				outT := ctx
+				if f == nil || f.Map != in.TestMap {
+					outT = ctx.With(int32(in.A), in.TestMap, false, bbv.NoShapeGen)
+				}
+				finish(pc, elide, outT, ctx)
+				return
+			case ir.Return, ir.NLReturn, ir.Fail:
+				bytes += int64(instrSize(&in))
+				finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
+				return
+			case ir.Const:
+				ctx = ctx.With(int32(in.Dst), w.MapOf(in.Val), false, bbv.NoShapeGen)
+			case ir.Move:
+				ctx = bbvCopyFact(ctx, in.Dst, in.A)
+			case ir.CloneOp:
+				// A clone keeps its source's map (immediates clone to
+				// themselves), so the fact transfers.
+				ctx = bbvCopyFact(ctx, in.Dst, in.A)
+			case ir.Arith:
+				// Fallthrough assumed: the result is a small integer. A
+				// run-time overflow transfer desynchronizes and re-anchors
+				// at the next branch (see the file comment).
+				ctx = ctx.With(int32(in.Dst), w.IntMap, false, bbv.NoShapeGen)
+			case ir.VecLen:
+				ctx = ctx.With(int32(in.Dst), w.IntMap, false, bbv.NoShapeGen)
+			case ir.NewVec:
+				ctx = ctx.With(int32(in.Dst), w.VecMap, false, bbv.NoShapeGen)
+			case ir.MkBlk:
+				ctx = ctx.With(int32(in.Dst), w.BlockMap, false, bbv.NoShapeGen)
+			case ir.LoadF:
+				// The typed-shape payoff: a load from a receiver whose map
+				// the context knows contributes the slot's tag as a fact
+				// without any test. Generation read BEFORE the tag — see
+				// World.NoteFieldStore for why this order can never stamp
+				// a current generation on a stale tag.
+				set := false
+				if f := ctx.Get(int32(in.A)); f != nil {
+					rg := w.ShapeGen.Load()
+					if tag := w.SlotTypeTag(f.Map, in.Index); tag != nil {
+						ctx = ctx.With(int32(in.Dst), tag, true, rg)
+						set = true
+					}
+				}
+				if !set {
+					ctx = ctx.Without(int32(in.Dst))
+				}
+			case ir.Send, ir.Call, ir.PrimOp, ir.LoadE, ir.LoadUp:
+				if in.Dst != ir.NoReg {
+					ctx = ctx.Without(int32(in.Dst))
+				}
+			} // StoreF, StoreE and StoreUp write no register.
+			bytes += int64(instrSize(&in))
+			if in.Fused == nil {
+				break
+			}
+			in = *in.Fused
+		}
 	}
 	finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
 }
@@ -229,9 +239,10 @@ func bbvCopyFact(ctx bbv.Context, dst, src ir.Reg) bbv.Context {
 	return ctx.Without(int32(dst))
 }
 
-// bbvElide executes an elided type test: back out the precharged
-// instruction cost (exactly like uncharge — splitting would never have
-// emitted the test), account the elision by provenance, and report
+// bbvElide executes an elided type test: back out the test's own
+// precharged cost (exactly like uncharge — splitting would never have
+// emitted the test; self-moves the entry absorbed did run, and keep
+// their charge), account the elision by provenance, and report
 // which edge the proof takes. Shape-kind elisions are guarded by the
 // current generation at every execution; a stale guard returns false
 // and the caller performs the real test.
@@ -241,7 +252,7 @@ func (vm *VM) bbvElide(st *RunStats, ver *bbv.Version, in *Instr) (taken, ok boo
 		return false, false
 	}
 	st.Instrs--
-	st.Cycles -= in.Cost + vm.InstrExtra
+	st.Cycles -= staticCost(in) + vm.InstrExtra
 	if shape {
 		st.BBVElidedShape++
 	} else {

@@ -495,7 +495,7 @@ func deadNodes(g *ir.Graph) map[*ir.Node]bool {
 				reads[r] = true
 			}
 			for _, cap := range n.Caps {
-				if cap.Src != ir.NoReg {
+				if !cap.FromUp {
 					reads[cap.Src] = true
 				}
 			}

@@ -12,6 +12,7 @@ import (
 
 	"selfgo"
 	"selfgo/internal/ast"
+	"selfgo/internal/bbv"
 	"selfgo/internal/bench"
 	"selfgo/internal/core"
 	"selfgo/internal/ir"
@@ -405,6 +406,65 @@ func TestFuseAbsorbsSelfMoves(t *testing.T) {
 	}
 	if got := c.SourcePC(0, 2); got != 2 {
 		t.Errorf("the Arith of entry 0 came from pc %d, want 2", got)
+	}
+}
+
+// TestBBVVersionsFusedEntries: versions over fused code charge and size
+// what the unfused stream does. A context-elided type test that absorbed
+// a self-move uncharges only itself — one instruction and CostTypeTest —
+// and keeps the move's charge; the version's Bytes count the move; and
+// a fused Arith;CmpBr ends its region at its own pc.
+func TestBBVVersionsFusedEntries(t *testing.T) {
+	no := ir.NoReg
+	build := func(w *obj.World) *vm.Code {
+		c := &vm.Code{Name: "handmade", NumRegs: 5, NumParams: 2}
+		c.Instrs = []vm.Instr{
+			handInstr(vm.Instr{Op: ir.Const, Dst: 4, A: no, B: no, C: no, Val: obj.Int(7)}),
+			handInstr(vm.Instr{Op: ir.Move, Dst: 4, A: 4, B: no, C: no}), // absorbed by the TypeTest
+			handInstr(vm.Instr{Op: ir.TypeTest, Dst: no, A: 4, B: no, C: no, TestMap: w.IntMap, T: 3, F: 6}),
+			handInstr(vm.Instr{Op: ir.Arith, Dst: 4, A: 4, B: 2, C: no, AOp: ir.Add}),
+			handInstr(vm.Instr{Op: ir.CmpBr, Dst: no, A: 4, B: 3, C: no, COp: ir.LT, T: 5, F: 6}),
+			handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 4, B: no, C: no}),
+			handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 2, B: no, C: no}),
+		}
+		vm.EnableBBV(c, 0)
+		return c
+	}
+	const extra = 3
+	want := vm.RunStats{
+		Instrs:      5, // the elided test is not counted
+		Cycles:      vm.CostConst + vm.CostMove + vm.CostArith + vm.CostCmpBranch + vm.CostReturn + 5*extra,
+		BBVVersions: 3, BBVElidedCtx: 1, MaxDepth: 1,
+		BBVVersionBytes: vm.SizePrologue + vm.SizeConst + vm.SizeSimple + // entry: Const, the move
+			vm.SizeSimple + vm.SizeBranch + vm.SizeReturn, // Arith;CmpBr, then Return
+	}
+	for _, fuse := range []bool{false, true} {
+		h := newHarness(t, core.NewSELF, fuseSrc)
+		h.vm.InstrExtra = extra
+		code := build(h.w)
+		branchPC := 4 // of the region after the type test
+		if fuse {
+			vm.Fuse(code)
+			if len(code.Instrs) != 5 || code.Instrs[1].N != 2 || code.Instrs[2].Op != vm.OpArithCmpBr {
+				t.Fatalf("unexpected fused stream:\n%s", code.Disasm())
+			}
+			branchPC = 2
+		}
+		h.vm.CompileMethod = func(*obj.Method, *obj.Map) (*vm.Code, error) { return code, nil }
+		v, err := h.vm.RunMethod(lookupMeth(t, h, "quot:Over:"), obj.Obj(h.w.Lobby), obj.Int(1), obj.Int(100))
+		if err != nil || v.I() != 8 {
+			t.Fatalf("fused=%v: got %v, %v; want 8", fuse, v, err)
+		}
+		if h.vm.Stats != want {
+			t.Errorf("fused=%v: stats\n %+v, want\n %+v", fuse, h.vm.Stats, want)
+		}
+		ent := code.BBVState().Entry()
+		if ent.Elide != bbv.ElideTrue || ent.Bytes != vm.SizePrologue+vm.SizeConst+vm.SizeSimple {
+			t.Errorf("fused=%v: entry version elides %d in %d bytes; want the test elided, the move's bytes counted", fuse, ent.Elide, ent.Bytes)
+		}
+		if next := ent.Succ(true); next == nil || next.BranchPC != branchPC {
+			t.Errorf("fused=%v: the Arith;CmpBr region does not end at pc %d: %+v", fuse, branchPC, next)
+		}
 	}
 }
 

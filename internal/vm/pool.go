@@ -41,8 +41,8 @@ type FrameStats struct {
 }
 
 // getFrame returns a frame with a zeroed n-register file, reusing a
-// pooled frame when there is one. Callers overwrite up and home
-// unconditionally.
+// pooled frame when there is one. Callers overwrite home, and a block
+// frame's cl, unconditionally.
 func (vm *VM) getFrame(n int) *frame {
 	var fr *frame
 	if k := len(vm.freeFrames) - 1; k >= 0 {

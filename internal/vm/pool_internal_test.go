@@ -2,6 +2,7 @@ package vm
 
 import (
 	"testing"
+	"unsafe"
 
 	"selfgo/internal/obj"
 )
@@ -27,7 +28,7 @@ func TestGetPutFrame(t *testing.T) {
 	if re != fr {
 		t.Fatalf("expected the pooled frame back")
 	}
-	if re.dead || re.escaped || re.up != nil || re.home.fr != nil {
+	if re.dead || re.escaped || re.cl != nil || re.home.fr != nil {
 		t.Fatalf("pooled frame not reset: %+v", re)
 	}
 	for i, v := range re.regs {
@@ -87,5 +88,13 @@ func TestGetPutFrame(t *testing.T) {
 			t.Fatalf("%d-register frames: pool holds %d bytes (counted %d), want just under %d",
 				regs, held, vm.Frames.PoolBytes, maxPoolBytes)
 		}
+	}
+}
+
+// TestFrameSizeClass: an activation frame stays in the 64-byte size
+// class — a block frame holds its closure, not a slice of its cells.
+func TestFrameSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(frame{}); size > 64 {
+		t.Fatalf("frame is %d bytes, want at most 64", size)
 	}
 }

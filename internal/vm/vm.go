@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"selfgo/internal/ast"
@@ -86,9 +85,9 @@ type VM struct {
 	// CompileMethod compiles a method customized for rmap (rmap nil
 	// when customization is off).
 	CompileMethod func(m *obj.Method, rmap *obj.Map) (*Code, error)
-	// CompileBlock compiles a block for out-of-line execution; upNames
-	// are the closure's captured variable names.
-	CompileBlock func(b *ast.Block, upNames []string) (*Code, error)
+	// CompileBlock compiles a block for out-of-line execution; cells
+	// names the closure's cells in order (see ir.CaptureNames).
+	CompileBlock func(b *ast.Block, cells []string) (*Code, error)
 
 	// Customize keys the code cache by receiver map.
 	Customize bool
@@ -231,9 +230,9 @@ type linked struct {
 // frame is one activation.
 type frame struct {
 	regs []obj.Value
-	lk   *linked               // the running code and this VM's inline caches for it (see relink)
-	up   map[string]*obj.Value // block frames: captured variables
-	home homeRef               // where a non-local return lands
+	lk   *linked      // the running code and this VM's inline caches for it (see relink)
+	cl   *obj.Closure // block frames: the closure, whose Cells LoadUp and StoreUp index
+	home homeRef      // where a non-local return lands
 	dead bool
 
 	// escaped marks frames a closure has captured (registers by address
@@ -251,6 +250,14 @@ type homeRef struct {
 	fr     *frame
 	resume int32
 	reg    ir.Reg
+}
+
+// closureEnv is what the VM keeps in a closure's Env: the home of its
+// non-local return, and the capture list of the MkBlk that made it,
+// which names the closure's cells.
+type closureEnv struct {
+	home homeRef
+	caps []ir.Capture
 }
 
 // nlr is the panic payload of a non-local return.
@@ -315,7 +322,7 @@ func (vm *VM) blockCode(cl *obj.Closure) (*linked, error) {
 		return l, nil
 	}
 	c, err := vm.cacheGet(codecache.Key{Blk: b, Strat: vm.Strategy}, func() (*Code, error) {
-		return vm.CompileBlock(b, upNamesOf(cl))
+		return vm.CompileBlock(b, ir.CaptureNames(cl.Env.(*closureEnv).caps))
 	})
 	if err != nil {
 		return nil, err
@@ -323,15 +330,6 @@ func (vm *VM) blockCode(cl *obj.Closure) (*linked, error) {
 	l := vm.link(c)
 	vm.blocks[b] = l
 	return l, nil
-}
-
-func upNamesOf(cl *obj.Closure) []string {
-	names := make([]string, 0, len(cl.UpLocals))
-	for n := range cl.UpLocals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // link returns this VM's linked form of c, with fresh inline caches the
@@ -658,33 +656,21 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				continue
 			}
 		case ir.CmpBr:
-			if in.bounds {
-				st.BoundsChecks++
-			}
-			taken := cmpTaken(in.COp, fr.regs[in.A], fr.regs[in.B])
-			target := in.F
-			if taken {
-				target = in.T
-			}
+			taken, target := branch(st, in, fr)
 			if bbvOn {
 				ver = vm.bbvEdge(code, ver, pc, taken, target)
 			}
 			pc = target
 			continue
 		case ir.TypeTest:
+			taken, elided := false, false
 			if bbvOn && ver != nil && ver.BranchPC == pc && ver.Elide != bbvElideNone {
-				if taken, ok := vm.bbvElide(st, ver, in); ok {
-					target := in.F
-					if taken {
-						target = in.T
-					}
-					ver = vm.bbvEdge(code, ver, pc, taken, target)
-					pc = target
-					continue
-				}
+				taken, elided = vm.bbvElide(st, ver, in)
 			}
-			st.TypeTests++
-			taken := vm.World.MapOf(fr.regs[in.A]) == in.TestMap
+			if !elided {
+				st.TypeTests++
+				taken = vm.World.MapOf(fr.regs[in.A]) == in.TestMap
+			}
 			target := in.F
 			if taken {
 				target = in.T
@@ -730,17 +716,9 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			}
 			panic(nlr{ref: fr.home, val: fr.regs[in.A]})
 		case ir.LoadUp:
-			p := fr.up[in.Sel]
-			if p == nil {
-				return fault(&RuntimeError{Msg: "unbound up-level variable " + in.Sel}, code, pc)
-			}
-			fr.regs[in.Dst] = *p
+			fr.regs[in.Dst] = *fr.cl.Cells[in.Index]
 		case ir.StoreUp:
-			p := fr.up[in.Sel]
-			if p == nil {
-				return fault(&RuntimeError{Msg: "unbound up-level variable " + in.Sel}, code, pc)
-			}
-			*p = fr.regs[in.A]
+			*fr.cl.Cells[in.Index] = fr.regs[in.A]
 
 		// Superinstructions (fuse.go): each executes its constituents
 		// exactly in order, bailing out — with an uncharge of the
@@ -816,14 +794,11 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				pc = in.F
 				continue
 			}
-			if f.bounds {
-				st.BoundsChecks++
+			taken, target := branch(st, f, fr)
+			if bbvOn {
+				ver = vm.bbvEdge(code, ver, pc, taken, target)
 			}
-			if cmpTaken(f.COp, fr.regs[f.A], fr.regs[f.B]) {
-				pc = f.T
-			} else {
-				pc = f.F
-			}
+			pc = target
 			continue
 		case opArithJmp:
 			f := in.Fused
@@ -839,6 +814,9 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			}
 			if trackHot && f.T <= pc {
 				vm.noteBackedge(code)
+			}
+			if bbvOn {
+				ver = vm.bbvEdge(code, ver, pc, true, f.T)
 			}
 			pc = f.T
 			continue
@@ -856,14 +834,11 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				pc = f.F
 				continue
 			}
-			if g.bounds {
-				st.BoundsChecks++
+			taken, target := branch(st, g, fr)
+			if bbvOn {
+				ver = vm.bbvEdge(code, ver, pc, taken, target)
 			}
-			if cmpTaken(g.COp, fr.regs[g.A], fr.regs[g.B]) {
-				pc = g.T
-			} else {
-				pc = g.F
-			}
+			pc = target
 			continue
 		case opVecLenCmpBr:
 			f := in.Fused
@@ -873,14 +848,11 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return fault(&RuntimeError{Msg: "vecLen of non-vector"}, code, pc)
 			}
 			fr.regs[in.Dst] = obj.Int(int64(len(o.Elems)))
-			if f.bounds {
-				st.BoundsChecks++
+			taken, target := branch(st, f, fr)
+			if bbvOn {
+				ver = vm.bbvEdge(code, ver, pc, taken, target)
 			}
-			if cmpTaken(f.COp, fr.regs[f.A], fr.regs[f.B]) {
-				pc = f.T
-			} else {
-				pc = f.F
-			}
+			pc = target
 			continue
 		default:
 			return fault(&RuntimeError{Msg: "bad opcode " + in.Op.String()}, code, pc)
@@ -989,22 +961,31 @@ func arithVal(st *RunStats, in *Instr, fr *frame) (branchF bool, err error) {
 	return false, nil
 }
 
-func cmpTaken(op ir.CmpKind, a, b obj.Value) bool {
-	switch op {
-	case ir.LT:
-		return a.I() < b.I()
-	case ir.LE:
-		return a.I() <= b.I()
-	case ir.GT:
-		return a.I() > b.I()
-	case ir.GE:
-		return a.I() >= b.I()
-	case ir.EQ:
-		return a.Eq(b)
-	case ir.NE:
-		return !a.Eq(b)
+// branch executes the compare-branch in, reporting which edge it takes
+// and where that leads.
+func branch(st *RunStats, in *Instr, fr *frame) (taken bool, target int) {
+	if in.bounds {
+		st.BoundsChecks++
 	}
-	return false
+	a, b := fr.regs[in.A], fr.regs[in.B]
+	switch in.COp {
+	case ir.LT:
+		taken = a.I() < b.I()
+	case ir.LE:
+		taken = a.I() <= b.I()
+	case ir.GT:
+		taken = a.I() > b.I()
+	case ir.GE:
+		taken = a.I() >= b.I()
+	case ir.EQ:
+		taken = a.Eq(b)
+	case ir.NE:
+		taken = !a.Eq(b)
+	}
+	if taken {
+		return true, in.T
+	}
+	return false, in.F
 }
 
 // chargeBytes charges the modelled bytes of an n-Value storage
@@ -1048,7 +1029,7 @@ func (vm *VM) cloneObject(src *obj.Object) *obj.Object {
 // earlier abandoned epoch), so if the value is bound to the current
 // arena epoch it can now outlive it — mark the epoch escaped, and the
 // next Arena.Reset will abandon its chunks to the GC instead of
-// recycling them. Blocks are conservative: a closure's UpLocals alias
+// recycling them. Blocks are conservative: a closure's Cells alias
 // frame slots that stay writable after the store, so any block
 // crossing an epoch boundary escapes the epoch. The fast half is the
 // inlined `o.Ep != vm.curEp` compare at each store site.
@@ -1126,31 +1107,27 @@ func (vm *VM) makeClone(st *RunStats, fr *frame, in *Instr) error {
 func (vm *VM) makeBlock(st *RunStats, fr *frame, in *Instr) {
 	fr.escaped = true
 	st.Allocs++
-	cl := &obj.Closure{Ast: in.Blk, Map: vm.World.BlockMap, UpLocals: map[string]*obj.Value{}}
-	for _, cap := range in.Caps {
+	cells := make([]*obj.Value, len(in.Caps))
+	for i, cap := range in.Caps {
 		switch {
-		case cap.ByValue && cap.FromUp:
-			v := *fr.up[cap.Name]
-			cl.UpLocals[cap.Name] = &v
+		case cap.FromUp:
+			cells[i] = fr.cl.Cells[cap.Src]
 		case cap.ByValue:
 			v := fr.regs[cap.Src]
-			cl.UpLocals[cap.Name] = &v
-		case cap.FromUp:
-			cl.UpLocals[cap.Name] = fr.up[cap.Name]
+			cells[i] = &v
 		default:
-			cl.UpLocals[cap.Name] = &fr.regs[cap.Src]
+			cells[i] = &fr.regs[cap.Src]
 		}
 	}
 	// The closure's home for non-local return: a landing in this frame
 	// when the home method was inlined here, otherwise this frame's own
 	// home (method frames are their own home; block frames inherited
 	// theirs).
+	env := &closureEnv{home: fr.home, caps: in.Caps}
 	if in.Resume >= 0 {
-		cl.Home = homeRef{fr: fr, resume: int32(in.Resume), reg: in.A}
-	} else {
-		cl.Home = fr.home
+		env.home = homeRef{fr: fr, resume: int32(in.Resume), reg: in.A}
 	}
-	fr.regs[in.Dst] = obj.Blk(cl)
+	fr.regs[in.Dst] = obj.Blk(&obj.Closure{Ast: in.Blk, Map: vm.World.BlockMap, Env: env, Cells: cells})
 }
 
 // failError builds the error for an ir.Fail instruction, classifying by
@@ -1368,8 +1345,8 @@ func (vm *VM) invokeClosure(cl *obj.Closure, args []obj.Value) (obj.Value, error
 	if err != nil {
 		return obj.Nil(), err
 	}
-	fr.up = cl.UpLocals
-	fr.home, _ = cl.Home.(homeRef)
+	fr.cl = cl
+	fr.home = cl.Env.(*closureEnv).home
 	fr.setArgs(code, args)
 	defer func() {
 		fr.dead = true

@@ -197,17 +197,64 @@ func TestMissHandlerCostModel(t *testing.T) {
 	}
 }
 
+// TestClosureCapturesByReference: a closure's cells alias the variables
+// it captures — through a nested closure too — except parameters, whose
+// cells hold the value of their own binding; and closures of one block
+// literal made in different inlined copies of its method share one cell
+// layout, so they share its compiled code.
 func TestClosureCapturesByReference(t *testing.T) {
-	h := newHarness(t, core.ST80, `
-	go = ( | c <- 0. blk |
-		blk: [ c: c + 1 ].
-		blk value. blk value.
-		c ).`)
-	if v := h.call(t, "go"); !v.Eq(obj.Int(2)) {
-		t.Fatalf("got %v", v)
+	cases := []struct {
+		name        string
+		cfg         core.Config
+		src         string
+		want        int64
+		blockValues int64 // at least this many out-of-line invocations
+		mkBlks      int   // at least this many MkBlk of one block in go
+	}{
+		{"assign", core.ST80, `
+		go = ( | c <- 0. blk |
+			blk: [ c: c + 1 ].
+			blk value. blk value.
+			c ).`, 2, 2, 0},
+		{"nested assign", core.ST80, `
+		go = ( | c <- 0. outer |
+			outer: [ | inner | inner: [ c: c + 10 ]. inner value. inner value ].
+			outer value.
+			c ).`, 20, 3, 0},
+		{"parameter by value", core.NewSELF, `
+		go = ( | v |
+			v: (vector copySize: 3).
+			0 upTo: 3 Do: [ :i | v at: i Put: [ i * 10 ] ].
+			((v at: 0) value + (v at: 1) value) + (v at: 2) value ).`, 30, 3, 0},
+		{"two inlined copies", core.NewSELF, `
+		mk: n = ( [ n * 2 ] ).
+		go = ( | v |
+			v: (vector copySize: 2).
+			v at: 0 Put: (mk: 3).
+			v at: 1 Put: (mk: 40).
+			(v at: 0) value + (v at: 1) value ).`, 86, 2, 2},
 	}
-	if h.vm.Stats.BlockValues == 0 {
-		t.Error("no closure invocations recorded (blocks should be dynamic under ST-80)")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t, c.cfg, c.src)
+			if v := h.call(t, "go"); !v.Eq(obj.Int(c.want)) {
+				t.Fatalf("got %v, want %d", v, c.want)
+			}
+			if h.vm.Stats.BlockValues < c.blockValues {
+				t.Errorf("%d closure invocations, want at least %d", h.vm.Stats.BlockValues, c.blockValues)
+			}
+			made := map[*ast.Block]int{}
+			most := 0
+			for _, in := range h.codeFor(t, "go").Instrs {
+				if in.Op == ir.MkBlk {
+					made[in.Blk]++
+					most = max(most, made[in.Blk])
+				}
+			}
+			if most < c.mkBlks {
+				t.Errorf("go makes at most %d closures of one block literal, want %d", most, c.mkBlks)
+			}
+		})
 	}
 }
 

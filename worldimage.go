@@ -3,7 +3,6 @@ package selfgo
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -73,11 +72,10 @@ func (s *System) SaveImage(out io.Writer, progs []*EvalProgram) (*ImageInfo, err
 }
 
 // manifestEntries drains the code cache into pointer-form manifest
-// entries. Block entries need the capture-name list their compilation
-// used; it is recovered from the MkBlk instructions of the cached
-// codes (the VM derives it the same way, by sorting the closure's
-// captured names), and a block no cached code creates anymore is
-// skipped — nothing could ever run it.
+// entries. Block entries need the cell names their compilation used;
+// they are the capture names of the MkBlk instructions of the cached
+// codes (as they are for the VM), and a block no cached code creates
+// anymore is skipped — nothing could ever run it.
 func (s *System) manifestEntries() ([]image.Manifest, int) {
 	type kc struct {
 		k codecache.Key
@@ -92,15 +90,9 @@ func (s *System) manifestEntries() ([]image.Manifest, int) {
 			if in.Op != ir.MkBlk || in.Blk == nil {
 				continue
 			}
-			if _, ok := upNames[in.Blk]; ok {
-				continue
+			if _, ok := upNames[in.Blk]; !ok {
+				upNames[in.Blk] = ir.CaptureNames(in.Caps)
 			}
-			names := make([]string, 0, len(in.Caps))
-			for _, cap := range in.Caps {
-				names = append(names, cap.Name)
-			}
-			sort.Strings(names)
-			upNames[in.Blk] = names
 		}
 	}
 	var out []image.Manifest
