@@ -24,35 +24,41 @@ var digestBudget = selfgo.Budget{MaxInstrs: 300_000}
 
 // codeDigest is one cell of the pinned file: Raw hashes the compiler's
 // linearization over virtual registers — every decision the compiler
-// makes, register numbering included — and Alloc the allocated code
-// that ships. A change to the register allocator alone moves Alloc and
-// must leave Raw byte-identical.
+// makes, register numbering included — Alloc the allocated code, and
+// Fused that code after superinstruction fusion, the stream that ships.
+// A change to the register allocator alone moves Alloc (and Fused) and
+// must leave Raw byte-identical; a change to fusion alone moves Fused.
 type codeDigest struct {
 	Raw   string `json:"raw"`
 	Alloc string `json:"alloc"`
+	Fused string `json:"fused"`
 }
 
 // compileDigest runs p cold and hashes, in assembly order, the
 // disassembly of every Code the run compiles.
 func compileDigest(t *testing.T, cfg selfgo.Config, mode selfgo.TierMode, p allocProgram) codeDigest {
 	t.Helper()
-	hr, ha := sha256.New(), sha256.New()
+	hr, ha, hf := sha256.New(), sha256.New(), sha256.New()
 	vm.TestHookAssemble = func(raw, c *vm.Code) *vm.Code {
 		hr.Write([]byte(raw.Disasm()))
 		ha.Write([]byte(c.Disasm()))
+		// Every preset fuses, so fusing here leaves the pipeline's own
+		// Fuse nothing to do and the run unchanged.
+		vm.Fuse(c)
+		hf.Write([]byte(c.Disasm()))
 		return c
 	}
 	defer func() { vm.TestHookAssemble = nil }()
 	if out := allocRun(t, cfg, mode, p, digestBudget); out.Msg != "" && out.Kind != selfgo.KindOutOfFuel {
 		t.Errorf("%s under %s: %s", p.name, cfg.Name, out.Msg)
 	}
-	return codeDigest{Raw: hex.EncodeToString(hr.Sum(nil)), Alloc: hex.EncodeToString(ha.Sum(nil))}
+	return codeDigest{Raw: hex.EncodeToString(hr.Sum(nil)), Alloc: hex.EncodeToString(ha.Sum(nil)), Fused: hex.EncodeToString(hf.Sum(nil))}
 }
 
 // TestCompileDigest is the oracle for "same decisions, made faster":
 // testdata/compile_digest.json pins the code every benchmark and
 // conformance program compiles to under each preset, eager tier and
-// strategy, two hashes per cell (codeDigest). A compiler change that
+// strategy, three hashes per cell (codeDigest). A compiler change that
 // is meant to alter no decision must pass it unchanged; one that is
 // meant to regenerates the file with
 // `go test -run TestCompileDigest -update-digest .` and says so; a
@@ -102,6 +108,8 @@ func TestCompileDigest(t *testing.T) {
 						t.Errorf("%s: the compiler's output changed (raw %.12s, pinned %.12s)", key, g.Raw, w.Raw)
 					} else if g.Alloc != w.Alloc {
 						t.Errorf("%s: register allocation changed (alloc %.12s, pinned %.12s; raw unchanged)", key, g.Alloc, w.Alloc)
+					} else if g.Fused != w.Fused {
+						t.Errorf("%s: the fused stream changed (fused %.12s, pinned %.12s; raw and alloc unchanged)", key, g.Fused, w.Fused)
 					}
 				}
 			}
