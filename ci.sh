@@ -334,7 +334,7 @@ go test -run 'TestCheckAllocation' ./internal/vm
 # dispatch at most half the entries they retire instructions.
 echo "== fusion differential"
 go test -run 'TestFusedVsUnfused' .
-go test -run 'TestFuse' ./internal/vm
+go test -run 'TestFuse|TestInstrRecord|TestOperandRoles' ./internal/vm
 
 # Compile digest + determinism: the compiler makes the decisions pinned
 # in testdata/compile_digest.json (every program × preset × eager tier ×

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"selfgo/internal/ast"
@@ -59,35 +60,13 @@ func (cp *compilation) primOne(f *flow, base string, rr ir.Reg, args []ir.Reg, f
 	if !cp.cfg.InlinePrimitives {
 		return cp.emitPrimOp(f, base, rr, args, failReg)
 	}
+	if op := slices.Index(ir.ArithPrims[:], base); op >= 0 {
+		return cp.intArith(f, ir.ArithKind(op), rr, args, failReg, sc)
+	}
+	if op := slices.Index(ir.CmpPrims[:], base); op >= 0 {
+		return cp.intCmp(f, ir.CmpKind(op), rr, args, failReg, sc)
+	}
 	switch base {
-	case "_IntAdd:":
-		return cp.intArith(f, ir.Add, rr, args, failReg, sc)
-	case "_IntSub:":
-		return cp.intArith(f, ir.Sub, rr, args, failReg, sc)
-	case "_IntMul:":
-		return cp.intArith(f, ir.Mul, rr, args, failReg, sc)
-	case "_IntDiv:":
-		return cp.intArith(f, ir.Div, rr, args, failReg, sc)
-	case "_IntMod:":
-		return cp.intArith(f, ir.Mod, rr, args, failReg, sc)
-	case "_IntAnd:":
-		return cp.intArith(f, ir.BAnd, rr, args, failReg, sc)
-	case "_IntOr:":
-		return cp.intArith(f, ir.BOr, rr, args, failReg, sc)
-	case "_IntXor:":
-		return cp.intArith(f, ir.BXor, rr, args, failReg, sc)
-	case "_IntLT:":
-		return cp.intCmp(f, ir.LT, rr, args, failReg, sc)
-	case "_IntLE:":
-		return cp.intCmp(f, ir.LE, rr, args, failReg, sc)
-	case "_IntGT:":
-		return cp.intCmp(f, ir.GT, rr, args, failReg, sc)
-	case "_IntGE:":
-		return cp.intCmp(f, ir.GE, rr, args, failReg, sc)
-	case "_IntEQ:":
-		return cp.intCmp(f, ir.EQ, rr, args, failReg, sc)
-	case "_IntNE:":
-		return cp.intCmp(f, ir.NE, rr, args, failReg, sc)
 	case "_Eq:":
 		return cp.identityEq(f, rr, args)
 	case "_At:":
@@ -195,18 +174,14 @@ func (cp *compilation) arithCore(f *flow, op ir.ArithKind, dst, rr, ar ir.Reg, f
 	// generation, independent of range analysis.
 	if ca, okA := types.Constant(f.env.get(rr)); okA {
 		if cb, okB := types.Constant(f.env.get(ar)); okB {
-			divZero := (op == ir.Div || op == ir.Mod) && cb.I() == 0
-			if !divZero {
-				v := foldArith(op, ca.I(), cb.I())
-				if v >= obj.MinSmallInt && v <= obj.MaxSmallInt {
-					n := cp.g.NewNode(ir.Const)
-					n.Dst = dst
-					n.Val = obj.Int(v)
-					cp.emit(f, n)
-					f.env.set(dst, types.NewVal(obj.Int(v), cp.intMap()))
-					cp.stats.FoldedPrims++
-					return []*flow{f}
-				}
+			if v, ok := op.Eval(ca.I(), cb.I()); ok && v >= obj.MinSmallInt && v <= obj.MaxSmallInt {
+				n := cp.g.NewNode(ir.Const)
+				n.Dst = dst
+				n.Val = obj.Int(v)
+				cp.emit(f, n)
+				f.env.set(dst, types.NewVal(obj.Int(v), cp.intMap()))
+				cp.stats.FoldedPrims++
+				return []*flow{f}
 			}
 		}
 	}
@@ -258,28 +233,6 @@ func (cp *compilation) arithCore(f *flow, op ir.ArithKind, dst, rr, ar ir.Reg, f
 	}
 	okFlow.env.set(dst, z)
 	return []*flow{okFlow}
-}
-
-func foldArith(op ir.ArithKind, a, b int64) int64 {
-	switch op {
-	case ir.Add:
-		return a + b
-	case ir.Sub:
-		return a - b
-	case ir.Mul:
-		return a * b
-	case ir.Div:
-		return a / b
-	case ir.Mod:
-		return a % b
-	case ir.BAnd:
-		return a & b
-	case ir.BOr:
-		return a | b
-	case ir.BXor:
-		return a ^ b
-	}
-	return 0
 }
 
 // intCmp inlines an integer comparison primitive: folded outright when
@@ -518,7 +471,7 @@ func (cp *compilation) boundsCheck(f *flow, vec, idx ir.Reg, fails *[]*flow) *fl
 		n.A = idx
 		n.B = zero
 		n.COp = ir.GE
-		n.Note = "bounds(lower)"
+		n.Bounds, n.Note = true, "bounds(lower)"
 		cp.emit(f, n)
 		pass := &flow{from: n, slot: 0, env: f.env.clone(), uncommon: f.uncommon, copied: f.copied}
 		pass.copyFacts(f)
@@ -567,7 +520,7 @@ func (cp *compilation) boundsCheck(f *flow, vec, idx ir.Reg, fails *[]*flow) *fl
 	n.A = idx
 	n.B = ln
 	n.COp = ir.LT
-	n.Note = "bounds(upper)"
+	n.Bounds, n.Note = true, "bounds(upper)"
 	cp.emit(f, n)
 	pass := &flow{from: n, slot: 0, env: f.env.clone(), uncommon: f.uncommon, copied: f.copied}
 	pass.copyFacts(f)
@@ -701,7 +654,7 @@ func (cp *compilation) newVec(f *flow, rr ir.Reg, args []ir.Reg, failReg ir.Reg,
 			n.A = size
 			n.B = zero
 			n.COp = ir.GE
-			n.Note = "bounds(size)"
+			n.Bounds, n.Note = true, "bounds(size)"
 			cp.emit(ok, n)
 			pass := &flow{from: n, slot: 0, env: ok.env.clone(), uncommon: ok.uncommon}
 			pass.copyFacts(ok)

@@ -106,6 +106,49 @@ func (c CmpKind) String() string {
 	return [...]string{"<", "<=", ">", ">=", "=", "!="}[c]
 }
 
+// ArithPrims and CmpPrims name the integer primitives by the operation
+// they perform.
+var (
+	ArithPrims = [...]string{Add: "_IntAdd:", Sub: "_IntSub:", Mul: "_IntMul:", Div: "_IntDiv:",
+		Mod: "_IntMod:", BAnd: "_IntAnd:", BOr: "_IntOr:", BXor: "_IntXor:"}
+	CmpPrims = [...]string{LT: "_IntLT:", LE: "_IntLE:", GT: "_IntGT:", GE: "_IntGE:", EQ: "_IntEQ:", NE: "_IntNE:"}
+)
+
+// Eval is x <a> y on integers; ok is false for a division or modulo by
+// zero.
+func (a ArithKind) Eval(x, y int64) (v int64, ok bool) {
+	switch a {
+	case Add:
+		v = x + y
+	case Sub:
+		v = x - y
+	case Mul:
+		v = x * y
+	case Div:
+		if y == 0 {
+			return 0, false
+		}
+		v = x / y
+	case Mod:
+		if y == 0 {
+			return 0, false
+		}
+		v = x % y
+	case BAnd:
+		v = x & y
+	case BOr:
+		v = x | y
+	case BXor:
+		v = x ^ y
+	}
+	return v, true
+}
+
+// Eval reports whether x <c> y holds on integers.
+func (c CmpKind) Eval(x, y int64) bool {
+	return [...]bool{LT: x < y, LE: x <= y, GT: x > y, GE: x >= y, EQ: x == y, NE: x != y}[c]
+}
+
 // Capture names one variable captured by a closure, and where its cell
 // comes from: the enclosing activation's register Src, or — FromUp,
 // when the enclosing activation is itself a block — that closure's
@@ -146,6 +189,7 @@ type Node struct {
 	AOp     ArithKind
 	COp     CmpKind
 	Checked bool     // Arith: overflow check present
+	Bounds  bool     // CmpBr: an array bounds check (the run-time statistics count them)
 	TestMap *obj.Map // TypeTest target map
 	Callee  *Callee  // Call target
 	Blk     *ast.Block
@@ -275,7 +319,7 @@ func (g *Graph) ComputeStats() Stats {
 				s.OverflowChecks++
 			}
 		case CmpBr:
-			if strings.HasPrefix(n.Note, "bounds") {
+			if n.Bounds {
 				s.BoundsChecks++
 			}
 		case LoopHead:

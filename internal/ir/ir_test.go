@@ -55,7 +55,7 @@ func TestComputeStats(t *testing.T) {
 	ar := g.NewNode(Arith)
 	ar.Checked = true
 	bc := g.NewNode(CmpBr)
-	bc.Note = "bounds(upper)"
+	bc.Bounds, bc.Note = true, "bounds(upper)"
 	lh := g.NewNode(LoopHead)
 	ret := g.NewNode(Return)
 

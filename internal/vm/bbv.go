@@ -134,13 +134,17 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 
 	for pc := v.Entry; pc >= 0 && pc < len(code.Instrs); pc++ {
 		// in is each constituent in turn, the head with its own Op and its
-		// own share of N; N-1 is what the constituent absorbed.
-		in := code.Instrs[pc]
-		in.N -= int32(in.tailLen(nil))
-		if base, ok := fusedHeadOp(in.Op); ok {
-			in.Op = base
-		}
-		for {
+		// own share of N, then the tails; N-1 is what the constituent
+		// absorbed.
+		head := code.Instrs[pc]
+		head.N -= uint16(code.tailN(&head))
+		base, tails := fusedHeadOp(head.Op)
+		head.Op = base
+		for j := 0; j <= tails; j++ {
+			in := &head
+			if j > 0 {
+				in = &code.tails[int(head.T)+j-1]
+			}
 			bytes += int64(in.N-1) * SizeSimple
 			switch in.Op {
 			case opJmp:
@@ -153,13 +157,13 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 				return
 			case ir.TypeTest:
 				elide := bbv.ElideNone
-				f := ctx.Get(int32(in.A))
+				f, m := ctx.Get(int32(in.A)), code.maps[in.Aux]
 				switch {
 				case f == nil:
 					bytes += SizeTypeTest
-				case f.Map == in.TestMap && f.Shape:
+				case f.Map == m && f.Shape:
 					elide = bbv.ElideTrueShape
-				case f.Map == in.TestMap:
+				case f.Map == m:
 					elide = bbv.ElideTrue
 				case f.Shape:
 					elide = bbv.ElideFalseShape
@@ -171,17 +175,17 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 				// record it as run-time verified — when an elision's stale
 				// guard forces the real test, this is the edge it verified.
 				outT := ctx
-				if f == nil || f.Map != in.TestMap {
-					outT = ctx.With(int32(in.A), in.TestMap, false, bbv.NoShapeGen)
+				if f == nil || f.Map != m {
+					outT = ctx.With(int32(in.A), m, false, bbv.NoShapeGen)
 				}
 				finish(pc, elide, outT, ctx)
 				return
 			case ir.Return, ir.NLReturn, ir.Fail:
-				bytes += int64(instrSize(&in))
+				bytes += int64(code.instrSize(in))
 				finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
 				return
 			case ir.Const:
-				ctx = ctx.With(int32(in.Dst), w.MapOf(in.Val), false, bbv.NoShapeGen)
+				ctx = ctx.With(int32(in.Dst), w.MapOf(code.consts[in.Aux]), false, bbv.NoShapeGen)
 			case ir.Move:
 				ctx = bbvCopyFact(ctx, in.Dst, in.A)
 			case ir.CloneOp:
@@ -208,7 +212,7 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 				set := false
 				if f := ctx.Get(int32(in.A)); f != nil {
 					rg := w.ShapeGen.Load()
-					if tag := w.SlotTypeTag(f.Map, in.Index); tag != nil {
+					if tag := w.SlotTypeTag(f.Map, int(in.Aux)); tag != nil {
 						ctx = ctx.With(int32(in.Dst), tag, true, rg)
 						set = true
 					}
@@ -216,16 +220,12 @@ func (vm *VM) bbvMaterialize(code *Code, v *bbv.Version) {
 				if !set {
 					ctx = ctx.Without(int32(in.Dst))
 				}
-			case ir.Send, ir.Call, ir.PrimOp, ir.LoadE, ir.LoadUp:
-				if in.Dst != ir.NoReg {
+			default: // what else writes a register leaves it unknown
+				if opRoles[in.Op].Dst == rDef && in.Dst != ir.NoReg {
 					ctx = ctx.Without(int32(in.Dst))
 				}
-			} // StoreF, StoreE and StoreUp write no register.
-			bytes += int64(instrSize(&in))
-			if in.Fused == nil {
-				break
 			}
-			in = *in.Fused
+			bytes += int64(code.instrSize(in))
 		}
 	}
 	finish(-1, bbv.ElideNone, bbv.Context{}, bbv.Context{})
@@ -246,13 +246,13 @@ func bbvCopyFact(ctx bbv.Context, dst, src ir.Reg) bbv.Context {
 // which edge the proof takes. Shape-kind elisions are guarded by the
 // current generation at every execution; a stale guard returns false
 // and the caller performs the real test.
-func (vm *VM) bbvElide(st *RunStats, ver *bbv.Version, in *Instr) (taken, ok bool) {
+func (vm *VM) bbvElide(st *RunStats, ver *bbv.Version) (taken, ok bool) {
 	shape := ver.Elide == bbv.ElideTrueShape || ver.Elide == bbv.ElideFalseShape
 	if shape && vm.World.ShapeGen.Load() != ver.ShapeGen {
 		return false, false
 	}
 	st.Instrs--
-	st.Cycles -= staticCost(in) + vm.InstrExtra
+	st.Cycles -= CostTypeTest + vm.InstrExtra
 	if shape {
 		st.BBVElidedShape++
 	} else {

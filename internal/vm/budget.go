@@ -98,7 +98,7 @@ func (vm *VM) startRun(ctx context.Context) {
 // those of the dispatch boundary.)
 func (vm *VM) poll(st *RunStats, code *Code, pc int) error {
 	if vm.Trace != nil {
-		fmt.Fprintf(vm.Trace, "%*s%s @%d: %s\n", vm.depth, "", code.Name, pc, &code.Instrs[pc])
+		fmt.Fprintf(vm.Trace, "%*s%s @%d: %s\n", vm.depth, "", code.Name, pc, code.render(&code.Instrs[pc]))
 		if st.Instrs < vm.budgetAt {
 			return nil
 		}
@@ -119,7 +119,7 @@ func (vm *VM) poll(st *RunStats, code *Code, pc int) error {
 		// The instruction that reached the grid point, counted back from
 		// the entry's last; a head has absorbed N-1-tail ahead of itself.
 		in := &code.Instrs[pc]
-		tail := in.tailLen(nil)
+		tail := code.tailN(in)
 		within := max(tail-int(st.Instrs-at), tail+1-int(in.N))
 		pushFrame(err, code, pc, within)
 	}

@@ -97,20 +97,9 @@ const (
 	SizePrologue = 16 // per compiled method
 )
 
-// arithOpCost is the modelled cycle cost of one arithmetic operation's
-// raw op (before any overflow-check surcharge).
-func arithOpCost(k ir.ArithKind) int64 {
-	switch k {
-	case ir.Mul:
-		return CostMul
-	case ir.Div, ir.Mod:
-		return CostDiv
-	}
-	return CostArith
-}
-
 // staticCost is the compile-time-constant part of an instruction's
-// modelled cycle cost, folded into Instr.Cost at assembly so the hot
+// modelled cycle cost — its op's cost in opRoles, adjusted for what the
+// instruction carries — folded into Instr.Cost at assembly so the hot
 // loop charges one add per dispatch. Ops whose cost is partly or wholly
 // dynamic keep the dynamic remainder in the interpreter:
 //
@@ -125,45 +114,37 @@ func arithOpCost(k ir.ArithKind) int64 {
 // The per-instruction InstrExtra (ST-80 code-quality penalty) is NOT
 // included: it is a VM parameter, not a property of the code, and is
 // charged per constituent in the run loop.
-func staticCost(in *Instr) int64 {
+func (c *Code) staticCost(in *Instr) int64 {
+	cost := opRoles[in.Op].cost
 	switch in.Op {
-	case opJmp:
-		return CostJump
-	case ir.Const:
-		return CostConst
-	case ir.Move:
-		return CostMove
-	case ir.LoadF, ir.StoreF, ir.LoadE, ir.StoreE:
-		return CostLoadStore
-	case ir.VecLen:
-		return CostVecLen
-	case ir.NewVec:
-		return CostNewVecBase
-	case ir.CloneOp:
-		return CostCloneBase
 	case ir.Arith:
-		c := arithOpCost(in.AOp)
-		if in.Checked {
-			c += CostOverflowChk
+		switch in.AOp() {
+		case ir.Mul:
+			cost = CostMul
+		case ir.Div, ir.Mod:
+			cost = CostDiv
 		}
-		return c
-	case ir.CmpBr:
-		return CostCmpBranch
-	case ir.TypeTest:
-		return CostTypeTest
-	case ir.Call:
-		return CostCall
+		if in.Checked() {
+			cost += CostOverflowChk
+		}
 	case ir.MkBlk:
-		return CostMkBlkBase + int64(len(in.Caps))*CostMkBlkPerCap
-	case ir.Fail:
-		return CostFail
-	case ir.Return:
-		return CostReturn
-	case ir.NLReturn:
-		return CostNLReturn
-	case ir.LoadUp, ir.StoreUp:
-		return CostLoadUp
+		cost += int64(c.blocks[in.Aux].caps.n) * CostMkBlkPerCap
 	}
-	// Send, PrimOp: fully dynamic.
-	return 0
+	return cost
+}
+
+// instrSize is the modelled byte size of one linearized instruction —
+// its op's size in opRoles, adjusted for what the instruction carries:
+// what linearize charges into Code.Bytes, and what bbvMaterialize
+// charges for the region a lazy code generator would emit.
+func (c *Code) instrSize(in *Instr) int {
+	switch {
+	case in.Op == ir.Arith && in.Checked():
+		return SizeArithChk
+	case in.Op == ir.Send && in.Direct():
+		return SizeCall
+	case in.Op == ir.MkBlk:
+		return SizeMkBlk + SizeMkBlkCap*int(c.blocks[in.Aux].caps.n)
+	}
+	return opRoles[in.Op].size
 }

@@ -1,6 +1,10 @@
 package vm
 
-import "selfgo/internal/ir"
+import (
+	"math"
+
+	"selfgo/internal/ir"
+)
 
 // Superinstruction fusion: a peephole pass over the linearized stream
 // that takes self-moves out of it and rewrites the hottest adjacent
@@ -27,26 +31,34 @@ const (
 	opVecLenCmpBr     ir.Op = 247 // VecLen; CmpBr (the bounds check of an element access)
 )
 
-// fusedHeadOp maps a fused opcode to the Op of its head constituent
-// (ok=false for ordinary opcodes). The head instruction keeps that
-// constituent's operand fields.
-func fusedHeadOp(op ir.Op) (ir.Op, bool) {
-	switch op {
-	case opMoveMove:
-		return ir.Move, true
-	case opConstArith, opConstArithCmpBr:
-		return ir.Const, true
-	case opVecLenCmpBr:
-		return ir.VecLen, true
-	case opLoadFArith:
-		return ir.LoadF, true
-	case opLoadEArith:
-		return ir.LoadE, true
-	case opArithCmpBr, opArithJmp:
-		return ir.Arith, true
-	}
-	return 0, false
+// fusions lists the ops of every superinstruction's constituents, by
+// fused opcode.
+var fusions = [...][]ir.Op{
+	opMoveMove - opMoveMove:        {ir.Move, ir.Move},
+	opConstArith - opMoveMove:      {ir.Const, ir.Arith},
+	opLoadFArith - opMoveMove:      {ir.LoadF, ir.Arith},
+	opLoadEArith - opMoveMove:      {ir.LoadE, ir.Arith},
+	opArithCmpBr - opMoveMove:      {ir.Arith, ir.CmpBr},
+	opArithJmp - opMoveMove:        {ir.Arith, opJmp},
+	opConstArithCmpBr - opMoveMove: {ir.Const, ir.Arith, ir.CmpBr},
+	opVecLenCmpBr - opMoveMove:     {ir.VecLen, ir.CmpBr},
 }
+
+// fusedHeadOp maps a fused opcode to the Op of its head constituent and
+// the number of tails that follow it in Code.tails (0 for ordinary
+// opcodes, which map to themselves). The head instruction keeps that
+// constituent's operand fields.
+func fusedHeadOp(op ir.Op) (base ir.Op, tails int) {
+	if i := int(op) - int(opMoveMove); i >= 0 && i < len(fusions) {
+		return fusions[i][0], len(fusions[i]) - 1
+	}
+	return op, 0
+}
+
+// maxAbsorbed bounds the self-moves one instruction absorbs, so that a
+// fused group of three still counts into Instr.N. A self-move past the
+// bound stays in the stream, absorbing the run before it.
+const maxAbsorbed = math.MaxUint16/3 - 1
 
 // Fuse rewrites code in place, in two steps over one compaction.
 //
@@ -56,20 +68,22 @@ func fusedHeadOp(op ir.Op) (ir.Op, bool) {
 // are added to the next instruction — a prefix charge, paid exactly
 // when the move would have run, since the two are in one basic block:
 // the next instruction must not be a branch target (a self-move that
-// falls into one stays, as does the last instruction of the stream). A
-// self-move that is itself a branch target hands that on: jumping to it
-// meant running it and then its successor, which is what the successor
-// with the prefix charge now does.
+// falls into one stays, as do the last instruction of the stream and
+// one past maxAbsorbed in a row). A self-move that is a branch target
+// hands that on: jumping to it meant running it and then its successor,
+// which is what the successor with the prefix charge now does.
 //
-// Grouping then combines adjacent survivors into superinstructions. A
+// Grouping then combines adjacent survivors into superinstructions: the
+// head stays in the stream under a fused Op, and the constituents after
+// it go, in order, to Code.tails, the head's T naming the first. A
 // constituent other than the head must not be a branch target: jumping
 // into the middle of a fused group would skip its earlier constituents.
 // (Jumping AT the head is fine — the group executes exactly the
-// instructions the target pc denoted.) Branch targets are remapped from
-// old to new pcs afterwards, including targets held by interior
-// constituents (a fused checked Arith keeps its overflow target), and
-// c.pcs records where each entry's own instruction sat before, so a
-// backtrace reads the same with fusion on and off.
+// instructions the target pc denoted.) Every pc slot (opRoles) is
+// remapped from old to new pcs afterwards, tails' included (a fused
+// checked Arith keeps its overflow target), and c.pcs records where
+// each entry's own instruction sat before, so a backtrace reads the
+// same with fusion on and off.
 //
 // Modelled code Bytes are untouched: fusion is an interpreter-dispatch
 // artifact, not a change to the modelled machine code.
@@ -83,50 +97,28 @@ func Fuse(c *Code) {
 	// Collect branch-target pcs; an instruction that is a target can
 	// only head a group, never sit inside one.
 	target := make([]bool, n)
-	mark := func(pc int) {
-		if pc >= 0 && pc < n {
-			target[pc] = true
-		}
-	}
 	for i := range ins {
-		in := &ins[i]
-		switch in.Op {
-		case opJmp:
-			mark(in.T)
-		case ir.CmpBr, ir.TypeTest:
-			mark(in.T)
-			mark(in.F)
-		case ir.Arith:
-			if in.Checked {
-				mark(in.F)
-			}
-		case ir.MkBlk:
-			if in.Resume >= 0 {
-				mark(in.Resume)
-			}
-		}
+		ins[i].targets(func(pc *int32) { target[*pc] = true })
 	}
 
 	// Survivors: keep[k] is the pc of the k-th instruction that stays.
 	// Everything between two survivors is a self-move the later one
 	// absorbs, target-ness included.
 	keep := make([]int32, 0, n)
+	run := 0
 	for i := range ins {
-		if in := &ins[i]; in.Op == ir.Move && in.Dst == in.A && i+1 < n && !target[i+1] {
+		if in := &ins[i]; in.Op == ir.Move && in.Dst == in.A && i+1 < n && !target[i+1] && run < maxAbsorbed {
 			target[i+1] = target[i]
+			run++
 			continue
 		}
 		keep = append(keep, int32(i))
+		run = 0
 	}
 
-	entries := 0
-	for k := 0; k < len(keep); entries++ {
-		_, g := fuseAt(ins, keep, target, k)
-		k += g
-	}
 	newPC := make([]int32, n)
-	out := make([]Instr, 0, entries)
-	pcs := make([]int32, 0, entries)
+	out, pcs := make([]Instr, 0, len(keep)), make([]int32, 0, len(keep))
+	var tails []Instr
 	// take returns survivor k with what it absorbed charged to it, and
 	// points the pcs it covers at the entry being built.
 	prev := -1 // the last pc already covered
@@ -145,72 +137,51 @@ func Fuse(c *Code) {
 		pcs = append(pcs, keep[k])
 		head := take(k)
 		if g > 1 {
-			head.Op = op
-			subs := make([]Instr, g-1)
-			for j := range subs {
-				subs[j] = take(k + 1 + j)
-				head.N += subs[j].N
-				head.Cost += subs[j].Cost
-				if j > 0 {
-					subs[j-1].Fused = &subs[j]
-				}
+			head.Op, head.T = op, int32(len(tails))
+			for j := 1; j < g; j++ {
+				t := take(k + j)
+				head.N += t.N
+				head.Cost += t.Cost
+				tails = append(tails, t)
 			}
-			head.Fused = &subs[0]
 		}
 		out = append(out, head)
 		k += g
 	}
 
-	for i := range out {
-		for in := &out[i]; in != nil; in = in.Fused {
-			switch in.Op {
-			case opJmp:
-				in.T = int(newPC[in.T])
-			case ir.CmpBr, ir.TypeTest:
-				in.T = int(newPC[in.T])
-				in.F = int(newPC[in.F])
-			case ir.Arith, opArithCmpBr, opArithJmp:
-				// Head Arith of a fused group keeps its own overflow
-				// target, like a plain Arith.
-				if in.Checked {
-					in.F = int(newPC[in.F])
-				}
-			case ir.MkBlk:
-				if in.Resume >= 0 {
-					in.Resume = int(newPC[in.Resume])
-				}
-			}
+	for _, s := range [][]Instr{out, tails} {
+		for i := range s {
+			s[i].targets(func(pc *int32) { *pc = newPC[*pc] })
 		}
 	}
-	c.Instrs, c.pcs = out, pcs
+	c.Instrs, c.tails, c.pcs = out, tails, pcs
+}
+
+// tailN is how many modelled instructions in's tails stand for: its
+// head's own instruction sits that far before the entry's last.
+func (c *Code) tailN(in *Instr) int {
+	_, tails := fusedHeadOp(in.Op)
+	n := 0
+	for j := range tails {
+		n += int(c.tails[int(in.T)+j].N)
+	}
+	return n
 }
 
 // fuseAt reports the fused opcode and group length starting at survivor
-// k (length 1: no fusion). Triples are preferred over pairs.
-func fuseAt(ins []Instr, keep []int32, target []bool, k int) (ir.Op, int) {
-	if k+1 >= len(keep) || target[keep[k+1]] {
-		return 0, 1
+// k (length 1: no fusion): the longest of fusions whose constituents'
+// ops match, none but the first a branch target.
+func fuseAt(ins []Instr, keep []int32, target []bool, k int) (op ir.Op, n int) {
+	n = 1
+	for f, parts := range fusions {
+		match := len(parts) > n && k+len(parts) <= len(keep)
+		for j := 0; match && j < len(parts); j++ {
+			i := keep[k+j]
+			match = ins[i].Op == parts[j] && (j == 0 || !target[i])
+		}
+		if match {
+			op, n = opMoveMove+ir.Op(f), len(parts)
+		}
 	}
-	a, b := ins[keep[k]].Op, ins[keep[k+1]].Op
-	if a == ir.Const && b == ir.Arith &&
-		k+2 < len(keep) && !target[keep[k+2]] && ins[keep[k+2]].Op == ir.CmpBr {
-		return opConstArithCmpBr, 3
-	}
-	switch {
-	case a == ir.Move && b == ir.Move:
-		return opMoveMove, 2
-	case a == ir.Const && b == ir.Arith:
-		return opConstArith, 2
-	case a == ir.LoadF && b == ir.Arith:
-		return opLoadFArith, 2
-	case a == ir.LoadE && b == ir.Arith:
-		return opLoadEArith, 2
-	case a == ir.Arith && b == ir.CmpBr:
-		return opArithCmpBr, 2
-	case a == ir.Arith && b == opJmp:
-		return opArithJmp, 2
-	case a == ir.VecLen && b == ir.CmpBr:
-		return opVecLenCmpBr, 2
-	}
-	return 0, 1
+	return op, n
 }

@@ -60,44 +60,38 @@ func TestFusePreservesModelledTotals(t *testing.T) {
 	fusedAny := false
 	for _, sel := range []string{"sumTo:", "fib:", "quot:Over:", "square:"} {
 		plain := h.codeFor(t, sel)
-		fused := &vm.Code{Name: plain.Name, NumRegs: plain.NumRegs, Bytes: plain.Bytes}
-		fused.Instrs = append(fused.Instrs, plain.Instrs...)
+		fused := plain.Clone()
 		vm.Fuse(fused)
 
 		var plainCost, fusedCost, fusedN int64
 		for i := range plain.Instrs {
-			plainCost += plain.Instrs[i].Cost
+			plainCost += int64(plain.Instrs[i].Cost)
 		}
 		for i := range fused.Instrs {
 			in := &fused.Instrs[i]
 			fusedN += int64(in.N)
-			fusedCost += in.Cost
-			if _, ok := vm.FusedHeadOp(in.Op); ok {
-				fusedAny = true
-				if in.Fused == nil {
-					t.Errorf("%s@%d: fused op with nil chain", sel, i)
-				}
-			} else if in.Fused != nil {
-				t.Errorf("%s@%d: ordinary op carries a fused chain", sel, i)
+			fusedCost += int64(in.Cost)
+			_, tails := vm.FusedHeadOp(in.Op)
+			fusedAny = fusedAny || tails > 0
+			if len(fused.Tails(in)) != tails {
+				t.Errorf("%s@%d: %d tails, want %d", sel, i, len(fused.Tails(in)), tails)
 			}
 			// Branch targets (including those held by interior
 			// constituents) must be valid new pcs.
-			for f := in; f != nil; f = f.Fused {
-				checkTarget := func(pc int, kind string) {
-					if pc < 0 || pc >= len(fused.Instrs) {
+			for _, f := range append([]vm.Instr{*in}, fused.Tails(in)...) {
+				checkTarget := func(pc int32, kind string) {
+					if pc < 0 || int(pc) >= len(fused.Instrs) {
 						t.Errorf("%s@%d: %s target %d out of range [0,%d)", sel, i, kind, pc, len(fused.Instrs))
 					}
 				}
 				switch f.Op {
-				case vm.OpJmp, vm.OpArithJmp:
-					if f.Op == vm.OpJmp {
-						checkTarget(f.T, "jmp")
-					}
+				case vm.OpJmp:
+					checkTarget(f.T, "jmp")
 				case ir.CmpBr, ir.TypeTest:
 					checkTarget(f.T, "T")
 					checkTarget(f.F, "F")
 				}
-				if f.Checked {
+				if f.Checked() {
 					checkTarget(f.F, "ovfl")
 				}
 			}
@@ -253,32 +247,27 @@ func TestFuseRespectsBranchTargets(t *testing.T) {
 	//   3: ret r2
 	// (0,1) must NOT fuse (1 is a target); (1,2) may fuse into
 	// ArithCmpBr, and the loop branch must then point at the fused head.
-	mk := func(in vm.Instr) vm.Instr {
-		in.Cost = vm.StaticCost(&in)
-		in.N = 1
-		return in
-	}
-	c := &vm.Code{Name: "handmade", NumRegs: 4}
-	c.Instrs = []vm.Instr{
-		mk(vm.Instr{Op: ir.Const, Dst: 2, Val: obj.Int(1), Resume: -1}),
-		mk(vm.Instr{Op: ir.Arith, Dst: 2, A: 2, B: 2, AOp: ir.Add, Resume: -1}),
-		mk(vm.Instr{Op: ir.CmpBr, A: 2, B: 3, COp: ir.LT, T: 1, F: 3, Resume: -1}),
-		mk(vm.Instr{Op: ir.Return, A: 2, Resume: -1}),
-	}
+	no := ir.NoReg
+	c := vm.HandCode("handmade", 4, 0,
+		vm.Wide{Op: ir.Const, Dst: 2, A: no, B: no, C: no, Val: obj.Int(1)},
+		vm.Wide{Op: ir.Arith, Dst: 2, A: 2, B: 2, C: no, AOp: ir.Add},
+		vm.Wide{Op: ir.CmpBr, Dst: no, A: 2, B: 3, C: no, COp: ir.LT, T: 1, F: 3},
+		vm.Wide{Op: ir.Return, Dst: no, A: 2, B: no, C: no},
+	)
 	vm.Fuse(c)
 	if len(c.Instrs) != 3 {
 		t.Fatalf("got %d instrs, want 3:\n%s", len(c.Instrs), c.Disasm())
 	}
 	if c.Instrs[0].Op != ir.Const {
-		t.Errorf("instr 0 fused across a branch target: %s", c.Instrs[0])
+		t.Errorf("instr 0 fused across a branch target: %s", c.Render(&c.Instrs[0]))
 	}
 	if c.Instrs[1].Op != vm.OpArithCmpBr {
-		t.Errorf("instr 1 = %s, want fused arith+cmpbr", c.Instrs[1])
+		t.Errorf("instr 1 = %s, want fused arith+cmpbr", c.Render(&c.Instrs[1]))
 	}
-	if got := c.Instrs[1].Fused.T; got != 1 {
+	if got := c.Tails(&c.Instrs[1])[0].T; got != 1 {
 		t.Errorf("loop branch T = %d after remap, want 1 (the fused head)", got)
 	}
-	if got := c.Instrs[1].Fused.F; got != 2 {
+	if got := c.Tails(&c.Instrs[1])[0].F; got != 2 {
 		t.Errorf("loop branch F = %d after remap, want 2 (the return)", got)
 	}
 }
@@ -321,9 +310,9 @@ func TestFusedLoopDensity(t *testing.T) {
 		// The first backward jump closes the first innermost loop.
 		head, tail := -1, -1
 		for pc := range code.Instrs {
-			for f := &code.Instrs[pc]; f != nil && head < 0; f = f.Fused {
-				if f.Op == vm.OpJmp && f.T <= pc {
-					head, tail = f.T, pc
+			for _, f := range append([]vm.Instr{code.Instrs[pc]}, code.Tails(&code.Instrs[pc])...) {
+				if f.Op == vm.OpJmp && int(f.T) <= pc && head < 0 {
+					head, tail = int(f.T), pc
 				}
 			}
 		}
@@ -344,40 +333,30 @@ func TestFusedLoopDensity(t *testing.T) {
 	}
 }
 
-// handInstr fills in what the assembler would for a hand-written
-// instruction: the static cost, N = 1, no failure block, no landing.
-// (The literal itself names absent Dst/A/B/C operands ir.NoReg: left
-// out they would be 0, which is self.)
-func handInstr(in vm.Instr) vm.Instr {
-	in.Cost, in.N, in.Resume, in.FailBlk = vm.StaticCost(&in), 1, -1, ir.NoReg
-	return in
-}
-
 // TestFuseAbsorbsSelfMoves: a self-move leaves the fused stream and
 // its charge moves to the next instruction of its block; one that is a
 // branch target hands that on; one that falls into a branch target
 // stays; and Code.pcs remembers where every entry came from.
 func TestFuseAbsorbsSelfMoves(t *testing.T) {
 	no := ir.NoReg
-	self := handInstr(vm.Instr{Op: ir.Move, Dst: 3, A: 3, B: no, C: no})
-	c := &vm.Code{Name: "handmade", NumRegs: 5}
-	c.Instrs = []vm.Instr{
-		handInstr(vm.Instr{Op: ir.Const, Dst: 2, A: no, B: no, C: no, Val: obj.Int(1)}),
+	self := vm.Wide{Op: ir.Move, Dst: 3, A: 3, B: no, C: no}
+	c := vm.HandCode("handmade", 5, 0,
+		vm.Wide{Op: ir.Const, Dst: 2, A: no, B: no, C: no, Val: obj.Int(1)},
 		self, // absorbed by the Arith
-		handInstr(vm.Instr{Op: ir.Arith, Dst: 2, A: 2, B: 2, C: no, AOp: ir.Add}),
+		vm.Wide{Op: ir.Arith, Dst: 2, A: 2, B: 2, C: no, AOp: ir.Add},
 		self, // a branch target: absorbed by the CmpBr, which becomes the target
-		handInstr(vm.Instr{Op: ir.CmpBr, Dst: no, A: 2, B: 4, C: no, COp: ir.LT, T: 3, F: 6}),
+		vm.Wide{Op: ir.CmpBr, Dst: no, A: 2, B: 4, C: no, COp: ir.LT, T: 3, F: 6},
 		self, // falls into a branch target: stays
-		handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 2, B: no, C: no}),
-	}
+		vm.Wide{Op: ir.Return, Dst: no, A: 2, B: no, C: no},
+	)
 	var cost int64
 	for i := range c.Instrs {
-		cost += c.Instrs[i].Cost
+		cost += int64(c.Instrs[i].Cost)
 	}
 	vm.Fuse(c)
 	type entry struct {
 		op ir.Op
-		n  int32
+		n  uint16
 	}
 	want := []entry{{vm.OpConstArith, 3}, {ir.CmpBr, 2}, {ir.Move, 1}, {ir.Return, 1}}
 	if len(c.Instrs) != len(want) {
@@ -388,12 +367,12 @@ func TestFuseAbsorbsSelfMoves(t *testing.T) {
 		if in := c.Instrs[i]; in.Op != w.op || in.N != w.n {
 			t.Errorf("entry %d: op %d ×%d, want op %d ×%d\n%s", i, in.Op, in.N, w.op, w.n, c.Disasm())
 		}
-		gotCost += c.Instrs[i].Cost
+		gotCost += int64(c.Instrs[i].Cost)
 	}
 	if gotCost != cost {
 		t.Errorf("static cost %d after fusion, %d before", gotCost, cost)
 	}
-	if f := c.Instrs[0].Fused; f == nil || f.N != 2 {
+	if f := c.Tails(&c.Instrs[0]); len(f) != 1 || f[0].N != 2 {
 		t.Errorf("the Arith constituent does not carry the self-move it absorbed:\n%s", c.Disasm())
 	}
 	if br := c.Instrs[1]; br.T != 1 || br.F != 3 {
@@ -417,16 +396,15 @@ func TestFuseAbsorbsSelfMoves(t *testing.T) {
 func TestBBVVersionsFusedEntries(t *testing.T) {
 	no := ir.NoReg
 	build := func(w *obj.World) *vm.Code {
-		c := &vm.Code{Name: "handmade", NumRegs: 5, NumParams: 2}
-		c.Instrs = []vm.Instr{
-			handInstr(vm.Instr{Op: ir.Const, Dst: 4, A: no, B: no, C: no, Val: obj.Int(7)}),
-			handInstr(vm.Instr{Op: ir.Move, Dst: 4, A: 4, B: no, C: no}), // absorbed by the TypeTest
-			handInstr(vm.Instr{Op: ir.TypeTest, Dst: no, A: 4, B: no, C: no, TestMap: w.IntMap, T: 3, F: 6}),
-			handInstr(vm.Instr{Op: ir.Arith, Dst: 4, A: 4, B: 2, C: no, AOp: ir.Add}),
-			handInstr(vm.Instr{Op: ir.CmpBr, Dst: no, A: 4, B: 3, C: no, COp: ir.LT, T: 5, F: 6}),
-			handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 4, B: no, C: no}),
-			handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 2, B: no, C: no}),
-		}
+		c := vm.HandCode("handmade", 5, 2,
+			vm.Wide{Op: ir.Const, Dst: 4, A: no, B: no, C: no, Val: obj.Int(7)},
+			vm.Wide{Op: ir.Move, Dst: 4, A: 4, B: no, C: no}, // absorbed by the TypeTest
+			vm.Wide{Op: ir.TypeTest, Dst: no, A: 4, B: no, C: no, TestMap: w.IntMap, T: 3, F: 6},
+			vm.Wide{Op: ir.Arith, Dst: 4, A: 4, B: 2, C: no, AOp: ir.Add},
+			vm.Wide{Op: ir.CmpBr, Dst: no, A: 4, B: 3, C: no, COp: ir.LT, T: 5, F: 6},
+			vm.Wide{Op: ir.Return, Dst: no, A: 4, B: no, C: no},
+			vm.Wide{Op: ir.Return, Dst: no, A: 2, B: no, C: no},
+		)
 		vm.EnableBBV(c, 0)
 		return c
 	}
@@ -474,19 +452,17 @@ func TestBBVVersionsFusedEntries(t *testing.T) {
 // stream on both outcomes.
 func TestFusedTailUnchargedByN(t *testing.T) {
 	no := ir.NoReg
-	self := handInstr(vm.Instr{Op: ir.Move, Dst: 4, A: 4, B: no, C: no})
+	self := vm.Wide{Op: ir.Move, Dst: 4, A: 4, B: no, C: no}
 	build := func() *vm.Code {
-		c := &vm.Code{Name: "handmade", NumRegs: 5, NumParams: 2}
-		c.Instrs = []vm.Instr{
-			handInstr(vm.Instr{Op: ir.Arith, Dst: 4, A: 2, B: 3, C: no, AOp: ir.Mul, Checked: true, F: 5}),
+		return vm.HandCode("handmade", 5, 2,
+			vm.Wide{Op: ir.Arith, Dst: 4, A: 2, B: 3, C: no, AOp: ir.Mul, Checked: true, F: 5},
 			self,
 			self,
-			handInstr(vm.Instr{Op: vm.OpJmp, Dst: no, A: no, B: no, C: no, T: 4}),
-			handInstr(vm.Instr{Op: ir.Return, Dst: no, A: 4, B: no, C: no}),
-			handInstr(vm.Instr{Op: ir.Const, Dst: 4, A: no, B: no, C: no, Val: obj.Int(-1)}),
-			handInstr(vm.Instr{Op: vm.OpJmp, Dst: no, A: no, B: no, C: no, T: 4}),
-		}
-		return c
+			vm.Wide{Op: vm.OpJmp, Dst: no, A: no, B: no, C: no, T: 4},
+			vm.Wide{Op: ir.Return, Dst: no, A: 4, B: no, C: no},
+			vm.Wide{Op: ir.Const, Dst: 4, A: no, B: no, C: no, Val: obj.Int(-1)},
+			vm.Wide{Op: vm.OpJmp, Dst: no, A: no, B: no, C: no, T: 4},
+		)
 	}
 	fused := build()
 	vm.Fuse(fused)

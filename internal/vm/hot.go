@@ -61,19 +61,19 @@ func (vm *VM) Harvest(code *Code) *types.Feedback {
 	over := map[string]bool{}
 	for i := range code.Instrs {
 		in := &code.Instrs[i]
-		if in.Op != ir.Send || in.Direct || over[in.Sel] {
+		if in.Op != ir.Send || in.Direct() || over[code.sites[in.Aux].Sel] {
 			continue
 		}
-		ic := &ics[in.IC]
+		sel, ic := code.sites[in.Aux].Sel, &ics[in.Aux] // a site's index is its cache's
 		if ic.m != nil {
-			fb.Add(in.Sel, ic.m)
+			fb.Add(sel, ic.m)
 		}
 		for j := range ic.pic {
-			fb.Add(in.Sel, ic.pic[j].m)
+			fb.Add(sel, ic.pic[j].m)
 		}
-		if len(fb.Maps(in.Sel)) > maxFeedbackMaps {
-			fb.Drop(in.Sel)
-			over[in.Sel] = true
+		if len(fb.Maps(sel)) > maxFeedbackMaps {
+			fb.Drop(sel)
+			over[sel] = true
 		}
 	}
 	return fb

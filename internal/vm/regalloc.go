@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/bits"
+	"slices"
 
 	"selfgo/internal/ir"
 )
@@ -61,33 +62,38 @@ func allocRegs(c *Code) {
 	}
 	id[RegSelf] = 0
 	regs, ops := []ir.Reg{RegSelf}, []ir.Reg(nil) // regs: id -> virtual register
+	defs := make([]ir.Reg, len(ins))              // the register each instruction writes
 	for i := range ins {
-		ops = ins[i].appendUses(ops[:0])
-		if d := ins[i].Dst; d != ir.NoReg {
-			ops = append(ops, d)
-		}
-		for _, r := range ops {
-			if id[r] < 0 {
+		ops, defs[i] = c.operands(ops[:0], &ins[i])
+		for _, r := range append(ops, defs[i]) {
+			if r != ir.NoReg && id[r] < 0 {
 				id[r] = int32(len(regs))
 				regs = append(regs, r)
 			}
 		}
 	}
+	// uses returns the registers instruction i reads.
+	uses := func(i int) []ir.Reg {
+		ops, _ = c.operands(ops[:0], &ins[i])
+		return slices.DeleteFunc(ops, func(r ir.Reg) bool { return r == ir.NoReg })
+	}
 	nr := len(regs)
 	words := (nr + 63) / 64
 
-	// Basic blocks: block b is pcs [starts[b], starts[b+1]). A checked
-	// Arith ends its block: it writes Dst on the fall-through edge only,
-	// so that kill belongs to the edge.
-	ovf := func(i int) bool { return ins[i].Op == ir.Arith && ins[i].Checked }
+	// Basic blocks: block b is pcs [starts[b], starts[b+1]). An
+	// instruction that both falls through and branches (a checked Arith)
+	// ends its block: it writes on the fall-through edge only, so that
+	// kill belongs to the edge.
+	ovf := func(i int) bool {
+		s0, s1, _ := ins[i].succs(i)
+		return s0 == i+1 && s1 >= 0 && defs[i] != ir.NoReg
+	}
 	leader := make([]bool, len(ins)+1)
 	leader[0] = true
 	for i := range ins {
-		if ins[i].Op == ir.MkBlk && ins[i].Resume >= 0 {
-			leader[ins[i].Resume] = true // a landing starts a block too
-		}
-		if s0, s1, ends := flow(ins, i); ends {
-			leader[i+1], leader[max(s0, 0)], leader[max(s1, 0)] = true, true, true
+		ins[i].targets(func(pc *int32) { leader[*pc] = true }) // a landing starts a block too
+		if _, _, ends := ins[i].succs(i); ends {
+			leader[i+1] = true
 		}
 	}
 	var starts []int
@@ -110,12 +116,12 @@ func allocRegs(c *Code) {
 	for b := 0; b < nb; b++ {
 		use, def := useOf(b), defOf(b)
 		for i := starts[b]; i < starts[b+1]; i++ {
-			for _, r := range ins[i].appendUses(ops[:0]) {
+			for _, r := range uses(i) {
 				if !def.has(id[r]) {
 					use.add(id[r])
 				}
 			}
-			if d := ins[i].Dst; d != ir.NoReg && !ovf(i) {
+			if d := defs[i]; d != ir.NoReg && !ovf(i) {
 				def.add(id[d])
 			}
 		}
@@ -124,14 +130,14 @@ func allocRegs(c *Code) {
 	liveOut := func(b int) { // live <- live-out of block b
 		clear(live)
 		last := starts[b+1] - 1
-		s0, s1, _ := flow(ins, last)
+		s0, s1, _ := ins[last].succs(last)
 		switch {
 		case s0 == len(ins):
 			live.add(id[RegSelf]) // falling off the end returns self
 		case s0 >= 0:
 			copy(live, liveIn(blockAt[s0]))
 			if ovf(last) {
-				live.del(id[ins[last].Dst])
+				live.del(id[defs[last]])
 			}
 		}
 		if s1 >= 0 {
@@ -160,7 +166,7 @@ func allocRegs(c *Code) {
 			in := &ins[i]
 			var row regSet
 			src, srcConflicts := int32(-1), false // a copy's source, and whether it conflicted already
-			if d := in.Dst; d != ir.NoReg {
+			if d := defs[i]; d != ir.NoReg {
 				row = adj[int(id[d])*words:][:words]
 				if in.Op == ir.Move && in.A != d {
 					src, srcConflicts = id[in.A], row.has(id[in.A])
@@ -178,7 +184,7 @@ func allocRegs(c *Code) {
 					row.add(id[RegSelf]) // falling off the end returns self
 				}
 			}
-			for _, r := range in.appendUses(ops[:0]) {
+			for _, r := range uses(i) {
 				live.add(id[r])
 			}
 			// An Arith handler has read both operands by the time it
@@ -208,20 +214,17 @@ func allocRegs(c *Code) {
 	}
 	taken := make([]bool, nslots)
 	pinned, alone := make(regSet, words), make(regSet, words)
+	for _, cp := range c.caps { // every MkBlk's captures
+		if !cp.ByValue && !cp.FromUp && cp.Src != ir.NoReg {
+			pinned.add(id[cp.Src])
+		}
+	}
 	for i := range ins {
-		if ins[i].Op != ir.MkBlk {
-			continue
-		}
-		for _, cp := range ins[i].Caps {
-			if !cp.ByValue && !cp.FromUp && cp.Src != ir.NoReg {
-				pinned.add(id[cp.Src])
-			}
-		}
-		if ins[i].Resume >= 0 {
-			if a := ins[i].A; a != ir.NoReg {
+		if opRoles[ins[i].Op].T == rLanding && ins[i].T >= 0 {
+			if a := ins[i].A; a != ir.NoReg { // receives the returned value
 				pinned.add(id[a])
 			}
-			pinned.or(liveIn(blockAt[ins[i].Resume]))
+			pinned.or(liveIn(blockAt[ins[i].T]))
 		}
 	}
 	// Placed up front: self and the parameters where invoke stores them;
@@ -313,72 +316,11 @@ func allocRegs(c *Code) {
 		slot[k] = slot[x]
 	}
 
-	// Rename. Args and Caps alias the graph's nodes, so they are copied.
 	c.NumRegs = RegSelf + 1
-	m := func(r ir.Reg) ir.Reg {
-		if r == ir.NoReg {
-			return r
-		}
+	c.renameRegs(func(r ir.Reg) ir.Reg {
 		c.NumRegs = max(c.NumRegs, int(slot[id[r]])+1)
 		return ir.Reg(slot[id[r]])
-	}
-	var args []ir.Reg
-	var caps []ir.Capture
-	for i := range ins {
-		in := &ins[i]
-		in.Dst, in.A, in.B, in.C, in.FailBlk = m(in.Dst), m(in.A), m(in.B), m(in.C), m(in.FailBlk)
-		base := len(args)
-		for _, r := range in.Args {
-			args = append(args, m(r))
-		}
-		in.Args = args[base:len(args):len(args)]
-		cbase := len(caps)
-		for _, cp := range in.Caps {
-			if !cp.FromUp {
-				cp.Src = m(cp.Src)
-			}
-			caps = append(caps, cp)
-		}
-		in.Caps = caps[cbase:len(caps):len(caps)]
-	}
-}
-
-// flow returns the pcs control may reach from ins[i] (-1: none; a
-// checked Arith's overflow target is s1) and whether ins[i] ends its
-// basic block.
-func flow(ins []Instr, i int) (s0, s1 int, ends bool) {
-	switch in := &ins[i]; in.Op {
-	case opJmp:
-		return in.T, -1, true
-	case ir.CmpBr, ir.TypeTest:
-		return in.T, in.F, true
-	case ir.Return, ir.NLReturn, ir.Fail:
-		return -1, -1, true
-	case ir.Arith:
-		if in.Checked {
-			return i + 1, in.F, true
-		}
-	}
-	return i + 1, -1, false
-}
-
-// appendUses appends the registers the (unfused) instruction reads, or
-// whose address it takes, to dst.
-func (in *Instr) appendUses(dst []ir.Reg) []ir.Reg {
-	n := len(dst)
-	dst = append(append(dst, in.A, in.B, in.C, in.FailBlk), in.Args...)
-	for _, cp := range in.Caps {
-		if !cp.FromUp {
-			dst = append(dst, cp.Src)
-		}
-	}
-	uses := dst[:n]
-	for _, r := range dst[n:] {
-		if r != ir.NoReg {
-			uses = append(uses, r)
-		}
-	}
-	return uses
+	})
 }
 
 // regSet is a bit set over register ids.

@@ -19,31 +19,7 @@ mix: a With: b = ( | s <- 0. t |
 `
 
 // remap returns a copy of c with every register operand sent through f.
-func remap(c *vm.Code, f func(ir.Reg) ir.Reg) *vm.Code {
-	m := func(r ir.Reg) ir.Reg {
-		if r == ir.NoReg {
-			return r
-		}
-		return f(r)
-	}
-	out := &vm.Code{Name: c.Name, NumRegs: c.NumRegs, VirtRegs: c.VirtRegs, NumParams: c.NumParams}
-	out.Instrs = append([]vm.Instr(nil), c.Instrs...)
-	for i := range out.Instrs {
-		in := &out.Instrs[i]
-		in.Dst, in.A, in.B, in.C, in.FailBlk = m(in.Dst), m(in.A), m(in.B), m(in.C), m(in.FailBlk)
-		in.Args = append([]ir.Reg(nil), in.Args...)
-		for j := range in.Args {
-			in.Args[j] = m(in.Args[j])
-		}
-		in.Caps = append([]ir.Capture(nil), in.Caps...)
-		for j := range in.Caps {
-			if !in.Caps[j].FromUp {
-				in.Caps[j].Src = m(in.Caps[j].Src)
-			}
-		}
-	}
-	return out
-}
+func remap(c *vm.Code, f func(ir.Reg) ir.Reg) *vm.Code { return c.Remap(f) }
 
 // TestCheckAllocationRejects: the allocator's oracle accepts what the
 // allocator produced and rejects each way of breaking the contract —
@@ -102,8 +78,8 @@ func TestCheckAllocationRejects(t *testing.T) {
 	// Every slot but the pinned ones is fair game for some other register
 	// at some pc; folding any slot onto a pinned one must be caught.
 	pinned := ir.NoReg
-	for _, in := range raw.Instrs {
-		for _, cp := range in.Caps {
+	for pc := range raw.Instrs {
+		for _, cp := range raw.Caps(pc) {
 			if !cp.ByValue && !cp.FromUp && cp.Src >= ir.Reg(vm.RegParamBase+2) {
 				pinned = cp.Src
 			}
@@ -113,10 +89,10 @@ func TestCheckAllocationRejects(t *testing.T) {
 		t.Fatal("mix:With: captures no local by reference")
 	}
 	var pinnedSlot ir.Reg
-	for i, in := range raw.Instrs {
-		for j, cp := range in.Caps {
+	for pc := range raw.Instrs {
+		for j, cp := range raw.Caps(pc) {
 			if cp.Src == pinned {
-				pinnedSlot = alloc.Instrs[i].Caps[j].Src
+				pinnedSlot = alloc.Caps(pc)[j].Src
 			}
 		}
 	}
@@ -146,7 +122,7 @@ func TestCheckAllocationRejects(t *testing.T) {
 		}
 	}
 	notRenaming := remap(alloc, func(r ir.Reg) ir.Reg { return r })
-	notRenaming.Instrs[0].Index++
+	notRenaming.Instrs[0].Aux++
 	if err := vm.CheckAllocation(raw, notRenaming); err == nil {
 		t.Error("an instruction with a changed field: accepted")
 	}
@@ -157,22 +133,19 @@ func TestCheckAllocationRejects(t *testing.T) {
 // the cases do not depend on what the allocator chooses to coalesce.
 func TestCheckAllocationCopyClasses(t *testing.T) {
 	no := ir.NoReg
-	mk := handInstr
-	konst := func(d ir.Reg, v int64) vm.Instr {
-		return mk(vm.Instr{Op: ir.Const, Dst: d, A: no, B: no, C: no, Val: obj.Int(v)})
+	konst := func(d ir.Reg, v int64) vm.Wide {
+		return vm.Wide{Op: ir.Const, Dst: d, A: no, B: no, C: no, Val: obj.Int(v)}
 	}
-	move := func(d, a ir.Reg) vm.Instr {
-		return mk(vm.Instr{Op: ir.Move, Dst: d, A: a, B: no, C: no})
+	move := func(d, a ir.Reg) vm.Wide {
+		return vm.Wide{Op: ir.Move, Dst: d, A: a, B: no, C: no}
 	}
-	add := func(d, a, b ir.Reg) vm.Instr {
-		return mk(vm.Instr{Op: ir.Arith, AOp: ir.Add, Dst: d, A: a, B: b, C: no})
+	add := func(d, a, b ir.Reg) vm.Wide {
+		return vm.Wide{Op: ir.Arith, AOp: ir.Add, Dst: d, A: a, B: b, C: no}
 	}
-	ret := func(a ir.Reg) vm.Instr {
-		return mk(vm.Instr{Op: ir.Return, Dst: no, A: a, B: no, C: no})
+	ret := func(a ir.Reg) vm.Wide {
+		return vm.Wide{Op: ir.Return, Dst: no, A: a, B: no, C: no}
 	}
-	code := func(ins ...vm.Instr) *vm.Code {
-		return &vm.Code{Name: "handmade", NumRegs: 8, VirtRegs: 8, Instrs: ins}
-	}
+	code := func(ins ...vm.Wide) *vm.Code { return vm.HandCode("handmade", 8, 0, ins...) }
 	// share sends r4 to r3's slot and leaves the rest where it is.
 	share := func(c *vm.Code) *vm.Code {
 		return remap(c, func(r ir.Reg) ir.Reg {
@@ -199,7 +172,7 @@ func TestCheckAllocationCopyClasses(t *testing.T) {
 			konst(3, 1), move(4, 3), add(4, 4, 4), add(5, 3, 4), ret(5)), false},
 		{"copies on one path only", code(
 			konst(3, 1), konst(4, 1),
-			mk(vm.Instr{Op: ir.CmpBr, COp: ir.LT, Dst: no, A: 3, B: 4, C: no, T: 3, F: 4}),
+			vm.Wide{Op: ir.CmpBr, COp: ir.LT, Dst: no, A: 3, B: 4, C: no, T: 3, F: 4},
 			move(4, 3), add(5, 3, 4), ret(5)), false},
 		{"never copied", code(
 			konst(3, 1), konst(4, 1), add(5, 3, 4), ret(5)), false},
@@ -219,8 +192,8 @@ func TestCheckAllocationCopyClasses(t *testing.T) {
 
 	// A pinned register shares with nothing, its own copy included.
 	pinned := code(konst(3, 1), move(4, 3),
-		mk(vm.Instr{Op: ir.MkBlk, Dst: 5, A: no, B: no, C: no,
-			Caps: []ir.Capture{{Name: "x", Src: 3}}}),
+		vm.Wide{Op: ir.MkBlk, Dst: 5, A: no, B: no, C: no,
+			Caps: []ir.Capture{{Name: "x", Src: 3}}},
 		add(6, 3, 4), ret(6))
 	if err := vm.CheckAllocation(pinned, share(pinned)); err == nil {
 		t.Error("a by-reference capture coalesced with its copy: accepted")
@@ -236,7 +209,7 @@ func TestCheckAllocationCopyClasses(t *testing.T) {
 		t.Errorf("Arith Dst on the slot of an operand that dies there: %v", err)
 	}
 	load := code(konst(3, 1),
-		mk(vm.Instr{Op: ir.LoadE, Dst: 5, A: 0, B: 3, C: no}), ret(5))
+		vm.Wide{Op: ir.LoadE, Dst: 5, A: 0, B: 3, C: no}, ret(5))
 	if err := vm.CheckAllocation(load, onto(load)); err == nil {
 		t.Error("LoadE Dst on its index operand's slot: accepted")
 	}

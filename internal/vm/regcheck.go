@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"selfgo/internal/ir"
 )
@@ -38,63 +39,62 @@ func CheckAllocation(raw, alloc *Code) error {
 	}
 
 	// The renaming, read off operand by operand; with the registers
-	// masked out the two streams must be equal.
+	// masked out the two codes must be equal.
 	slot := map[ir.Reg]ir.Reg{RegSelf: RegSelf}
 	uses := make([][]ir.Reg, n) // registers read (or address-taken) at pc
+	defs := make([]ir.Reg, n)   // the register written at pc
 	pinned := map[ir.Reg]bool{}
 	var landings []int
 	for pc := range raw.Instrs {
-		r, a := raw.Instrs[pc], alloc.Instrs[pc]
-		if len(r.Args) != len(a.Args) || len(r.Caps) != len(a.Caps) {
+		r, a := &raw.Instrs[pc], &alloc.Instrs[pc]
+		rv, rd := raw.operands(nil, r)
+		av, ad := alloc.operands(nil, a)
+		if len(rv) != len(av) {
 			return bad(pc, "operand count changed")
 		}
-		rv := append([]ir.Reg{r.Dst, r.A, r.B, r.C, r.FailBlk}, r.Args...)
-		av := append([]ir.Reg{a.Dst, a.A, a.B, a.C, a.FailBlk}, a.Args...)
-		for i, cp := range r.Caps {
-			if !cp.FromUp {
-				rv, av = append(rv, cp.Src), append(av, a.Caps[i].Src)
-				pinned[cp.Src] = pinned[cp.Src] || !cp.ByValue
-			}
-		}
-		if r.Op == ir.MkBlk && r.Resume >= 0 {
-			landings = append(landings, r.Resume)
-			pinned[r.A] = true
-		}
+		defs[pc] = rd
+		uses[pc] = slices.DeleteFunc(slices.Clone(rv), func(v ir.Reg) bool { return v == ir.NoReg })
+		rv, av = append(rv, rd), append(av, ad)
 		for i, v := range rv {
 			s := av[i]
 			if old, seen := slot[v]; (v == ir.NoReg) != (s == ir.NoReg) || s >= ir.Reg(alloc.NumRegs) || seen && old != s {
 				return bad(pc, "r%d renamed to r%d (of %d; elsewhere r%d)", v, s, alloc.NumRegs, old)
 			}
-			if slot[v] = s; i > 0 && v != ir.NoReg {
-				uses[pc] = append(uses[pc], v)
-			}
+			slot[v] = s
 		}
-		a.Dst, a.A, a.B, a.C, a.FailBlk, a.Args = r.Dst, r.A, r.B, r.C, r.FailBlk, r.Args
-		a.Caps = append([]ir.Capture(nil), a.Caps...)
-		for i := range a.Caps {
-			a.Caps[i].Src = r.Caps[i].Src
+		if opRoles[r.Op].T == rLanding && r.T >= 0 {
+			landings = append(landings, int(r.T))
+			pinned[r.A] = true
 		}
-		if !reflect.DeepEqual(r, a) {
-			return bad(pc, "not a renaming: %s became %s", r, alloc.Instrs[pc])
+	}
+	for _, cp := range raw.caps { // every MkBlk's captures
+		if !cp.FromUp {
+			pinned[cp.Src] = pinned[cp.Src] || !cp.ByValue
 		}
 	}
 	delete(pinned, ir.NoReg)
+	mr, ma := raw.clone(), alloc.clone()
+	for _, m := range []*Code{mr, ma} {
+		m.renameRegs(func(ir.Reg) ir.Reg { return 0 })
+	}
+	for pc := range mr.Instrs {
+		if mr.Instrs[pc] != ma.Instrs[pc] {
+			return bad(pc, "not a renaming: %s became %s", raw.render(&raw.Instrs[pc]), alloc.render(&alloc.Instrs[pc]))
+		}
+	}
+	cold := func(c *Code) []any {
+		return []any{c.consts, c.sites, c.maps, c.blocks, c.callees, c.names, c.args, c.caps}
+	}
+	if !reflect.DeepEqual(cold(mr), cold(ma)) {
+		return bad(0, "not a renaming: the cold tables differ")
+	}
 
 	// Liveness, one set per pc (falling off the end, pc n, returns self).
-	// The register a checked Arith writes dies on its fall-through edge
-	// only.
+	// The register an instruction that both falls through and branches
+	// (a checked Arith) writes dies on its fall-through edge only.
 	succs := func(pc int) []int {
-		switch in := &raw.Instrs[pc]; {
-		case in.Op == opJmp:
-			return []int{in.T}
-		case in.Op == ir.CmpBr || in.Op == ir.TypeTest:
-			return []int{in.T, in.F}
-		case in.Op == ir.Return || in.Op == ir.NLReturn || in.Op == ir.Fail:
-			return nil
-		case in.Op == ir.Arith && in.Checked:
-			return []int{pc + 1, in.F}
-		}
-		return []int{pc + 1}
+		s0, s1, _ := raw.Instrs[pc].succs(pc)
+		return slices.DeleteFunc([]int{s0, s1}, func(s int) bool { return s < 0 })
 	}
 	liveIn := make([]map[ir.Reg]bool, n+1)
 	for pc := range liveIn {
@@ -107,7 +107,7 @@ func CheckAllocation(raw, alloc *Code) error {
 			before := len(liveIn[pc])
 			for i, s := range succs(pc) {
 				for v := range liveIn[s] {
-					if v != raw.Instrs[pc].Dst || i > 0 {
+					if v != defs[pc] || i > 0 {
 						liveIn[pc][v] = true
 					}
 				}
@@ -127,25 +127,25 @@ func CheckAllocation(raw, alloc *Code) error {
 	mk := func(x, y ir.Reg) pair { return pair{min(x, y), max(x, y)} }
 	same := make([]map[pair]bool, n+1)
 	after := func(pc, i int) map[pair]bool {
-		in := &raw.Instrs[pc]
+		in, d := &raw.Instrs[pc], defs[pc]
 		out := map[pair]bool{}
-		written := in.Dst != ir.NoReg && i == 0 && !(in.Op == ir.Move && in.A == in.Dst)
+		written := d != ir.NoReg && i == 0 && !(in.Op == ir.Move && in.A == d)
 		for p := range same[pc] {
-			if !written || p[0] != in.Dst && p[1] != in.Dst {
+			if !written || p[0] != d && p[1] != d {
 				out[p] = true
 			}
 		}
 		if written && in.Op == ir.Move {
-			out[mk(in.Dst, in.A)] = true
+			out[mk(d, in.A)] = true
 			for p := range same[pc] { // and whatever A was a copy of
 				switch in.A {
 				case p[0]:
-					out[mk(in.Dst, p[1])] = true
+					out[mk(d, p[1])] = true
 				case p[1]:
-					out[mk(in.Dst, p[0])] = true
+					out[mk(d, p[0])] = true
 				}
 			}
-			delete(out, pair{in.Dst, in.Dst})
+			delete(out, pair{d, d})
 		}
 		return out
 	}
@@ -198,14 +198,14 @@ func CheckAllocation(raw, alloc *Code) error {
 		}
 		for i, s := range succs(pc) {
 			sets := []map[ir.Reg]bool{liveIn[s]}
-			if in.Dst != ir.NoReg && i == 0 {
-				sets = append(sets, map[ir.Reg]bool{in.Dst: true})
+			if defs[pc] != ir.NoReg && i == 0 {
+				sets = append(sets, map[ir.Reg]bool{defs[pc]: true})
 			}
 			if err := distinct(pc, after(pc, i), sets...); err != nil {
 				return err
 			}
 		}
-		if d := in.Dst; d != ir.NoReg {
+		if d := defs[pc]; d != ir.NoReg {
 			for _, v := range uses[pc] {
 				if v != d && slot[v] == slot[d] && !(in.Op == ir.Move && v == in.A) && in.Op != ir.Arith {
 					return bad(pc, "Dst r%d shares slot r%d with operand r%d", d, slot[d], v)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"selfgo/internal/ast"
@@ -337,7 +338,7 @@ func (vm *VM) blockCode(cl *obj.Closure) (*linked, error) {
 func (vm *VM) link(c *Code) *linked {
 	l := vm.links[c]
 	if l == nil {
-		l = &linked{code: c, ics: make([]inlineCache, c.numICs), gen: vm.gen}
+		l = &linked{code: c, ics: make([]inlineCache, len(c.sites)), gen: vm.gen}
 		vm.links[c] = l
 	}
 	return l
@@ -567,45 +568,45 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return obj.Nil(), perr
 			}
 		}
-		st.Cycles += in.Cost
+		st.Cycles += int64(in.Cost)
 		if extra != 0 {
 			st.Cycles += extra * int64(in.N)
 		}
 		switch in.Op {
 		case opJmp:
-			if trackHot && in.T <= pc {
+			if trackHot && int(in.T) <= pc {
 				vm.noteBackedge(code)
 			}
 			if bbvOn {
-				ver = vm.bbvEdge(code, ver, pc, true, in.T)
+				ver = vm.bbvEdge(code, ver, pc, true, int(in.T))
 			}
-			pc = in.T
+			pc = int(in.T)
 			continue
 		case ir.Const:
-			fr.regs[in.Dst] = in.Val
+			fr.regs[in.Dst] = code.constOf(in)
 		case ir.Move:
 			fr.regs[in.Dst] = fr.regs[in.A]
 		case ir.LoadF:
 			o := fr.regs[in.A].Obj()
-			if o == nil || in.Index >= len(o.Fields) {
+			if o == nil || int(in.Aux) >= len(o.Fields) {
 				return fault(errBadField(code, "access"), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
 			}
-			fr.regs[in.Dst] = o.Fields[in.Index]
+			fr.regs[in.Dst] = o.Fields[in.Aux]
 		case ir.StoreF:
 			o := fr.regs[in.A].Obj()
-			if o == nil || in.Index >= len(o.Fields) {
+			if o == nil || int(in.Aux) >= len(o.Fields) {
 				return fault(errBadField(code, "store"), code, pc)
 			}
 			if o.Ep != vm.curEp {
 				o = vm.storeSlow(o, fr.regs[in.B])
 			}
 			if shapes {
-				vm.World.NoteFieldStore(o.Map, in.Index, fr.regs[in.B])
+				vm.World.NoteFieldStore(o.Map, int(in.Aux), fr.regs[in.B])
 			}
-			o.Fields[in.Index] = fr.regs[in.B]
+			o.Fields[in.Aux] = fr.regs[in.B]
 		case ir.LoadE:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
@@ -629,9 +630,9 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return fault(errElemOOB(code, "store", i, len(o.Elems)), code, pc)
 			}
 			if o.Ep != vm.curEp {
-				o = vm.storeSlow(o, fr.regs[in.C])
+				o = vm.storeSlow(o, fr.regs[in.Dst])
 			}
-			o.Elems[i] = fr.regs[in.C]
+			o.Elems[i] = fr.regs[in.Dst] // StoreE's Dst holds the value stored
 		case ir.VecLen:
 			o := fr.regs[in.A].Obj()
 			if o == nil {
@@ -652,7 +653,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return fault(aerr, code, pc)
 			}
 			if br {
-				pc = in.F
+				pc = int(in.F)
 				continue
 			}
 		case ir.CmpBr:
@@ -665,15 +666,15 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 		case ir.TypeTest:
 			taken, elided := false, false
 			if bbvOn && ver != nil && ver.BranchPC == pc && ver.Elide != bbvElideNone {
-				taken, elided = vm.bbvElide(st, ver, in)
+				taken, elided = vm.bbvElide(st, ver)
 			}
 			if !elided {
 				st.TypeTests++
-				taken = vm.World.MapOf(fr.regs[in.A]) == in.TestMap
+				taken = vm.World.MapOf(fr.regs[in.A]) == code.maps[in.Aux]
 			}
-			target := in.F
+			target := int(in.F)
 			if taken {
-				target = in.T
+				target = int(in.T)
 			}
 			if bbvOn {
 				ver = vm.bbvEdge(code, ver, pc, taken, target)
@@ -681,7 +682,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			pc = target
 			continue
 		case ir.Send:
-			v, serr := vm.execSend(in, fr)
+			v, serr := vm.execSend(code, in, fr)
 			if serr != nil {
 				return fault(serr, code, pc)
 			}
@@ -689,7 +690,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				fr.regs[in.Dst] = v
 			}
 		case ir.Call:
-			v, cerr := vm.execCall(in, fr)
+			v, cerr := vm.execCall(code, in, fr)
 			if cerr != nil {
 				return fault(cerr, code, pc)
 			}
@@ -697,7 +698,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				fr.regs[in.Dst] = v
 			}
 		case ir.PrimOp:
-			v, perr := vm.execPrim(in, fr)
+			v, perr := vm.execPrim(code, in, fr)
 			if perr != nil {
 				return fault(perr, code, pc)
 			}
@@ -705,7 +706,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				fr.regs[in.Dst] = v
 			}
 		case ir.MkBlk:
-			vm.makeBlock(st, fr, in)
+			vm.makeBlock(st, code, fr, in)
 		case ir.Fail:
 			return fault(failError(code, fr, in), code, pc)
 		case ir.Return:
@@ -716,50 +717,50 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			}
 			panic(nlr{ref: fr.home, val: fr.regs[in.A]})
 		case ir.LoadUp:
-			fr.regs[in.Dst] = *fr.cl.Cells[in.Index]
+			fr.regs[in.Dst] = *fr.cl.Cells[in.Aux]
 		case ir.StoreUp:
-			*fr.cl.Cells[in.Index] = fr.regs[in.A]
+			*fr.cl.Cells[in.Aux] = fr.regs[in.A]
 
 		// Superinstructions (fuse.go): each executes its constituents
 		// exactly in order, bailing out — with an uncharge of the
 		// unexecuted tail — when an early constituent faults or takes
 		// its overflow branch.
 		case opMoveMove:
-			f := in.Fused
+			f := &code.tails[in.T]
 			fr.regs[in.Dst] = fr.regs[in.A]
 			fr.regs[f.Dst] = fr.regs[f.A]
 		case opConstArith:
-			f := in.Fused
-			fr.regs[in.Dst] = in.Val
+			f := &code.tails[in.T]
+			fr.regs[in.Dst] = code.constOf(in)
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				return faultIn(aerr, code, pc, f)
 			}
 			if br {
-				pc = f.F
+				pc = int(f.F)
 				continue
 			}
 		case opLoadFArith:
-			f := in.Fused
+			f := &code.tails[in.T]
 			o := fr.regs[in.A].Obj()
-			if o == nil || in.Index >= len(o.Fields) {
+			if o == nil || int(in.Aux) >= len(o.Fields) {
 				vm.uncharge(st, f)
 				return fault(errBadField(code, "access"), code, pc)
 			}
 			if cowEp != 0 && o.Ep == cowEp {
 				o = vm.cowShadowed(o)
 			}
-			fr.regs[in.Dst] = o.Fields[in.Index]
+			fr.regs[in.Dst] = o.Fields[in.Aux]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				return faultIn(aerr, code, pc, f)
 			}
 			if br {
-				pc = f.F
+				pc = int(f.F)
 				continue
 			}
 		case opLoadEArith:
-			f := in.Fused
+			f := &code.tails[in.T]
 			o := fr.regs[in.A].Obj()
 			if o == nil {
 				vm.uncharge(st, f)
@@ -779,11 +780,11 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return faultIn(aerr, code, pc, f)
 			}
 			if br {
-				pc = f.F
+				pc = int(f.F)
 				continue
 			}
 		case opArithCmpBr:
-			f := in.Fused
+			f := &code.tails[in.T]
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
 				vm.uncharge(st, f)
@@ -791,7 +792,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			}
 			if br {
 				vm.uncharge(st, f)
-				pc = in.F
+				pc = int(in.F)
 				continue
 			}
 			taken, target := branch(st, f, fr)
@@ -801,7 +802,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			pc = target
 			continue
 		case opArithJmp:
-			f := in.Fused
+			f := &code.tails[in.T]
 			br, aerr := arithVal(st, in, fr)
 			if aerr != nil {
 				vm.uncharge(st, f)
@@ -809,21 +810,21 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			}
 			if br {
 				vm.uncharge(st, f)
-				pc = in.F
+				pc = int(in.F)
 				continue
 			}
-			if trackHot && f.T <= pc {
+			if trackHot && int(f.T) <= pc {
 				vm.noteBackedge(code)
 			}
 			if bbvOn {
-				ver = vm.bbvEdge(code, ver, pc, true, f.T)
+				ver = vm.bbvEdge(code, ver, pc, true, int(f.T))
 			}
-			pc = f.T
+			pc = int(f.T)
 			continue
 		case opConstArithCmpBr:
-			f := in.Fused // the Arith
-			g := f.Fused  // the CmpBr
-			fr.regs[in.Dst] = in.Val
+			f := &code.tails[in.T]   // the Arith
+			g := &code.tails[in.T+1] // the CmpBr
+			fr.regs[in.Dst] = code.constOf(in)
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
 				vm.uncharge(st, g)
@@ -831,7 +832,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			}
 			if br {
 				vm.uncharge(st, g)
-				pc = f.F
+				pc = int(f.F)
 				continue
 			}
 			taken, target := branch(st, g, fr)
@@ -841,7 +842,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			pc = target
 			continue
 		case opVecLenCmpBr:
-			f := in.Fused
+			f := &code.tails[in.T]
 			o := fr.regs[in.A].Obj()
 			if o == nil {
 				vm.uncharge(st, f)
@@ -877,37 +878,25 @@ func fault(err error, code *Code, pc int) (obj.Value, error) {
 	return obj.Nil(), err
 }
 
-// faultIn is fault for an error raised by sub, a tail constituent of
-// the superinstruction at pc.
-func faultIn(err error, code *Code, pc int, sub *Instr) (obj.Value, error) {
-	pushFrame(err, code, pc, code.Instrs[pc].tailLen(sub))
+// faultIn is fault for an error raised by first, the first tail
+// constituent of the superinstruction at pc: its own instruction sits
+// first.N past the head's. It stays out of line: inlined into run, this
+// cold path would grow the frame every send's recursion pays for.
+//
+//go:noinline
+func faultIn(err error, code *Code, pc int, first *Instr) (obj.Value, error) {
+	pushFrame(err, code, pc, int(first.N))
 	return obj.Nil(), err
 }
 
-// tailLen returns how many modelled instructions a superinstruction's
-// tail constituents up to and including sub stand for (nil: all of
-// them): sub's own instruction sits that far past the head's.
-func (in *Instr) tailLen(sub *Instr) int {
-	n := 0
-	for f := in.Fused; f != nil; f = f.Fused {
-		n += int(f.N)
-		if f == sub {
-			break
-		}
-	}
-	return n
-}
-
 // uncharge backs out the precharged cost of a superinstruction's
-// unexecuted tail: when a constituent faults or branches to its
-// overflow target, the remaining constituents — and the self-moves
-// they absorbed — never run, and the modelled Stats must match the
-// unfused stream, which would never have dispatched them.
-func (vm *VM) uncharge(st *RunStats, sub *Instr) {
-	for ; sub != nil; sub = sub.Fused {
-		st.Cycles -= sub.Cost + vm.InstrExtra*int64(sub.N)
-		st.Instrs -= int64(sub.N)
-	}
+// unexecuted last constituent: when an earlier one faults or branches
+// to its overflow target, the last — and the self-moves it absorbed —
+// never runs, and the modelled Stats must match the unfused stream,
+// which would never have dispatched it.
+func (vm *VM) uncharge(st *RunStats, last *Instr) {
+	st.Cycles -= int64(last.Cost) + vm.InstrExtra*int64(last.N)
+	st.Instrs -= int64(last.N)
 }
 
 // arithVal executes the arithmetic of in, writing the result register
@@ -921,7 +910,7 @@ func (vm *VM) uncharge(st *RunStats, sub *Instr) {
 func arithVal(st *RunStats, in *Instr, fr *frame) (branchF bool, err error) {
 	a, b := fr.regs[in.A].I(), fr.regs[in.B].I()
 	var v int64
-	switch in.AOp {
+	switch in.AOp() {
 	case ir.Add:
 		v = a + b
 	case ir.Sub:
@@ -930,7 +919,7 @@ func arithVal(st *RunStats, in *Instr, fr *frame) (branchF bool, err error) {
 		v = a * b
 	case ir.Div:
 		if b == 0 {
-			if in.Checked {
+			if in.Checked() {
 				return true, nil
 			}
 			return false, &RuntimeError{Msg: "division by zero on unchecked path"}
@@ -938,7 +927,7 @@ func arithVal(st *RunStats, in *Instr, fr *frame) (branchF bool, err error) {
 		v = a / b
 	case ir.Mod:
 		if b == 0 {
-			if in.Checked {
+			if in.Checked() {
 				return true, nil
 			}
 			return false, &RuntimeError{Msg: "modulo by zero on unchecked path"}
@@ -951,7 +940,7 @@ func arithVal(st *RunStats, in *Instr, fr *frame) (branchF bool, err error) {
 	case ir.BXor:
 		v = a ^ b
 	}
-	if in.Checked {
+	if in.Checked() {
 		st.OvflChecks++
 		if v < obj.MinSmallInt || v > obj.MaxSmallInt {
 			return true, nil
@@ -964,11 +953,11 @@ func arithVal(st *RunStats, in *Instr, fr *frame) (branchF bool, err error) {
 // branch executes the compare-branch in, reporting which edge it takes
 // and where that leads.
 func branch(st *RunStats, in *Instr, fr *frame) (taken bool, target int) {
-	if in.bounds {
+	if in.Bounds() {
 		st.BoundsChecks++
 	}
 	a, b := fr.regs[in.A], fr.regs[in.B]
-	switch in.COp {
+	switch in.COp() {
 	case ir.LT:
 		taken = a.I() < b.I()
 	case ir.LE:
@@ -983,9 +972,9 @@ func branch(st *RunStats, in *Instr, fr *frame) (taken bool, target int) {
 		taken = !a.Eq(b)
 	}
 	if taken {
-		return true, in.T
+		return true, int(in.T)
 	}
-	return false, in.F
+	return false, int(in.F)
 }
 
 // chargeBytes charges the modelled bytes of an n-Value storage
@@ -1104,11 +1093,13 @@ func (vm *VM) makeClone(st *RunStats, fr *frame, in *Instr) error {
 // registers are taken by address and the closure's non-local-return
 // home references the frame itself, so the frame must never return to
 // the pool when this activation ends (see pool.go).
-func (vm *VM) makeBlock(st *RunStats, fr *frame, in *Instr) {
+func (vm *VM) makeBlock(st *RunStats, code *Code, fr *frame, in *Instr) {
 	fr.escaped = true
 	st.Allocs++
-	cells := make([]*obj.Value, len(in.Caps))
-	for i, cap := range in.Caps {
+	b := &code.blocks[in.Aux]
+	caps := code.captures(b)
+	cells := make([]*obj.Value, len(caps))
+	for i, cap := range caps {
 		switch {
 		case cap.FromUp:
 			cells[i] = fr.cl.Cells[cap.Src]
@@ -1123,11 +1114,11 @@ func (vm *VM) makeBlock(st *RunStats, fr *frame, in *Instr) {
 	// when the home method was inlined here, otherwise this frame's own
 	// home (method frames are their own home; block frames inherited
 	// theirs).
-	env := &closureEnv{home: fr.home, caps: in.Caps}
-	if in.Resume >= 0 {
-		env.home = homeRef{fr: fr, resume: int32(in.Resume), reg: in.A}
+	env := &closureEnv{home: fr.home, caps: caps}
+	if in.T >= 0 {
+		env.home = homeRef{fr: fr, resume: in.T, reg: in.A}
 	}
-	fr.regs[in.Dst] = obj.Blk(&obj.Closure{Ast: in.Blk, Map: vm.World.BlockMap, Env: env, Cells: cells})
+	fr.regs[in.Dst] = obj.Blk(&obj.Closure{Ast: b.Blk, Map: vm.World.BlockMap, Env: env, Cells: cells})
 }
 
 // failError builds the error for an ir.Fail instruction, classifying by
@@ -1135,15 +1126,16 @@ func (vm *VM) makeBlock(st *RunStats, fr *frame, in *Instr) {
 // the _Error primitive (which the prelude's primitiveFailed: routes
 // through) carry kinds.
 func failError(code *Code, fr *frame, in *Instr) error {
-	msg := in.Sel
+	sel := code.names[in.Aux]
+	msg := sel
 	if in.A != ir.NoReg {
 		msg += ": " + fr.regs[in.A].String()
 	}
 	kind := KindError
 	switch {
-	case strings.HasPrefix(in.Sel, "doesNotUnderstand:"):
+	case strings.HasPrefix(sel, "doesNotUnderstand:"):
 		kind = KindDoesNotUnderstand
-	case strings.HasPrefix(in.Sel, "_Error"):
+	case strings.HasPrefix(sel, "_Error"):
 		kind = KindPrimitiveFailed
 	}
 	return &RuntimeError{Kind: kind, Msg: fmt.Sprintf("%s (in %s)", msg, code.Name)}
@@ -1168,20 +1160,22 @@ func errElemOOB(code *Code, what string, i int64, n int) error {
 // execCall performs a statically-bound call. The callee is fixed at
 // compile time, so after the first call the site's cache entry (only
 // its code memo is used) is the answer.
-func (vm *VM) execCall(in *Instr, fr *frame) (obj.Value, error) {
+func (vm *VM) execCall(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 	vm.Stats.Calls++
 	if fr.lk.gen != vm.Cache.Generation() {
 		vm.relink(fr)
 	}
-	ic := &fr.lk.ics[in.IC]
+	ic := &fr.lk.ics[in.Aux]
 	if ic.code == nil {
-		l, err := vm.methodCode(in.Callee.Meth, in.Callee.RMap)
+		callee := code.callees[in.T]
+		l, err := vm.methodCode(callee.Meth, callee.RMap)
 		if err != nil {
 			return obj.Nil(), err
 		}
 		ic.code = l
 	}
-	return vm.invoke(ic.code, fr.regs[in.Args[0]], vm.argVals(in.Args[1:], fr))
+	args := code.argRegs(&code.sites[in.Aux])
+	return vm.invoke(ic.code, fr.regs[args[0]], vm.argVals(args[1:], fr))
 }
 
 // argVals gathers argument registers into a per-VM scratch buffer,
@@ -1217,19 +1211,21 @@ func isValueSel(sel string, nargs int) bool {
 
 // execSend performs a dynamically-dispatched send with a monomorphic
 // inline cache (Deutsch & Schiffman).
-func (vm *VM) execSend(in *Instr, fr *frame) (obj.Value, error) {
+func (vm *VM) execSend(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 	st := &vm.Stats
-	recv := fr.regs[in.Args[0]]
-	args := vm.argVals(in.Args[1:], fr)
+	s, direct := &code.sites[in.Aux], in.Direct()
+	regs := code.argRegs(s)
+	recv := fr.regs[regs[0]]
+	args := vm.argVals(regs[1:], fr)
 
 	// Blocks answer the value protocol directly.
-	if recv.K() == obj.KBlock && isValueSel(in.Sel, len(args)) {
+	if recv.K() == obj.KBlock && isValueSel(s.Sel, len(args)) {
 		st.Cycles += CostBlockValue
 		st.BlockValues++
 		return vm.invokeClosure(recv.Blk(), args)
 	}
 
-	if in.Direct {
+	if direct {
 		st.Cycles += CostCall
 		st.Calls++
 	} else {
@@ -1241,7 +1237,7 @@ func (vm *VM) execSend(in *Instr, fr *frame) (obj.Value, error) {
 	if fr.lk.gen != vm.Cache.Generation() {
 		vm.relink(fr)
 	}
-	ic := &fr.lk.ics[in.IC]
+	ic := &fr.lk.ics[in.Aux] // a site's index is its cache's
 	var slot *obj.Slot
 	var holder *obj.Object
 	// callee points at the cache entry's memo of the code a method slot
@@ -1251,19 +1247,19 @@ func (vm *VM) execSend(in *Instr, fr *frame) (obj.Value, error) {
 	if ic.m == m {
 		// A statically-bound site is not a modelled inline cache (no hit
 		// is counted); the entry only spares the host the lookup.
-		if !in.Direct {
+		if !direct {
 			st.ICHits++
 		}
 		slot = ic.slot
 		holder = ic.holder
-	} else if e := ic.picLookup(vm, m, in.Direct); e != nil {
+	} else if e := ic.picLookup(vm, m, direct); e != nil {
 		st.ICHits++
 		st.Cycles += CostPICExtra
 		slot = e.slot
 		holder = e.holder
 		callee = &e.code
 	} else {
-		if !in.Direct {
+		if !direct {
 			st.ICMisses++
 			if vm.MissHandlers {
 				st.Cycles += CostSendMissHandler - CostSendICHit
@@ -1271,10 +1267,10 @@ func (vm *VM) execSend(in *Instr, fr *frame) (obj.Value, error) {
 				st.Cycles += CostSendICMiss - CostSendICHit
 			}
 		}
-		r := obj.Lookup(m, in.Sel)
+		r := obj.Lookup(m, s.Sel)
 		if r == nil {
 			return obj.Nil(), &RuntimeError{Kind: KindDoesNotUnderstand,
-				Msg: fmt.Sprintf("%s does not understand %q", m.Name, in.Sel)}
+				Msg: fmt.Sprintf("%s does not understand %q", m.Name, s.Sel)}
 		}
 		slot = r.Slot
 		holder = r.Holder
@@ -1357,79 +1353,44 @@ func (vm *VM) invokeClosure(cl *obj.Closure, args []obj.Value) (obj.Value, error
 }
 
 // execPrim runs an out-of-line robust primitive with all checks.
-func (vm *VM) execPrim(in *Instr, fr *frame) (obj.Value, error) {
+func (vm *VM) execPrim(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 	st := &vm.Stats
 	st.Cycles += CostPrimOp
-	recv := fr.regs[in.Args[0]]
-	args := vm.argVals(in.Args[1:], fr)
+	p := &code.sites[in.Aux]
+	sel, regs := p.Sel, code.argRegs(p)
+	recv := fr.regs[regs[0]]
+	args := vm.argVals(regs[1:], fr)
 	fail := func(why string) (obj.Value, error) {
-		if in.FailBlk != ir.NoReg {
-			fb := fr.regs[in.FailBlk]
+		if in.A != ir.NoReg { // PrimOp's A holds the failure block
+			fb := fr.regs[in.A]
 			if fb.K() == obj.KBlock {
 				return vm.invokeClosure(fb.Blk(), nil)
 			}
 		}
 		return obj.Nil(), &RuntimeError{Kind: KindPrimitiveFailed,
-			Msg: fmt.Sprintf("primitive %s failed: %s", in.Sel, why)}
+			Msg: fmt.Sprintf("primitive %s failed: %s", sel, why)}
 	}
 	wantInt := func(v obj.Value) bool { return v.K() == obj.KInt }
-	switch in.Sel {
-	case "_IntAdd:", "_IntSub:", "_IntMul:", "_IntDiv:", "_IntMod:",
-		"_IntAnd:", "_IntOr:", "_IntXor:":
-		if !wantInt(recv) || len(args) != 1 || !wantInt(args[0]) {
-			return fail("not an integer")
-		}
-		a, b := recv.I(), args[0].I()
-		var v int64
-		switch in.Sel {
-		case "_IntAdd:":
-			v = a + b
-		case "_IntSub:":
-			v = a - b
-		case "_IntMul:":
-			v = a * b
-		case "_IntDiv:":
-			if b == 0 {
-				return fail("division by zero")
-			}
-			v = a / b
-		case "_IntMod:":
-			if b == 0 {
-				return fail("modulo by zero")
-			}
-			v = a % b
-		case "_IntAnd:":
-			v = a & b
-		case "_IntOr:":
-			v = a | b
-		case "_IntXor:":
-			v = a ^ b
-		}
-		if v < obj.MinSmallInt || v > obj.MaxSmallInt {
+	arith, cmp := slices.Index(ir.ArithPrims[:], sel), slices.Index(ir.CmpPrims[:], sel)
+	switch {
+	case arith < 0 && cmp < 0:
+	case !wantInt(recv) || len(args) != 1 || !wantInt(args[0]):
+		return fail("not an integer")
+	case cmp >= 0:
+		return vm.World.Bool(ir.CmpKind(cmp).Eval(recv.I(), args[0].I())), nil
+	default:
+		v, ok := ir.ArithKind(arith).Eval(recv.I(), args[0].I())
+		switch {
+		case !ok && ir.ArithKind(arith) == ir.Div:
+			return fail("division by zero")
+		case !ok:
+			return fail("modulo by zero")
+		case v < obj.MinSmallInt || v > obj.MaxSmallInt:
 			return fail("overflow")
 		}
 		return obj.Int(v), nil
-	case "_IntLT:", "_IntLE:", "_IntGT:", "_IntGE:", "_IntEQ:", "_IntNE:":
-		if !wantInt(recv) || len(args) != 1 || !wantInt(args[0]) {
-			return fail("not an integer")
-		}
-		a, b := recv.I(), args[0].I()
-		var r bool
-		switch in.Sel {
-		case "_IntLT:":
-			r = a < b
-		case "_IntLE:":
-			r = a <= b
-		case "_IntGT:":
-			r = a > b
-		case "_IntGE:":
-			r = a >= b
-		case "_IntEQ:":
-			r = a == b
-		case "_IntNE:":
-			r = a != b
-		}
-		return vm.World.Bool(r), nil
+	}
+	switch sel {
 	case "_Eq:":
 		return vm.World.Bool(recv.Eq(args[0])), nil
 	case "_At:":

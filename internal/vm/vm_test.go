@@ -88,11 +88,12 @@ func TestAssembleLayoutUncommonOutOfLine(t *testing.T) {
 	// The uncommon "+"-send fallback must come after the main-path
 	// return: find the first Return and the Send.
 	firstRet, sendAt := -1, -1
-	for i, in := range code.Instrs {
+	for i := range code.Instrs {
+		in := &code.Instrs[i]
 		if in.Op == ir.Return && firstRet < 0 {
 			firstRet = i
 		}
-		if in.Op == ir.Send && in.Sel == "+" {
+		if in.Op == ir.Send && code.SelOf(in) == "+" {
 			sendAt = i
 		}
 	}
@@ -109,9 +110,10 @@ func TestDeadCodeEliminated(t *testing.T) {
 	// dead once the ifTrue:False: is compiled away.
 	h := newHarness(t, core.NewSELF, `go = ( | x <- 0 | (x < 1) ifTrue: [ 7 ] False: [ 8 ] ).`)
 	code := h.codeFor(t, "go")
-	for _, in := range code.Instrs {
-		if in.Op == ir.Const && in.Val.K() == obj.KObj {
-			if in.Val.Obj() == h.w.TrueObj || in.Val.Obj() == h.w.FalseObj {
+	for i := range code.Instrs {
+		in := &code.Instrs[i]
+		if v := code.ConstOf(in); in.Op == ir.Const && v.K() == obj.KObj {
+			if v.Obj() == h.w.TrueObj || v.Obj() == h.w.FalseObj {
 				t.Errorf("dead boolean constant survived:\n%s", code.Disasm())
 			}
 		}
@@ -245,12 +247,10 @@ func TestClosureCapturesByReference(t *testing.T) {
 			}
 			made := map[*ast.Block]int{}
 			most := 0
-			for _, in := range h.codeFor(t, "go").Instrs {
-				if in.Op == ir.MkBlk {
-					made[in.Blk]++
-					most = max(most, made[in.Blk])
-				}
-			}
+			h.codeFor(t, "go").BlockCaptures(func(blk *ast.Block, _ []ir.Capture) {
+				made[blk]++
+				most = max(most, made[blk])
+			})
 			if most < c.mkBlks {
 				t.Errorf("go makes at most %d closures of one block literal, want %d", most, c.mkBlks)
 			}
@@ -318,8 +318,8 @@ func TestCodeSizeModel(t *testing.T) {
 	total := vm.SizePrologue
 	for i := range bigger.Instrs {
 		in := &bigger.Instrs[i]
-		total += vm.SizeOf(in)
-		if vm.SizeOf(in) == 0 {
+		total += vm.SizeOf(bigger, in)
+		if vm.SizeOf(bigger, in) == 0 {
 			t.Errorf("instruction %v has zero size", in.Op)
 		}
 	}
@@ -338,14 +338,15 @@ func TestPrintPrimitive(t *testing.T) {
 func TestBranchTargetsResolved(t *testing.T) {
 	h := newHarness(t, core.NewSELF, `go: n = ( (n < 10) ifTrue: [ n + 1 ] False: [ n - 1 ] ).`)
 	code := h.codeFor(t, "go:")
+	n := int32(len(code.Instrs))
 	for i, in := range code.Instrs {
 		switch in.Op {
 		case ir.CmpBr, ir.TypeTest:
-			if in.T < 0 || in.T >= len(code.Instrs) || in.F < 0 || in.F >= len(code.Instrs) {
+			if in.T < 0 || in.T >= n || in.F < 0 || in.F >= n {
 				t.Errorf("instr %d: unresolved branch targets T=%d F=%d", i, in.T, in.F)
 			}
 		case vm.OpJmp:
-			if in.T < 0 || in.T >= len(code.Instrs) {
+			if in.T < 0 || in.T >= n {
 				t.Errorf("instr %d: unresolved jump %d", i, in.T)
 			}
 		}

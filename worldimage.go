@@ -85,15 +85,11 @@ func (s *System) manifestEntries() ([]image.Manifest, int) {
 	s.cache.ForEach(func(k codecache.Key, c *vm.Code) { all = append(all, kc{k, c}) })
 	upNames := map[*ast.Block][]string{}
 	for _, e := range all {
-		for i := range e.c.Instrs {
-			in := &e.c.Instrs[i]
-			if in.Op != ir.MkBlk || in.Blk == nil {
-				continue
+		e.c.BlockCaptures(func(blk *ast.Block, caps []ir.Capture) {
+			if _, ok := upNames[blk]; blk != nil && !ok {
+				upNames[blk] = ir.CaptureNames(caps)
 			}
-			if _, ok := upNames[in.Blk]; !ok {
-				upNames[in.Blk] = ir.CaptureNames(in.Caps)
-			}
-		}
+		})
 	}
 	var out []image.Manifest
 	skipped := 0
