@@ -152,6 +152,7 @@ type compilation struct {
 	volatile    []ir.Reg          // assigned by escaped closures: always unknown
 	topScope    *scope            // the outermost (non-inlined) scope
 	mergeSeq    int
+	simDepth    int // loop-body simulations under way (simulateLoopBody)
 	err         error
 
 	// fb is receiver-map type feedback from a lower tier's inline
@@ -677,6 +678,12 @@ func (cp *compilation) compileReturn(flows []*flow, n *ast.Return, sc *scope) ([
 		mv.A = res
 		cp.emit(f, mv)
 		f.env.set(home.ret.resultReg, f.env.get(res))
+		if home.simDepth < cp.simDepth {
+			// A simulated loop body's ^ to a home outside the
+			// simulation: the flow runs through nodes the simulation
+			// discards, so it ends here.
+			continue
+		}
 		home.ret.flows = append(home.ret.flows, f)
 	}
 	// All flows ended; callers see an empty flow set.

@@ -204,3 +204,55 @@ func TestEmptyMethodReturnsSelf(t *testing.T) {
 		t.Errorf("empty method should return self (r0):\n%s", g.Dump())
 	}
 }
+
+// TestSimulatedReturnStaysInSimulation: a ^ compiled while iterative
+// type analysis simulates a loop body (§5.1) belongs to that throwaway
+// body. When its home method lies outside the simulation, the flow must
+// not reach the home's return collector: it starts at a discarded node.
+// A collector hooks each of its flows in by the flow's start node, so a
+// leak shows up as a discarded node with a reachable successor (an
+// inlined home merges its returns with its fall-through) or as a Return
+// that nothing reaches (the compiled method's own home).
+func TestSimulatedReturnStaysInSimulation(t *testing.T) {
+	w := buildWorld(t, `
+	find: v In: n = ( | i <- 0 |
+		[ i < n ] whileTrue: [ (i = v) ifTrue: [ ^ i ]. i: i + 1 ].
+		nil ).
+	go: v = ( (find: v In: 10) + 1 ).`)
+	for _, cfg := range []Config{OldSELF89, NewSELF, NewSELFMultiLoop, StaticIdealC} {
+		for _, sel := range []string{"find:In:", "go:"} {
+			g, st := compileLobby(t, w, cfg, sel)
+			if cfg.IterativeLoops && st.LoopIterations == 0 {
+				t.Fatalf("%s %s: no loop body was simulated", cfg.Name, sel)
+			}
+			// What the code generator emits: the entry's graph and the
+			// non-local-return landings its closures resume at.
+			reach := map[*ir.Node]bool{}
+			var walk func(n *ir.Node)
+			walk = func(n *ir.Node) {
+				if n == nil || reach[n] {
+					return
+				}
+				reach[n] = true
+				walk(n.Landing)
+				for _, s := range n.Succ {
+					walk(s)
+				}
+			}
+			walk(g.Entry)
+			for _, n := range g.Nodes() {
+				if reach[n] {
+					continue
+				}
+				if n.Op == ir.Return {
+					t.Errorf("%s %s: %s is a return nothing reaches", cfg.Name, sel, n)
+				}
+				for _, s := range n.Succ {
+					if reach[s] {
+						t.Errorf("%s %s: discarded %s flows into reachable %s", cfg.Name, sel, n, s)
+					}
+				}
+			}
+		}
+	}
+}

@@ -398,6 +398,11 @@ type scope struct {
 	// blocks land; it feeds the scope's return collector.
 	nlrLanding *ir.Node
 
+	// simDepth is how many loop-body simulations (simulateLoopBody)
+	// were under way when this scope was made. A ^ compiled deeper than
+	// its home's simDepth belongs to a throwaway body and ends there.
+	simDepth int
+
 	// stackDepth is the inline-stack depth at which this scope's source
 	// text lives. Inlining a block body masks the stack back to the
 	// block's defining depth: the intervening inlined methods (e.g.

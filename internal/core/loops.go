@@ -192,6 +192,8 @@ func (cp *compilation) nextMergeID() int {
 func (cp *compilation) simulateLoopBody(headEnv *env, condT, bodyT types.Blk, negate bool) []*env {
 	savedRegs := cp.g.NumRegs
 	savedTracked := len(cp.tracked)
+	cp.simDepth++
+	defer func() { cp.simDepth-- }()
 
 	fake := cp.g.NewNode(ir.Merge)
 	hf := &flow{from: fake, slot: 0, env: headEnv.clone()}

@@ -424,7 +424,7 @@ func (cp *compilation) inlineMethod(f *flow, meth *obj.Method, rr ir.Reg, args [
 	defer func() { cp.inlineStack = cp.inlineStack[:len(cp.inlineStack)-1] }()
 	cp.stats.InlinedMethods++
 
-	sc2 := &scope{kind: methodScope, vars: map[string]ir.Reg{}, params: map[string]bool{}}
+	sc2 := &scope{kind: methodScope, vars: map[string]ir.Reg{}, params: map[string]bool{}, simDepth: cp.simDepth}
 	sc2.stackDepth = len(cp.inlineStack)
 	sc2.selfReg = rr
 	cp.track(rr)
@@ -462,7 +462,7 @@ func (cp *compilation) inlineBlock(f *flow, bt types.Blk, args []ir.Reg, sel str
 		return []*flow{f}, ir.NoReg
 	}
 	parent, _ := bt.Scope.(*scope)
-	sc2 := &scope{kind: blockScope, parent: parent, vars: map[string]ir.Reg{}, params: map[string]bool{}}
+	sc2 := &scope{kind: blockScope, parent: parent, vars: map[string]ir.Reg{}, params: map[string]bool{}, simDepth: cp.simDepth}
 	sc2.selfReg = ir.NoReg // blocks share self with their home scope
 	for i, p := range blk.Params {
 		sc2.vars[p] = args[i]
