@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before it lands.
 #
-#   ./ci.sh                # vet + build + tests + race detector
+#   ./ci.sh                # vet + gofmt + build + tests + race detector
 #   ./ci.sh -short         # the same, with the slow tests trimmed
 #   ./ci.sh cluster-smoke  # only the 3-replica router smoke
 #   ./ci.sh image-smoke    # only the world-image warm-start smoke
@@ -269,6 +269,11 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || {
+    echo "ci: gofmt would reformat:"; echo "$unformatted"; exit 1; }
+
 echo "== go build ./..."
 go build ./...
 
@@ -339,11 +344,13 @@ go test -run 'TestFuse|TestInstrRecord|TestOperandRoles' ./internal/vm
 # Compile digest + determinism: the compiler makes the decisions pinned
 # in testdata/compile_digest.json (every program × preset × eager tier ×
 # strategy; a change meant to alter none passes unchanged), makes them
-# the same way on every one of 20 compiles in one process, and the type
-# environment behaves as the plain map it replaced.
+# the same way on every one of 20 compiles in one process and again with
+# every loop simulation's released nodes and env chunks poisoned, the
+# type environment behaves as the plain map it replaced, and a simulated
+# body's ^ never reaches a return collector outside the simulation.
 echo "== compile digest + determinism"
-go test $short -run 'TestCompileDigest|TestCompileDeterministic' .
-go test -run 'TestEnv' ./internal/core
+go test $short -run '^(TestCompileDigest|TestCompileDigestPoisoned|TestCompileDeterministic)$' .
+go test -run 'TestEnv|TestSimulatedReturnStaysInSimulation' ./internal/core
 
 # Benchmark smoke: the repository's rail builds (into the ignored
 # .bench_build/) and one quick cold pass answers every op correctly.

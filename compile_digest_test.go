@@ -79,13 +79,7 @@ func TestCompileDigest(t *testing.T) {
 
 	want := map[string]codeDigest{}
 	if !*updateDigest {
-		data, err := os.ReadFile(digestFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatalf("%s: %v", digestFile, err)
-		}
+		want = pinnedDigest(t)
 	}
 	got := map[string]codeDigest{}
 	for _, cfg := range presets {
@@ -128,6 +122,48 @@ func TestCompileDigest(t *testing.T) {
 	if !reduced && len(want) != len(got) {
 		t.Errorf("%s pins %d cells, the matrix has %d", digestFile, len(want), len(got))
 	}
+}
+
+// pinnedDigest reads testdata/compile_digest.json.
+func pinnedDigest(t *testing.T) map[string]codeDigest {
+	t.Helper()
+	data, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]codeDigest{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", digestFile, err)
+	}
+	return want
+}
+
+// TestCompileDigestPoisoned recompiles the digest's split cells with
+// every release poisoning what it frees: a loop simulation's nodes get
+// an invalid op and no successors, its env chunks bind every register
+// to nil, and neither is handed out again. Anything the compiler still
+// reads after a simulation returns — beyond the tail types it copies
+// out and the landing it keeps for an outer home — then moves a hash.
+// (-short and the race detector: new SELF only.)
+func TestCompileDigestPoisoned(t *testing.T) {
+	presets := selfgo.Configs()
+	if testing.Short() || raceBuild {
+		presets = []selfgo.Config{selfgo.NewSELF}
+	}
+	want := pinnedDigest(t)
+	selfgo.WithPoisonedReleases(func() {
+		for _, cfg := range presets {
+			cfg.Strategy = selfgo.StrategySplit
+			for _, mode := range []selfgo.TierMode{selfgo.ModeOpt, selfgo.ModeBaseline} {
+				for _, p := range allocPrograms() {
+					key := fmt.Sprintf("%s/%s/%s/%s", cfg.Name, cfg.Strategy, mode, p.name)
+					if got := compileDigest(t, cfg, mode, p); got != want[key] {
+						t.Errorf("%s: compiled code differs from the pinned digest with releases poisoned", key)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestCompileDeterministic compiles every benchmark and conformance

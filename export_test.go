@@ -3,6 +3,7 @@ package selfgo
 import (
 	"testing"
 
+	"selfgo/internal/ir"
 	"selfgo/internal/vm"
 )
 
@@ -32,6 +33,16 @@ func ConformancePrograms() []ConformanceProgram {
 func WithRawAssembly(f func()) {
 	vm.TestHookAssemble = func(raw, _ *vm.Code) *vm.Code { return raw }
 	defer func() { vm.TestHookAssemble = nil }()
+	f()
+}
+
+// WithPoisonedReleases runs f with ir.TestPoisonReleases on: every
+// loop simulation's release overwrites the nodes and env chunks it
+// frees instead of recycling them. f must not leave compilations
+// running.
+func WithPoisonedReleases(f func()) {
+	ir.TestPoisonReleases = true
+	defer func() { ir.TestPoisonReleases = false }()
 	f()
 }
 

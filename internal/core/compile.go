@@ -49,7 +49,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 	g.NumParams = len(meth.Ast.Params)
 	cp.g = g
 
-	sc := &scope{kind: methodScope, vars: map[string]ir.Reg{}, params: map[string]bool{}}
+	sc := &scope{kind: methodScope}
 	sc.selfReg = cp.newVarReg()
 	sc.ret = &retCollector{resultReg: cp.newVarReg()}
 	cp.topScope = sc
@@ -58,7 +58,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 	cp.inlineStack = append(cp.inlineStack, meth.Ast)
 	sc.stackDepth = len(cp.inlineStack)
 
-	f0 := &flow{from: g.Entry, slot: 0, env: &env{}}
+	f0 := &flow{from: g.Entry, slot: 0, env: &env{ar: &cp.chunks}}
 	if c.Cfg.Customization && rmap != nil {
 		f0.env.set(sc.selfReg, types.NewClass(rmap, c.World.IntMap))
 	} else {
@@ -67,8 +67,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 
 	for _, p := range meth.Ast.Params {
 		r := cp.newVarReg()
-		sc.vars[p] = r
-		sc.params[p] = true
+		sc.declare(p, r, true)
 		f0.env.set(r, types.Unknown{})
 	}
 
@@ -81,7 +80,7 @@ func (c *Compiler) compileMethodFB(meth *obj.Method, rmap *obj.Map, fb *types.Fe
 	cp.finishMethod(flows, res, sc)
 	cp.stats.Duration = time.Since(cp.start)
 	cp.stats.Nodes = len(g.Reachable())
-	cp.stats.BuiltNodes = len(g.Nodes())
+	cp.stats.BuiltNodes = g.Built()
 	return g, cp.stats, cp.err
 }
 
@@ -103,12 +102,12 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, cells []string, fb *types.Feed
 	g.NumParams = len(blk.Params)
 	cp.g = g
 
-	sc := &scope{kind: blockScope, compiledBlock: true, vars: map[string]ir.Reg{}, params: map[string]bool{}, cells: cells}
+	sc := &scope{kind: blockScope, compiledBlock: true, cells: cells}
 	sc.selfReg = cp.newVarReg()
 	sc.ret = &retCollector{resultReg: cp.newVarReg()}
 	cp.topScope = sc
 
-	f0 := &flow{from: g.Entry, slot: 0, env: &env{}}
+	f0 := &flow{from: g.Entry, slot: 0, env: &env{ar: &cp.chunks}}
 	selfLoad := g.NewNode(ir.LoadUp)
 	selfLoad.Dst = sc.selfReg
 	selfLoad.Sel = "self"
@@ -118,8 +117,7 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, cells []string, fb *types.Feed
 
 	for _, p := range blk.Params {
 		r := cp.newVarReg()
-		sc.vars[p] = r
-		sc.params[p] = true
+		sc.declare(p, r, true)
 		f0.env.set(r, types.Unknown{})
 	}
 
@@ -132,7 +130,7 @@ func (c *Compiler) compileBlockFB(blk *ast.Block, cells []string, fb *types.Feed
 	cp.finishMethod(flows, res, sc)
 	cp.stats.Duration = time.Since(cp.start)
 	cp.stats.Nodes = len(g.Reachable())
-	cp.stats.BuiltNodes = len(g.Nodes())
+	cp.stats.BuiltNodes = g.Built()
 	return g, cp.stats, cp.err
 }
 
@@ -154,6 +152,10 @@ type compilation struct {
 	mergeSeq    int
 	simDepth    int // loop-body simulations under way (simulateLoopBody)
 	err         error
+
+	// chunks is where this compilation's env chunks come from; a loop
+	// simulation releases the ones it made when it returns.
+	chunks chunkArena
 
 	// fb is receiver-map type feedback from a lower tier's inline
 	// caches (nil outside feedback-seeded recompiles); sendUnknown
@@ -261,7 +263,7 @@ func (cp *compilation) annotate(f *flow, n *ir.Node) {
 func (cp *compilation) declareLocals(flows []*flow, sc *scope, locals []*ast.Local) []*flow {
 	for _, l := range locals {
 		r := cp.newVarReg()
-		sc.vars[l.Name] = r
+		sc.declare(l.Name, r, false)
 		v, ty := cp.localInit(l.Init)
 		for _, f := range flows {
 			n := cp.g.NewNode(ir.Const)
@@ -475,12 +477,12 @@ func (cp *compilation) mergeFlows(flows []*flow, res ir.Reg) *flow {
 		setSucc(f.from, f.slot, m)
 		allUncommon = allUncommon && f.uncommon
 	}
-	merged := &env{chunks: make([]*envChunk, nchunks)}
+	merged := &env{chunks: make([]*envChunk, nchunks), ar: &cp.chunks}
 	for i, allow := range keep {
 		// A chunk no flow wrote since they forked merges to itself (and,
 		// being shared, has no owner left to write it under the merge).
 		if c0, shared := sharedChunk(flows, i); shared {
-			merged.chunks[i] = c0.restrict(allow)
+			merged.chunks[i] = c0.restrict(allow, merged.ar)
 			continue
 		}
 		var bound uint32

@@ -18,17 +18,20 @@ import (
 // Flows fork at every branch and most of them write a handful of
 // registers before they merge again, so the bindings live in chunks of
 // chunkRegs consecutive registers that forked environments share until
-// one of them writes. Three invariants (DESIGN.md §4):
+// one of them writes. Four invariants (DESIGN.md §4):
 //
 //   - sharing: a chunk is written in place only by the env whose owner
 //     token it carries; every other env copies it first;
 //   - fork: clone gives the copy no token and takes the original's away,
 //     so after a fork neither side writes a chunk the other can see;
 //   - pruning: an env built by a merge (mergeFlows, restrict) holds
-//     bindings for the registers it was told to keep and no others.
+//     bindings for the registers it was told to keep and no others;
+//   - release: the chunks a loop simulation made are dead once it
+//     returns; the tail envs it returns hold copies (survive).
 type env struct {
 	chunks []*envChunk // nil entries hold no bindings
 	own    *envOwner   // nil until the first write after a fork
+	ar     *chunkArena // where new chunks come from (nil: the heap)
 }
 
 const chunkRegs = 32
@@ -37,7 +40,53 @@ type envChunk struct {
 	owner   *envOwner
 	present uint32 // registers with a binding
 	blk     uint32 // those bound to a types.Blk
+	seq     uint32 // its number in its arena (0: on the heap)
 	t       [chunkRegs]types.Type
+}
+
+// chunkArena hands out one compilation's env chunks; a loop simulation
+// releases the ones it made when it returns. A nil arena allocates from
+// the heap.
+type chunkArena struct{ slabs ir.Arena[envChunk] }
+
+// alloc returns an empty chunk.
+func (a *chunkArena) alloc() *envChunk {
+	if a == nil {
+		return new(envChunk)
+	}
+	c := a.slabs.New()
+	*c = envChunk{seq: uint32(a.slabs.Len())}
+	return c
+}
+
+// copyOf returns a copy of c owned by nobody.
+func (a *chunkArena) copyOf(c *envChunk) *envChunk {
+	out := a.alloc()
+	seq := out.seq
+	*out = *c
+	out.owner, out.seq = nil, seq
+	return out
+}
+
+func (a *chunkArena) mark() ir.ArenaMark { return a.slabs.Mark() }
+
+// release takes back every chunk handed out since m. Under
+// ir.TestPoisonReleases each instead binds every register to nil.
+func (a *chunkArena) release(m ir.ArenaMark) {
+	a.slabs.Release(m, func(c *envChunk) { *c = envChunk{present: ^uint32(0), seq: c.seq} })
+}
+
+// survive replaces every chunk of e that a release at m would take
+// back with a heap copy, so e outlives that release. e must be the
+// only env holding its chunk table (restrict makes one).
+func (e *env) survive(m ir.ArenaMark) {
+	for i, c := range e.chunks {
+		if c != nil && int(c.seq) > m.Len() {
+			cp := *c
+			cp.owner, cp.seq = nil, 0
+			e.chunks[i] = &cp
+		}
+	}
 }
 
 // envOwner is an identity: its address is the token. (Not zero-sized —
@@ -82,16 +131,17 @@ func (c *envChunk) put(k int, t types.Type) {
 }
 
 // restrict returns the chunk with only the bindings in keep: c itself
-// when it has no others, nil when none survive, else a copy owned by
-// nobody.
-func (c *envChunk) restrict(keep uint32) *envChunk {
+// when it has no others, nil when none survive, else a copy from ar
+// owned by nobody.
+func (c *envChunk) restrict(keep uint32, ar *chunkArena) *envChunk {
 	switch {
 	case c.present&keep == 0:
 		return nil
 	case c.present&^keep == 0:
 		return c
 	}
-	out := &envChunk{present: c.present & keep, blk: c.blk & keep}
+	out := ar.alloc()
+	out.present, out.blk = c.present&keep, c.blk&keep
 	for m := out.present; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros32(m)
 		out.t[k] = c.t[k]
@@ -105,7 +155,7 @@ func (e *env) disown() { e.own = nil }
 
 func (e *env) clone() *env {
 	e.disown()
-	return &env{chunks: append([]*envChunk(nil), e.chunks...)}
+	return &env{chunks: append([]*envChunk(nil), e.chunks...), ar: e.ar}
 }
 
 // get returns the type bound to r; absent bindings are unknown.
@@ -138,14 +188,13 @@ func (e *env) writable(i int) *envChunk {
 	c := e.chunks[i]
 	switch {
 	case c == nil:
-		c = &envChunk{owner: e.own}
+		c = e.ar.alloc()
 	case c.owner != e.own:
-		cp := *c
-		c = &cp
-		c.owner = e.own
+		c = e.ar.copyOf(c)
 	default:
 		return c
 	}
+	c.owner = e.own
 	e.chunks[i] = c
 	return c
 }
@@ -154,10 +203,10 @@ func (e *env) writable(i int) *envChunk {
 // keep and no others, sharing every chunk it need not change.
 func (e *env) restrict(keep regMask) *env {
 	e.disown()
-	out := &env{chunks: make([]*envChunk, len(e.chunks))}
+	out := &env{chunks: make([]*envChunk, len(e.chunks)), ar: e.ar}
 	for i, c := range e.chunks {
 		if c != nil {
-			out.chunks[i] = c.restrict(keep.word(i))
+			out.chunks[i] = c.restrict(keep.word(i), e.ar)
 		}
 	}
 	return out
@@ -382,8 +431,7 @@ type scope struct {
 	kind   scopeKind
 	parent *scope
 
-	vars   map[string]ir.Reg // params and locals declared here
-	params map[string]bool   // subset of vars that are parameters (immutable)
+	vars []scopeVar // params and locals declared here
 
 	selfReg  ir.Reg
 	selfType types.Type
@@ -418,6 +466,34 @@ type scope struct {
 	cells         []string
 }
 
+// scopeVar is one name a scope declares.
+type scopeVar struct {
+	name  string
+	reg   ir.Reg
+	param bool // parameters are immutable
+}
+
+// declare binds name in s to r. Declaring a name again rebinds it; it
+// stays a parameter if it was one.
+func (s *scope) declare(name string, r ir.Reg, param bool) {
+	if v := s.find(name); v != nil {
+		v.reg = r
+		v.param = v.param || param
+		return
+	}
+	s.vars = append(s.vars, scopeVar{name, r, param})
+}
+
+// find returns the variable s declares under name, or nil.
+func (s *scope) find(name string) *scopeVar {
+	for i := range s.vars {
+		if s.vars[i].name == name {
+			return &s.vars[i]
+		}
+	}
+	return nil
+}
+
 // retCollector gathers early-return flows for a method scope so they
 // merge with the fall-through result at the end of the method.
 type retCollector struct {
@@ -431,8 +507,8 @@ type retCollector struct {
 // in.
 func (s *scope) lookupVar(name string) (reg ir.Reg, cell int, ok bool) {
 	for cur := s; cur != nil; cur = cur.parent {
-		if r, found := cur.vars[name]; found {
-			return r, -1, true
+		if v := cur.find(name); v != nil {
+			return v.reg, -1, true
 		}
 		if cur.compiledBlock && cur.parent == nil {
 			// Out-of-line block: captured names resolve through the
@@ -450,8 +526,8 @@ func (s *scope) lookupVar(name string) (reg ir.Reg, cell int, ok bool) {
 // propagate to the variable the caller passed.
 func (s *scope) isParam(name string) bool {
 	for cur := s; cur != nil; cur = cur.parent {
-		if _, found := cur.vars[name]; found {
-			return cur.params[name]
+		if v := cur.find(name); v != nil {
+			return v.param
 		}
 		if cur.compiledBlock && cur.parent == nil {
 			return false

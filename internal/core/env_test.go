@@ -17,14 +17,26 @@ const envModelRegs = 4*chunkRegs + 7
 // representation env replaced — through the same operations, decoded
 // from prog, and compares every binding of every env after each one.
 // Envs stay in the pool after they are forked, restricted or merged, so
-// a write through any of them that reached a sibling shows up.
+// a write through any of them that reached a sibling shows up. Regions
+// stand for loop simulations: the envs made inside one die when it
+// closes, but for tails that survive the release of its chunks.
 type envModel struct {
-	t      testing.TB
-	cp     *compilation
-	envs   []*env
-	models []map[ir.Reg]types.Type
-	prog   []byte
-	types  []types.Type
+	t       testing.TB
+	cp      *compilation
+	envs    []*env
+	models  []map[ir.Reg]types.Type
+	regions []envRegion
+	prog    []byte
+	types   []types.Type
+}
+
+// envRegion is an open simulation: the arena and tracking marks, and
+// the pool index from which its envs start. A simulation writes only
+// envs it made.
+type envRegion struct {
+	chunks  ir.ArenaMark
+	tracked int
+	floor   int
 }
 
 func newEnvModel(t testing.TB, prog []byte) *envModel {
@@ -35,7 +47,7 @@ func newEnvModel(t testing.TB, prog []byte) *envModel {
 	b1, b2 := &ast.Block{}, &ast.Block{}
 	return &envModel{
 		t: t, cp: cp, prog: prog,
-		envs:   []*env{&env{}},
+		envs:   []*env{{ar: &cp.chunks}},
 		models: []map[ir.Reg]types.Type{{}},
 		types: []types.Type{
 			types.Unknown{},
@@ -60,6 +72,18 @@ func (m *envModel) next() int {
 
 func (m *envModel) pick() int { return m.next() % len(m.envs) }
 
+// pickOwn picks an env the innermost open region may write, or -1.
+func (m *envModel) pickOwn() int {
+	floor := 0
+	if len(m.regions) > 0 {
+		floor = m.regions[len(m.regions)-1].floor
+	}
+	if floor == len(m.envs) {
+		return -1
+	}
+	return floor + m.next()%(len(m.envs)-floor)
+}
+
 func (m *envModel) reg() ir.Reg { return ir.Reg(m.next() % envModelRegs) }
 
 func modelGet(model map[ir.Reg]types.Type, r ir.Reg) types.Type {
@@ -77,9 +101,12 @@ func (m *envModel) add(e *env, model map[ir.Reg]types.Type) {
 }
 
 func (m *envModel) step() {
-	switch op := m.next() % 8; op {
+	switch op := m.next() % 10; op {
 	case 0, 1, 2: // bind
-		i, r, t := m.pick(), m.reg(), m.types[m.next()%len(m.types)]
+		i, r, t := m.pickOwn(), m.reg(), m.types[m.next()%len(m.types)]
+		if i < 0 {
+			return
+		}
 		m.envs[i].set(r, t)
 		m.models[i][r] = t
 	case 3: // fork
@@ -103,8 +130,8 @@ func (m *envModel) step() {
 		}
 		m.add(m.envs[i].restrict(m.cp.trackedMask), model)
 	case 6, 7: // merge two or three envs
-		idx := []int{m.pick(), m.pick(), m.pick()}[:2+op%2]
-		if idx[0] == idx[1] || (len(idx) == 3 && (idx[2] == idx[0] || idx[2] == idx[1])) {
+		idx := []int{m.pickOwn(), m.pickOwn(), m.pickOwn()}[:2+op%2]
+		if idx[0] < 0 || idx[0] == idx[1] || (len(idx) == 3 && (idx[2] == idx[0] || idx[2] == idx[1])) {
 			return
 		}
 		res := ir.NoReg
@@ -119,6 +146,39 @@ func (m *envModel) step() {
 		}
 		merged := m.cp.mergeFlows(flows, res)
 		m.add(merged.env, m.mergeModels(models, res))
+	case 8: // open a simulation
+		if len(m.regions) < 3 {
+			m.regions = append(m.regions, envRegion{m.cp.chunks.mark(), len(m.cp.tracked), len(m.envs)})
+		}
+	case 9: // close it, as simulateLoopBody does: one or two of its envs
+		// are the tails, restricted to what was tracked at the mark and
+		// copied out of the chunks the release takes back
+		if len(m.regions) == 0 {
+			return
+		}
+		reg := m.regions[len(m.regions)-1]
+		m.regions = m.regions[:len(m.regions)-1]
+		m.cp.trackRelease(min(reg.tracked, len(m.cp.tracked)))
+		var tails []*env
+		var models []map[ir.Reg]types.Type
+		for range 1 + m.next()%2 {
+			if len(m.envs) == reg.floor {
+				break
+			}
+			i := reg.floor + m.next()%(len(m.envs)-reg.floor)
+			model := map[ir.Reg]types.Type{}
+			for _, r := range m.cp.tracked {
+				model[r] = modelGet(m.models[i], r)
+			}
+			tail := m.envs[i].restrict(m.cp.trackedMask)
+			tail.survive(reg.chunks)
+			tails, models = append(tails, tail), append(models, model)
+		}
+		m.cp.chunks.release(reg.chunks)
+		m.envs, m.models = m.envs[:reg.floor], m.models[:reg.floor]
+		for i, tail := range tails {
+			m.add(tail, models[i])
+		}
 	}
 }
 
@@ -197,11 +257,15 @@ func runEnvModel(t testing.TB, prog []byte) {
 	}
 }
 
+// TestEnvModel runs random programs, every other one with releases
+// poisoned: a chunk read after its release then binds nil.
 func TestEnvModel(t *testing.T) {
+	defer func() { ir.TestPoisonReleases = false }()
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 300; i++ {
 		prog := make([]byte, 600)
 		rng.Read(prog)
+		ir.TestPoisonReleases = i%2 == 1
 		runEnvModel(t, prog)
 	}
 }

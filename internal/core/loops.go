@@ -186,27 +186,33 @@ func (cp *compilation) nextMergeID() int {
 
 // simulateLoopBody compiles the loop once from headEnv into a detached
 // subgraph — the recompilation step of iterative type analysis — and
-// returns the type environments at the loop tail. The nodes built here
-// stay unreachable; only the type information survives (and the
-// compile-time cost, which the paper pays too).
+// returns the type environments at the loop tail. Only that type
+// information survives (and the compile-time cost, which the paper pays
+// too): registers, tracking, nodes and env chunks made here are all
+// given back on return (DESIGN.md §4, fourth invariant).
 func (cp *compilation) simulateLoopBody(headEnv *env, condT, bodyT types.Blk, negate bool) []*env {
 	savedRegs := cp.g.NumRegs
 	savedTracked := len(cp.tracked)
+	nodes, chunks := cp.g.Mark(), cp.chunks.mark()
 	cp.simDepth++
-	defer func() { cp.simDepth-- }()
 
 	fake := cp.g.NewNode(ir.Merge)
 	hf := &flow{from: fake, slot: 0, env: headEnv.clone()}
 	tails, _ := cp.buildLoopBody(hf, condT, bodyT, negate)
 
 	// Cap the environments to the registers tracked before the
-	// simulation, so scratch registers don't leak.
+	// simulation, so scratch registers don't leak, and copy them out of
+	// the chunks about to be released.
+	cp.simDepth--
 	cp.g.NumRegs = savedRegs
 	cp.trackRelease(savedTracked)
 	out := make([]*env, len(tails))
 	for i, tf := range tails {
 		out[i] = tf.env.restrict(cp.trackedMask)
+		out[i].survive(chunks)
 	}
+	cp.chunks.release(chunks)
+	cp.g.Release(nodes)
 	return out
 }
 

@@ -424,7 +424,7 @@ func (cp *compilation) inlineMethod(f *flow, meth *obj.Method, rr ir.Reg, args [
 	defer func() { cp.inlineStack = cp.inlineStack[:len(cp.inlineStack)-1] }()
 	cp.stats.InlinedMethods++
 
-	sc2 := &scope{kind: methodScope, vars: map[string]ir.Reg{}, params: map[string]bool{}, simDepth: cp.simDepth}
+	sc2 := &scope{kind: methodScope, vars: make([]scopeVar, 0, len(a.Params)+len(a.Locals)), simDepth: cp.simDepth}
 	sc2.stackDepth = len(cp.inlineStack)
 	sc2.selfReg = rr
 	cp.track(rr)
@@ -433,8 +433,7 @@ func (cp *compilation) inlineMethod(f *flow, meth *obj.Method, rr ir.Reg, args [
 		// parameters are immutable, so this costs nothing and lets
 		// type tests inside the callee refine the caller's variable —
 		// the effect that hoists the n-is-integer test in §5.3.
-		sc2.vars[p] = args[i]
-		sc2.params[p] = true
+		sc2.declare(p, args[i], true)
 		cp.track(args[i])
 	}
 	sc2.ret = &retCollector{resultReg: cp.newVarReg()}
@@ -462,11 +461,10 @@ func (cp *compilation) inlineBlock(f *flow, bt types.Blk, args []ir.Reg, sel str
 		return []*flow{f}, ir.NoReg
 	}
 	parent, _ := bt.Scope.(*scope)
-	sc2 := &scope{kind: blockScope, parent: parent, vars: map[string]ir.Reg{}, params: map[string]bool{}, simDepth: cp.simDepth}
+	sc2 := &scope{kind: blockScope, parent: parent, vars: make([]scopeVar, 0, len(blk.Params)+len(blk.Locals)), simDepth: cp.simDepth}
 	sc2.selfReg = ir.NoReg // blocks share self with their home scope
 	for i, p := range blk.Params {
-		sc2.vars[p] = args[i]
-		sc2.params[p] = true
+		sc2.declare(p, args[i], true)
 		cp.track(args[i])
 	}
 	// The block's code is lexically the defining method's, not the
@@ -509,10 +507,15 @@ func (cp *compilation) materialize(f *flow, reg ir.Reg) {
 	if bsc, ok := bt.Scope.(*scope); ok && blockHasReturn(bt.B) {
 		if home := bsc.homeMethod(); home != nil && home != cp.topScope {
 			if home.nlrLanding == nil {
-				home.nlrLanding = cp.newMergeNode()
+				// Kept: a landing made while a loop body is simulated
+				// for a home outside it is where the real compile
+				// lands too.
+				cp.mergeSeq++
+				home.nlrLanding = cp.g.NewKeptNode(ir.Merge)
+				home.nlrLanding.Index = cp.mergeSeq
 				home.ret.flows = append(home.ret.flows, &flow{
 					from:     home.nlrLanding,
-					env:      &env{},
+					env:      &env{ar: &cp.chunks},
 					uncommon: true,
 				})
 			}

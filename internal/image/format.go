@@ -21,9 +21,9 @@ type writer struct {
 	tmp [binary.MaxVarintLen64]byte
 }
 
-func (w *writer) u(v uint64) { w.b.Write(w.tmp[:binary.PutUvarint(w.tmp[:], v)]) }
-func (w *writer) i(v int64)  { w.b.Write(w.tmp[:binary.PutVarint(w.tmp[:], v)]) }
-func (w *writer) s(s string) { w.u(uint64(len(s))); w.b.WriteString(s) }
+func (w *writer) u(v uint64)  { w.b.Write(w.tmp[:binary.PutUvarint(w.tmp[:], v)]) }
+func (w *writer) i(v int64)   { w.b.Write(w.tmp[:binary.PutVarint(w.tmp[:], v)]) }
+func (w *writer) s(s string)  { w.u(uint64(len(s))); w.b.WriteString(s) }
 func (w *writer) byte(b byte) { w.b.WriteByte(b) }
 func (w *writer) bool(v bool) {
 	if v {

@@ -9,6 +9,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"selfgo/internal/ast"
@@ -241,9 +242,16 @@ type Graph struct {
 	// NumParams is how many arguments the method or block takes: the
 	// back end passes them in registers 2 onwards (0 is self).
 	NumParams int
-	nodes     []*Node
-	nextID    int
+
+	// nodes holds the nodes NewNode makes; kept holds those of
+	// NewKeptNode, which no Release takes back.
+	nodes  Arena[Node]
+	kept   []*Node
+	nextID int
 }
+
+// poisoned is the Op of a node released under TestPoisonReleases.
+const poisoned Op = 255
 
 // NewGraph returns an empty graph with a Start entry node.
 func NewGraph(name string) *Graph {
@@ -254,10 +262,36 @@ func NewGraph(name string) *Graph {
 
 // NewNode allocates a node in the graph.
 func (g *Graph) NewNode(op Op) *Node {
-	g.nextID++
-	n := &Node{ID: g.nextID, Op: op, Dst: NoReg, A: NoReg, B: NoReg, C: NoReg, FailBlk: NoReg}
-	g.nodes = append(g.nodes, n)
+	n := g.nodes.New()
+	g.init(n, op)
 	return n
+}
+
+// NewKeptNode allocates a node that outlives every Release: one made
+// while a throwaway subgraph is being built but referenced from outside
+// it.
+func (g *Graph) NewKeptNode(op Op) *Node {
+	n := new(Node)
+	g.init(n, op)
+	g.kept = append(g.kept, n)
+	return n
+}
+
+// init numbers a fresh or recycled node; a recycled node keeps its
+// successor slice's backing array.
+func (g *Graph) init(n *Node, op Op) {
+	g.nextID++
+	*n = Node{ID: g.nextID, Op: op, Dst: NoReg, A: NoReg, B: NoReg, C: NoReg, FailBlk: NoReg, Succ: n.Succ[:0]}
+}
+
+// Mark returns the current allocation position, for Release.
+func (g *Graph) Mark() ArenaMark { return g.nodes.Mark() }
+
+// Release takes back every node NewNode made since m, for reuse. The
+// caller guarantees nothing live refers to them. Under
+// TestPoisonReleases each gets an invalid Op and no successors instead.
+func (g *Graph) Release(m ArenaMark) {
+	g.nodes.Release(m, func(n *Node) { *n = Node{ID: n.ID, Op: poisoned} })
 }
 
 // NewReg allocates a fresh virtual register.
@@ -267,9 +301,23 @@ func (g *Graph) NewReg() Reg {
 	return r
 }
 
-// Nodes returns every allocated node (including ones made unreachable
-// by loop re-compilation; use Reachable for live nodes).
-func (g *Graph) Nodes() []*Node { return g.nodes }
+// Built counts the nodes ever made in the graph, released ones
+// included.
+func (g *Graph) Built() int { return g.nextID }
+
+// Nodes returns every node not released, in creation order: the
+// reachable ones plus any a compilation built and abandoned without
+// releasing them. Use Reachable for live nodes.
+func (g *Graph) Nodes() []*Node {
+	out := append([]*Node(nil), g.kept...)
+	g.nodes.All(func(n *Node) {
+		if n.Op != poisoned {
+			out = append(out, n)
+		}
+	})
+	slices.SortFunc(out, func(a, b *Node) int { return a.ID - b.ID })
+	return out
+}
 
 // Reachable returns the nodes reachable from the entry, in a stable
 // depth-first order (true branches first).

@@ -45,6 +45,69 @@ func TestReachableExcludesDetached(t *testing.T) {
 	}
 }
 
+// TestReleaseRecycles: a release takes back exactly the nodes made
+// since its mark, innermost first, and the next nodes reuse them; IDs
+// keep counting, kept nodes survive, and Nodes lists what is live.
+func TestReleaseRecycles(t *testing.T) {
+	g := NewGraph("t")
+	live := g.NewNode(Const)
+	outer := g.Mark()
+	sim := g.NewNode(Merge)
+	setSucc := func(n, s *Node) { n.Succ = append(n.Succ, s) }
+	setSucc(sim, g.NewNode(Move))
+	inner := g.Mark()
+	g.NewNode(Arith)
+	kept := g.NewKeptNode(Merge)
+	g.Release(inner)
+	reused := g.NewNode(Return)
+	g.Release(outer)
+	again := g.NewNode(Send)
+	if again != sim || again.Op != Send || len(again.Succ) != 0 || again.A != NoReg {
+		t.Errorf("after the outer release the next node is %p %v, want the first released one, fresh", again, again)
+	}
+	if reused.ID != 7 || again.ID != 8 || g.Built() != 8 {
+		t.Errorf("IDs %d, %d and %d built: released nodes must not reuse IDs", reused.ID, again.ID, g.Built())
+	}
+	if got := g.Nodes(); len(got) != 4 || got[0] != g.Entry || got[1] != live || got[2] != kept || got[3] != again {
+		t.Errorf("Nodes() = %v, want the entry, the live node, the kept one and the recycled one", got)
+	}
+}
+
+// TestReleasePoisons: under TestPoisonReleases a release leaves its
+// nodes unusable and never hands them out again.
+func TestReleasePoisons(t *testing.T) {
+	TestPoisonReleases = true
+	defer func() { TestPoisonReleases = false }()
+	g := NewGraph("t")
+	m := g.Mark()
+	n := g.NewNode(Const)
+	n.Succ = []*Node{g.Entry}
+	g.Release(m)
+	if n.Op != poisoned || n.Succ != nil {
+		t.Errorf("released node is %v with successors %v", n.Op, n.Succ)
+	}
+	if g.NewNode(Const) == n {
+		t.Error("a poisoned node was handed out again")
+	}
+	if got := len(g.Nodes()); got != 2 {
+		t.Errorf("Nodes() holds %d nodes, want the entry and the new one", got)
+	}
+}
+
+// TestManySlabs: a graph may need more than 64 slabs (a slab holds at
+// most 1,152 nodes of 224 bytes), where doubling the slab size once per
+// slab would overflow.
+func TestManySlabs(t *testing.T) {
+	g := NewGraph("t")
+	const n = 90_000
+	for range n {
+		g.NewNode(Const)
+	}
+	if got := len(g.Nodes()); got != n+1 {
+		t.Errorf("Nodes() = %d, want %d", got, n+1)
+	}
+}
+
 func TestComputeStats(t *testing.T) {
 	g := NewGraph("t")
 	send := g.NewNode(Send)

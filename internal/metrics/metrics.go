@@ -82,7 +82,9 @@ type family struct {
 }
 
 // metric is the value cell behind one series.
-type metric interface{ write(w io.Writer, fam *family, labelKey string) }
+type metric interface {
+	write(w io.Writer, fam *family, labelKey string)
+}
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
