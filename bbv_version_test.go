@@ -34,11 +34,11 @@ go: n = ( | s <- 0 |
 // run materializes nothing new.
 func TestBBVVersionCapBound(t *testing.T) {
 	const maxVers = 2
-	cfg := bbvStrategyConfig(selfgo.StrategyBBV)
+	cfg := withStrategy(selfgo.NewSELF, selfgo.StrategyBBV)
 	cfg.MaxVers = maxVers
 
 	// The split strategy pins the expected value.
-	ref, err := selfgo.NewSystem(bbvStrategyConfig(selfgo.StrategySplit))
+	ref, err := selfgo.NewSystem(withStrategy(selfgo.NewSELF, selfgo.StrategySplit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ drive: n = ( | s <- 0 | 1 to: n Do: [ :i | s: s + (pick: i) bump ]. s ).`
 // the widening the program still computes the identical value; the
 // shape elisions are gone for good (a widened tag never narrows).
 func TestBBVShapeInvalidation(t *testing.T) {
-	sys, err := selfgo.NewTieredSystem(bbvStrategyConfig(selfgo.StrategyBBV), selfgo.ModeOpt, 0)
+	sys, err := selfgo.NewTieredSystem(withStrategy(selfgo.NewSELF, selfgo.StrategyBBV), selfgo.ModeOpt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

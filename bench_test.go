@@ -184,9 +184,9 @@ func BenchmarkHost(b *testing.B) {
 // the same program with superinstruction fusion disabled, so
 // `go test -bench='Host.*richards'` shows the fusion win directly.
 func BenchmarkHostUnfused(b *testing.B) {
-	cfg := selfgo.NewSELF
-	cfg.NoSuperinstructions = true
-	b.Run("richards", func(b *testing.B) { benchHost(b, cfg, bench.Richards()) })
+	selfgo.WithUnfusedAssembly(func() {
+		b.Run("richards", func(b *testing.B) { benchHost(b, selfgo.NewSELF, bench.Richards()) })
+	})
 }
 
 // BenchmarkCompileTriangle measures one compilation of the §5.3

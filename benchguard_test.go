@@ -4,86 +4,56 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"selfgo"
 	"selfgo/internal/bench"
 )
 
-// TestBenchmarkGuard replays every BENCH_*.json pin file at the repo
-// root against the current build. Each record fixes the check value and
-// modelled cycle count of one (benchmark, config) point of the §6.1
-// speed table; any drift means an infrastructure change (cache sharing,
-// VM refactor) altered execution semantics or the cost model, which
-// must be a deliberate, re-pinned decision — never an accident.
-// Regenerate the pins with:
+// TestBenchmarkGuard replays BENCH_guard.json against the current
+// build. Each record fixes the check value and modelled cycle count of
+// one (benchmark, config) point of the §6.1 speed table; any drift
+// means an infrastructure change (cache sharing, VM refactor) altered
+// execution semantics or the cost model, which must be a deliberate,
+// re-pinned decision — never an accident. (BENCH_host.json and
+// BENCH_serve.json are wall-clock measurements, not pins.) Regenerate
+// the pins with:
 //
 //	go run ./cmd/selfbench -table guard -q > BENCH_guard.json
 func TestBenchmarkGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard is slow; skipped in -short mode")
-	}
-	files, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Skip("no BENCH_*.json pin files present")
-	}
-
-	configs := map[string]selfgo.Config{}
+	const file = "BENCH_guard.json"
+	presets, progs := map[string]selfgo.Config{}, map[string]*program{}
 	for _, cfg := range selfgo.Configs() {
-		configs[cfg.Name] = cfg
+		presets[cfg.Name] = cfg
 	}
-	r := bench.NewRunner()
-	for _, file := range files {
-		file := file
-		switch filepath.Base(file) {
-		case "BENCH_host.json", "BENCH_serve.json":
-			// Wall-clock measurements, machine-dependent by nature —
-			// not pins. ci.sh smoke-runs the host rail and the
-			// cluster-smoke stage asserts the serving rail's
-			// compile-once bounds instead.
-			continue
+	for _, p := range benchmarks {
+		progs[p.name] = p
+	}
+	t.Run(file, func(t *testing.T) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
+		var recs []bench.GuardRecord
+		if err := json.Unmarshal(data, &recs); err != nil || len(recs) == 0 {
+			t.Fatalf("%s: %d records, %v", file, len(recs), err)
+		}
+		for _, rec := range recs {
+			p, ok := progs[rec.Bench]
+			cfg, known := presets[rec.Config]
+			if !ok || !known {
+				t.Errorf("%s pins unknown benchmark %q or config %q", file, rec.Bench, rec.Config)
+				continue
 			}
-			var recs []bench.GuardRecord
-			if err := json.Unmarshal(data, &recs); err != nil {
-				t.Fatalf("%s: %v", file, err)
-			}
-			if len(recs) == 0 {
-				t.Fatalf("%s holds no records", file)
-			}
-			for _, rec := range recs {
-				b, ok := bench.ByName(rec.Bench)
-				if !ok {
-					t.Errorf("%s pins unknown benchmark %q", file, rec.Bench)
-					continue
+			for _, c := range reduce([]cell{at(p, cfg)}) {
+				o := get(t, c)
+				if o.Value != fmt.Sprint(rec.Value) {
+					t.Errorf("%s: value %s, pinned %d (execution semantics drifted)", c, o.Value, rec.Value)
 				}
-				cfg, ok := configs[rec.Config]
-				if !ok {
-					t.Errorf("%s pins unknown config %q", file, rec.Config)
-					continue
-				}
-				m, err := r.Get(b, cfg)
-				if err != nil {
-					t.Errorf("%s under %s: %v", rec.Bench, rec.Config, err)
-					continue
-				}
-				if m.Value != rec.Value {
-					t.Errorf("%s under %s: value %d, pinned %d (execution semantics drifted)",
-						rec.Bench, rec.Config, m.Value, rec.Value)
-				}
-				if m.Cycles != rec.Cycles {
-					t.Errorf("%s under %s: %s", rec.Bench, rec.Config,
-						fmt.Sprintf("cycles %d, pinned %d (cost model drifted)", m.Cycles, rec.Cycles))
+				if o.Run.Cycles != rec.Cycles {
+					t.Errorf("%s: cycles %d, pinned %d (cost model drifted)", c, o.Run.Cycles, rec.Cycles)
 				}
 			}
-		})
-	}
+		}
+	})
 }

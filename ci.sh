@@ -295,62 +295,10 @@ go test -run=NONE -bench=BenchmarkHost -benchtime=1x .
 echo "== adaptive smoke"
 go run ./cmd/selfbench -bench richards -tier adaptive -promote 50 -assert-promoted -q
 
-# Tier differential: -tier=opt must stay bit-identical to the
-# hand-built pre-tiering compile path in every modelled quantity,
-# across the full benchmark suite.
-echo "== tier differential"
-go test -run 'TestTierOptBitIdentical' .
-
-# Code cache: every system finds its code through one cache, so a
-# redefinition or a typed-shape widening must reach code compiled
-# before it (inlined callers, inline-cache memos, bbv versions), and a
-# fork must share its root's compiles.
-echo "== code cache"
-go test -run 'TestRedefinitionReachesCompiledCallers|TestSharedCacheInvalidation|TestForkRequiresSharedCache|TestBBVShapeInvalidation' .
-
-# BBV differential: the lazy basic-block versioning strategy must stay
-# bit-identical to splitting on every benchmark and conformance program
-# (values and fault taxonomy), plateau at the version cap on
-# megamorphic code, and invalidate shape-specialized versions through
-# OnMapChange like any other customization. Versions sit over fused
-# code: under bbv and both, fused and unfused runs are bit-identical
-# (RunStats with every versioning counter, faults pc by pc), and the
-# two prefix-charge rules hold on a hand-built stream.
-echo "== bbv differential"
-go test -run 'TestBBVVsSplitBenchmarks|TestBBVConformanceAcrossStrategies|TestBBVFaultDifferential|TestBBVVersionCapBound|TestBBVShapeInvalidation|TestFusedVsUnfused' .
-go test -run 'TestBBVVersionsFusedEntries' ./internal/vm
-
-# Register-allocation differential: vm.CheckAllocation over every Code
-# the benchmarks and conformance programs compile under every preset,
-# tier and strategy, and the mutants it must reject (two live registers
-# on one slot that are not copies of one another, a coalesced pair whose
-# source is redefined, a pinned register sharing); allocated vs
-# un-allocated assembly bit-identical (value, RunStats, compile record,
-# fault backtraces, pcs included); coalescing costs no frame storage;
-# and the frame footprint allocation buys (warm calls allocate none,
-# deep recursion < 32 MB).
-echo "== regalloc differential"
-go test -run 'TestRegAllocChecked|TestRegAllocBitIdentical|TestCoalescingCostsNoFrameStorage|TestWarmCallsDoNotAllocateFrames|TestDeepRecursionFootprint' .
-go test -run 'TestCheckAllocation' ./internal/vm
-
-# Fusion differential: fused vs unfused bit-identical on every benchmark
-# and on fault backtraces (pcs included); self-moves absorbed with their
-# charge, tails uncharged by N; and the loop benchmarks' inner loops
-# dispatch at most half the entries they retire instructions.
-echo "== fusion differential"
-go test -run 'TestFusedVsUnfused' .
-go test -run 'TestFuse|TestInstrRecord|TestOperandRoles' ./internal/vm
-
-# Compile digest + determinism: the compiler makes the decisions pinned
-# in testdata/compile_digest.json (every program × preset × eager tier ×
-# strategy; a change meant to alter none passes unchanged), makes them
-# the same way on every one of 20 compiles in one process and again with
-# every loop simulation's released nodes and env chunks poisoned, the
-# type environment behaves as the plain map it replaced, and a simulated
-# body's ^ never reaches a return collector outside the simulation.
-echo "== compile digest + determinism"
-go test $short -run '^(TestCompileDigest|TestCompileDigestPoisoned|TestCompileDeterministic)$' .
-go test -run 'TestEnv|TestSimulatedReturnStaysInSimulation' ./internal/core
+# The differential oracles (tier, code cache, bbv, register allocation,
+# fusion, compile digest and determinism) are the root package's oracle
+# matrix and the internal packages' unit tests: `go test ./...` above
+# runs them all (DESIGN.md "The oracle matrix").
 
 # Benchmark smoke: the repository's rail builds (into the ignored
 # .bench_build/) and one quick cold pass answers every op correctly.

@@ -1,10 +1,9 @@
 package selfgo
 
-import "testing"
-
 // Conformance programs: realistic object-oriented code exercising
 // prototypes, polymorphism, closures and collections together. Every
-// compiler configuration must agree on every program.
+// compiler configuration must agree on every program (the oracle
+// matrix's TestConformanceAcrossConfigs).
 
 var conformancePrograms = []struct {
 	name string
@@ -232,28 +231,4 @@ var conformancePrograms = []struct {
 		    s ).`,
 		sel: "go", want: 864,
 	},
-}
-
-// TestConformanceAcrossConfigs runs each program under every system
-// and demands agreement (and the known value where stated).
-func TestConformanceAcrossConfigs(t *testing.T) {
-	for _, p := range conformancePrograms {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			var ref int64
-			var refSet bool
-			for _, cfg := range Configs() {
-				sys := newSys(t, cfg, p.src)
-				got := callInt(t, sys, p.sel, p.args...)
-				if !refSet {
-					ref, refSet = got, true
-					if p.want != 0 && got != p.want {
-						t.Errorf("[%s] got %d, want %d", cfg.Name, got, p.want)
-					}
-				} else if got != ref {
-					t.Errorf("[%s] got %d, others got %d", cfg.Name, got, ref)
-				}
-			}
-		})
-	}
 }

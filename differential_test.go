@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"testing"
 )
 
 // progGen generates random well-defined programs in the object
@@ -165,104 +164,4 @@ func (g *progGen) generate(nVars, nVecs, nStmts int) string {
 	}
 	g.b.WriteString("    chk ).\n")
 	return g.b.String()
-}
-
-// TestDifferentialRandomPrograms cross-checks all six compiler
-// configurations on generated programs: any disagreement is a
-// miscompilation in one of them. Each run also goes through the
-// register-allocation oracles (validator, allocated vs raw) and the
-// fusion oracle (fused vs unfused).
-func TestDifferentialRandomPrograms(t *testing.T) {
-	n := 40
-	if testing.Short() {
-		n = 8
-	}
-	for seed := int64(0); seed < int64(n); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			g := newProgGen(seed)
-			src := g.generate(4, 2, 12)
-			var ref int64
-			var refCfg string
-			for i, cfg := range Configs() {
-				cfg := cfg
-				run := func() *Result {
-					sys, err := NewSystem(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sys.LoadSource(src); err != nil {
-						t.Fatalf("seed %d does not parse: %v\n%s", seed, err, src)
-					}
-					res, err := sys.Call("fuzzMain")
-					if err != nil {
-						t.Fatalf("[%s] seed %d: %v\n%s", cfg.Name, seed, err, src)
-					}
-					return res
-				}
-				// Under the two presets that shape code most differently
-				// (everything out of line; everything inlined) every
-				// allocation is checked, and the run must be bit-identical
-				// to one on un-allocated code and to one on unfused code.
-				var res *Result
-				if cfg.Name == ST80.Name || cfg.Name == NewSELF.Name {
-					var raw *Result
-					WithCheckedAssembly(t, func() { res = run() })
-					WithRawAssembly(func() { raw = run() })
-					if raw.Value.I() != res.Value.I() || raw.Run != res.Run || raw.Compile != res.Compile {
-						t.Errorf("seed %d [%s]: register allocation changed the run:\nallocated: %d %+v\nraw:       %d %+v\n%s",
-							seed, cfg.Name, res.Value.I(), res.Run, raw.Value.I(), raw.Run, src)
-					}
-					cfg.NoSuperinstructions = true
-					if plain := run(); plain.Value.I() != res.Value.I() || plain.Run != res.Run || plain.Compile != res.Compile {
-						t.Errorf("seed %d [%s]: fusion changed the run:\nfused:   %d %+v\nunfused: %d %+v\n%s",
-							seed, cfg.Name, res.Value.I(), res.Run, plain.Value.I(), plain.Run, src)
-					}
-				} else {
-					res = run()
-				}
-				if i == 0 {
-					ref, refCfg = res.Value.I(), cfg.Name
-				} else if res.Value.I() != ref {
-					t.Errorf("seed %d: %s computed %d but %s computed %d\n%s",
-						seed, cfg.Name, res.Value.I(), refCfg, ref, src)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialWithFacts also crosses the §7 comparison-facts
-// extension against the baseline on vector-heavy programs.
-func TestDifferentialWithFacts(t *testing.T) {
-	n := 20
-	if testing.Short() {
-		n = 5
-	}
-	facts := NewSELF
-	facts.Name = "new SELF + facts"
-	facts.ComparisonFacts = true
-	for seed := int64(100); seed < int64(100+n); seed++ {
-		g := newProgGen(seed)
-		src := g.generate(3, 3, 10)
-		var ref int64
-		for i, cfg := range []Config{NewSELF, facts, NewSELFExtended} {
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.LoadSource(src); err != nil {
-				t.Fatal(err)
-			}
-			res, err := sys.Call("fuzzMain")
-			if err != nil {
-				t.Fatalf("[%s] seed %d: %v\n%s", cfg.Name, seed, err, src)
-			}
-			if i == 0 {
-				ref = res.Value.I()
-			} else if res.Value.I() != ref {
-				t.Errorf("seed %d: %s computed %d, want %d\n%s", seed, cfg.Name, res.Value.I(), ref, src)
-			}
-		}
-	}
 }

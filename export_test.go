@@ -1,8 +1,6 @@
 package selfgo
 
 import (
-	"testing"
-
 	"selfgo/internal/ir"
 	"selfgo/internal/vm"
 )
@@ -15,24 +13,30 @@ import (
 type ConformanceProgram struct {
 	Name, Src, Sel string
 	Args           []Value
+	Want           int64 // 0: no known value, only agreement
 }
 
 // ConformancePrograms exposes the conformance table.
 func ConformancePrograms() []ConformanceProgram {
 	out := make([]ConformanceProgram, len(conformancePrograms))
 	for i, p := range conformancePrograms {
-		out[i] = ConformanceProgram{Name: p.name, Src: p.src, Sel: p.sel, Args: p.args}
+		out[i] = ConformanceProgram{Name: p.name, Src: p.src, Sel: p.sel, Args: p.args, Want: p.want}
 	}
 	return out
 }
 
-// WithRawAssembly runs f with the assembler returning un-allocated code
-// (every virtual register its own frame slot, as before register
-// allocation existed) — the reference side of the allocation
+// RandomProgram is progGen's program for seed: a fuzzMain method over
+// nVars integer locals and nVecs vectors, nStmts statements long.
+func RandomProgram(seed int64, nVars, nVecs, nStmts int) string {
+	return newProgGen(seed).generate(nVars, nVecs, nStmts)
+}
+
+// WithUnfusedAssembly runs f with vm.TestNoFuse on: every Code
+// assembled meanwhile stays unfused — the reference side of the fusion
 // differentials. f must not leave compilations running.
-func WithRawAssembly(f func()) {
-	vm.TestHookAssemble = func(raw, _ *vm.Code) *vm.Code { return raw }
-	defer func() { vm.TestHookAssemble = nil }()
+func WithUnfusedAssembly(f func()) {
+	vm.TestNoFuse = true
+	defer func() { vm.TestNoFuse = false }()
 	f()
 }
 
@@ -44,21 +48,4 @@ func WithPoisonedReleases(f func()) {
 	ir.TestPoisonReleases = true
 	defer func() { ir.TestPoisonReleases = false }()
 	f()
-}
-
-// WithCheckedAssembly runs f with vm.CheckAllocation applied to every
-// Code assembled meanwhile, failing t on the first violation, and
-// returns how many Codes it saw. f must compile on the calling
-// goroutine only.
-func WithCheckedAssembly(t testing.TB, f func()) (checked int) {
-	vm.TestHookAssemble = func(raw, c *vm.Code) *vm.Code {
-		checked++
-		if err := vm.CheckAllocation(raw, c); err != nil {
-			t.Errorf("register allocation: %v", err)
-		}
-		return c
-	}
-	defer func() { vm.TestHookAssemble = nil }()
-	f()
-	return checked
 }

@@ -1,59 +1,80 @@
 package selfgo_test
 
 import (
-	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"selfgo"
-	"selfgo/internal/bench"
 )
 
 // TestImageRoundTripBenchmarks extends the round-trip oracle to the
-// full benchmark suite: every benchmark must produce a bit-identical
-// check value and RunStats on a restored world as on the world the
-// image was saved from. Any divergence means the image either lost
-// state or resurrected state that should not exist.
+// full benchmark suite: every benchmark must run bit-identically — check
+// value, RunStats, compile record, compiled code — on a world restored
+// from an image saved right after loading as on a world that was never
+// saved. Any divergence means the image either lost state or
+// resurrected state that should not exist.
 func TestImageRoundTripBenchmarks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark round-trip is slow; skipped in -short mode")
-	}
-	for _, b := range bench.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			fresh, err := selfgo.NewTieredSystem(selfgo.NewSELF, selfgo.ModeOpt, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.LoadSource(b.Source); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := fresh.SaveImage(&buf, nil); err != nil {
-				t.Fatalf("SaveImage: %v", err)
-			}
-			boot, err := selfgo.BootFromImage(&buf, selfgo.NewSELF, selfgo.ModeOpt, 0)
-			if err != nil {
-				t.Fatalf("BootFromImage: %v", err)
-			}
-
-			want, err := fresh.Call(b.Entry)
-			if err != nil {
-				t.Fatalf("fresh run: %v", err)
-			}
-			got, err := boot.Sys.Call(b.Entry)
-			if err != nil {
-				t.Fatalf("restored run: %v", err)
-			}
-			if got.Value.I() != want.Value.I() {
-				t.Fatalf("check value diverged: restored %d, fresh %d", got.Value.I(), want.Value.I())
-			}
-			if b.HasExpect && got.Value.I() != b.Expect {
-				t.Fatalf("restored check value %d, want %d", got.Value.I(), b.Expect)
-			}
-			if !reflect.DeepEqual(got.Run, want.Run) {
-				t.Fatalf("RunStats diverged:\nfresh    %+v\nrestored %+v", want.Run, got.Run)
+	for _, c := range reduce(cells(benchmarks, imaged, selfgo.NewSELF)) {
+		t.Run(c.p.name, func(t *testing.T) {
+			if got, _ := identical(t, c); c.p.want != 0 && got.Value != fmt.Sprint(c.p.want) {
+				t.Errorf("%s: restored check value %s, want %d", c, got.Value, c.p.want)
 			}
 		})
+	}
+}
+
+// TestForkCOWBenchmarks: a copy-on-write fork of a loaded system runs
+// every benchmark bit-identically to a plain system under each
+// strategy — value, RunStats, compile record and compiled code. The
+// fork writes its state to shadows of the frozen base and compiles
+// through the cache it shares with the base.
+func TestForkCOWBenchmarks(t *testing.T) {
+	for _, strat := range strategies {
+		cs := reduce(cells(benchmarks, cow, withStrategy(selfgo.NewSELF, strat)))
+		if len(cs) == 0 {
+			continue
+		}
+		t.Run(strat.String(), func(t *testing.T) {
+			for _, c := range cs {
+				identical(t, c)
+			}
+		})
+	}
+}
+
+// TestImageAcrossStrategies: an image saved after a warm run under one
+// strategy boots under each strategy; pre-promotion compiles every
+// manifest entry at its recorded tier under the booting strategy (0
+// failures) and the booted system computes what a plain system under
+// that strategy computes. The saving run itself is bit-identical to a
+// plain one. Over the corpus's light programs (the conformance
+// programs and the small benchmarks): twelve runs a program make
+// this the matrix's most expensive row per program.
+func TestImageAcrossStrategies(t *testing.T) {
+	for _, from := range strategies {
+		for _, to := range strategies {
+			var cs []cell
+			for _, c := range cells(corpus, warmBoot, withStrategy(selfgo.NewSELF, to)) {
+				if c.from = from; c.p.light {
+					cs = append(cs, c)
+				}
+			}
+			if cs = reduce(cs); len(cs) == 0 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s-to-%s", from, to), func(t *testing.T) {
+				for _, c := range cs {
+					save := at(c.p, withStrategy(selfgo.NewSELF, from)).as(warmSave)
+					identical(t, save)
+					boot := get(t, c)
+					if boot.PrepromoteFailed != 0 {
+						t.Errorf("%s: %d manifest entries failed to prepromote", c, boot.PrepromoteFailed)
+					}
+					if plain := get(t, c.as(shipped)); boot.Msg != "" || boot.Value != plain.Value {
+						t.Errorf("%s computed %s %s, a plain system %s", c, boot.Value, boot.Msg, plain.Value)
+					}
+				}
+			})
+		}
 	}
 }

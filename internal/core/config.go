@@ -165,14 +165,6 @@ type Config struct {
 	// like the paper's figures. Costs compile time; used by selfc.
 	AnnotateTypes bool
 
-	// NoSuperinstructions disables the VM's superinstruction fusion
-	// pass (internal/vm/fuse.go), a host-speed interpreter-dispatch
-	// optimization with no effect on any modelled quantity. The zero
-	// value — fusion on — is right for every preset and strategy; the
-	// flag exists so differential tests can run the unfused interpreter
-	// as a bit-exact oracle against the fused one.
-	NoSuperinstructions bool
-
 	// PerInstrOverhead adds cycles to every executed instruction,
 	// modelling the code quality of ParcPlace's dynamic translation:
 	// a stack machine without global register allocation keeps

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"selfgo/internal/ast"
@@ -46,7 +45,6 @@ type PassStat struct {
 type passSpec struct {
 	name    string
 	enabled func(*Config) bool
-	disable func(*Config)
 	events  func(*Stats) int
 }
 
@@ -55,31 +53,26 @@ var passOrder = []passSpec{
 	{
 		name:    "inline",
 		enabled: func(c *Config) bool { return c.InlineMethods || c.InlinePrimitives },
-		disable: func(c *Config) { c.InlineMethods = false; c.InlinePrimitives = false },
 		events:  func(s *Stats) int { return s.InlinedMethods + s.InlinedPrims + s.FoldedPrims },
 	},
 	{
 		name:    "iterative-analysis",
 		enabled: func(c *Config) bool { return c.TypeAnalysis || c.IterativeLoops },
-		disable: func(c *Config) { c.TypeAnalysis = false; c.IterativeLoops = false },
 		events:  func(s *Stats) int { return s.LoopIterations + s.RemovedTests + s.FeedbackTests },
 	},
 	{
 		name:    "split",
 		enabled: func(c *Config) bool { return c.LocalSplitting || c.ExtendedSplitting },
-		disable: func(c *Config) { c.LocalSplitting = false; c.ExtendedSplitting = false },
 		events:  func(s *Stats) int { return s.Splits + s.LoopVersions },
 	},
 	{
 		name:    "range",
 		enabled: func(c *Config) bool { return c.RangeAnalysis },
-		disable: func(c *Config) { c.RangeAnalysis = false },
 		events:  func(s *Stats) int { return s.RemovedOvfl },
 	},
 	{
 		name:    "assemble",
 		enabled: func(c *Config) bool { return true },
-		disable: func(c *Config) {},
 		events:  func(s *Stats) int { return s.Nodes },
 	},
 }
@@ -99,8 +92,7 @@ type Pipeline struct {
 	// Tier is the tier this pipeline compiles at.
 	Tier Tier
 	// Cfg is the tier-resolved configuration the passes run under
-	// (Tier.Apply of the base config, possibly with individual passes
-	// disabled afterwards).
+	// (Tier.Apply of the base config, then ApplyStrategy).
 	Cfg Config
 
 	compiler *Compiler
@@ -118,36 +110,6 @@ func NewPipeline(w *obj.World, base Config, tier Tier) *Pipeline {
 // Compiler exposes the underlying front-end compiler (tools like
 // GraphFor want the graph before assembly).
 func (p *Pipeline) Compiler() *Compiler { return p.compiler }
-
-// PassEnabled reports whether the named pass is enabled under the
-// pipeline's configuration.
-func (p *Pipeline) PassEnabled(name string) (bool, error) {
-	for i := range passOrder {
-		if passOrder[i].name == name {
-			return passOrder[i].enabled(&p.Cfg), nil
-		}
-	}
-	return false, fmt.Errorf("core: unknown pass %q", name)
-}
-
-// DisablePass switches one named pass off (the per-pass enable flag:
-// disabling maps onto the pass's Config knobs, so the front end skips
-// the corresponding work). The assemble pass cannot be disabled.
-// Enabling works the other way — build the pipeline from a config
-// that has the pass on.
-func (p *Pipeline) DisablePass(name string) error {
-	if name == "assemble" {
-		return fmt.Errorf("core: the assemble pass cannot be disabled")
-	}
-	for i := range passOrder {
-		if passOrder[i].name == name {
-			passOrder[i].disable(&p.Cfg)
-			p.compiler = New(p.compiler.World, p.Cfg)
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unknown pass %q", name)
-}
 
 // CompileMethod runs the full pipeline on meth customized for rmap,
 // optionally seeded with type feedback (fb nil for none), and returns
@@ -176,14 +138,11 @@ func (p *Pipeline) CompileBlock(blk *ast.Block, upNames []string, fb *types.Feed
 	return c, st, nil
 }
 
-// assemble is the pipeline's final pass: linearize, fuse (unless
-// disabled), label, and record the per-pass breakdown.
+// assemble is the pipeline's final pass: linearize, fuse, label, and record the per-pass breakdown.
 func (p *Pipeline) assemble(g *ir.Graph, st *Stats) *vm.Code {
 	t0 := time.Now()
 	c := vm.Assemble(g)
-	if !p.Cfg.NoSuperinstructions {
-		vm.Fuse(c)
-	}
+	vm.Fuse(c)
 	if p.Cfg.Strategy != StrategySplit {
 		vm.EnableBBV(c, p.Cfg.MaxVers)
 	}

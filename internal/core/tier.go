@@ -102,7 +102,6 @@ var tierTable = []tierRule{
 	{"SendOverheadExtra", keep, keep},
 	{"ComparisonFacts", false, false},
 	{"AnnotateTypes", false, false},
-	{"NoSuperinstructions", keep, keep},
 	{"PerInstrOverhead", keep, keep},
 	// The degraded tier is the fault-containment path: it falls back
 	// to the eager-split world (no version tables, no run-time

@@ -216,38 +216,6 @@ func TestPipelinePassStats(t *testing.T) {
 	}
 }
 
-// TestPipelineDisablePass: the per-pass enable flag switches a pass's
-// work off and is reported in the stats.
-func TestPipelineDisablePass(t *testing.T) {
-	w := buildWorld(t, triangleSrc)
-	r := obj.Lookup(w.Lobby.Map, "triangleNumber:")
-	p := NewPipeline(w, NewSELF, TierOptimizing)
-	if err := p.DisablePass("range"); err != nil {
-		t.Fatal(err)
-	}
-	if on, err := p.PassEnabled("range"); err != nil || on {
-		t.Fatalf("range still enabled after DisablePass (err=%v)", err)
-	}
-	_, st, err := p.CompileMethod(r.Slot.Meth, w.Lobby.Map, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ps := range st.Passes {
-		if ps.Name == "range" && (ps.Enabled || ps.Events != 0) {
-			t.Errorf("disabled range pass still reports activity: %+v", ps)
-		}
-	}
-	if err := p.DisablePass("assemble"); err == nil {
-		t.Error("assemble must not be disableable")
-	}
-	if err := p.DisablePass("no-such-pass"); err == nil {
-		t.Error("unknown pass accepted")
-	}
-	if _, err := p.PassEnabled("no-such-pass"); err == nil {
-		t.Error("unknown pass accepted by PassEnabled")
-	}
-}
-
 // TestPipelineOptMatchesBareCompiler: driving the optimizing pipeline
 // produces the same instruction stream and modelled quantities as
 // driving Compiler+Assemble+Fuse by hand (the pre-refactor path) — the
@@ -278,9 +246,7 @@ func TestPipelineOptMatchesBareCompiler(t *testing.T) {
 			t.Fatalf("%s: bare: %v", cfg.Name, err)
 		}
 		bc := vm.Assemble(g)
-		if !cfg.NoSuperinstructions {
-			vm.Fuse(bc)
-		}
+		vm.Fuse(bc)
 		bst.Nodes = len(bc.Instrs)
 		if !reflect.DeepEqual(scrub(*pst), scrub(*bst)) {
 			t.Errorf("%s: stats diverge:\npipeline %+v\nbare     %+v", cfg.Name, scrub(*pst), scrub(*bst))
@@ -298,9 +264,6 @@ func TestVersioningStrategiesRunFusedCode(t *testing.T) {
 	for _, strat := range []Strategy{StrategyBBV, StrategyBoth} {
 		cfg := NewSELF
 		cfg.Strategy = strat
-		if ApplyStrategy(cfg).NoSuperinstructions {
-			t.Errorf("%s: ApplyStrategy turned fusion off", strat)
-		}
 		w := buildWorld(t, triangleSrc)
 		r := obj.Lookup(w.Lobby.Map, "triangleNumber:")
 		c, _, err := NewPipeline(w, cfg, TierOptimizing).CompileMethod(r.Slot.Meth, w.Lobby.Map, nil)

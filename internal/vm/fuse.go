@@ -16,9 +16,12 @@ import (
 // it stands for, counts all of it in Instrs (Instr.N), and — when an
 // early constituent faults or takes its overflow branch — uncharges the
 // unexecuted tail (VM.uncharge). The unfused interpreter therefore
-// remains a bit-exact differential oracle, selected with
-// core.Config.NoSuperinstructions.
+// remains a bit-exact differential oracle, selected with TestNoFuse.
 //
+// TestNoFuse, when set, makes Fuse leave every Code as assembled: the
+// unfused stream the fusion differentials compare against. Tests only.
+var TestNoFuse bool
+
 // Fused Op values live far outside the ir.Op range, adjacent to opJmp.
 const (
 	opMoveMove        ir.Op = 240 // Move; Move
@@ -90,7 +93,7 @@ const maxAbsorbed = math.MaxUint16/3 - 1
 func Fuse(c *Code) {
 	ins := c.Instrs
 	n := len(ins)
-	if n < 2 || c.pcs != nil {
+	if n < 2 || c.pcs != nil || TestNoFuse {
 		return
 	}
 

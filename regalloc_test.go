@@ -1,133 +1,46 @@
 package selfgo_test
 
 import (
-	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"selfgo"
-	"selfgo/internal/bench"
-	"selfgo/internal/vm"
 )
 
-// allocProgram is one thing the allocation oracles run: source, entry,
-// arguments.
-type allocProgram struct {
-	name, src, sel string
-	args           []selfgo.Value
-}
-
-// allocPrograms is the 21 benchmarks plus every conformance program.
-func allocPrograms() []allocProgram {
-	var out []allocProgram
-	for _, b := range bench.All() {
-		out = append(out, allocProgram{name: b.Name, src: b.Source, sel: b.Entry})
-	}
-	for _, p := range selfgo.ConformancePrograms() {
-		out = append(out, allocProgram{name: p.Name, src: p.Src, sel: p.Sel, args: p.Args})
-	}
-	return out
-}
-
-// allocFaultPrograms fault at the bottom of real activations, so the
-// differential can compare backtraces pc by pc.
-func allocFaultPrograms() []allocProgram {
-	var out []allocProgram
-	for _, p := range bbvFaultPrograms {
-		out = append(out, allocProgram{name: p.name, src: p.src, sel: p.sel})
-	}
-	return append(out,
-		allocProgram{name: "overflow", src: `blow: n = ( (n * n) * n ).`, sel: "blow:",
-			args: []selfgo.Value{selfgo.IntValue(1 << 40)}},
-		allocProgram{name: "dead-home-nlr", src: `
-		mkRet = ( [ ^ 5 ] ).
-		go = ( mkRet value ).`, sel: "go"},
-		allocProgram{name: "fault-under-nlr-landing", src: `
-		find: n In: v = ( v do: [ :e | (e = n) ifTrue: [ ^ e zork ] ]. 0 ).
-		go = ( | v | v: vector copySize: 4 FillWith: 7. 1 + (find: 7 In: v) ).`, sel: "go"},
-	)
-}
-
-// allocOutcome is everything observable about one cold run.
-type allocOutcome struct {
-	Value   string
-	Run     selfgo.RunStats
-	Compile selfgo.CompileRecord
-	Kind    selfgo.ErrKind
-	Msg     string
-	Trace   []vm.TraceFrame
-}
-
-func allocRun(t *testing.T, cfg selfgo.Config, mode selfgo.TierMode, p allocProgram, budget selfgo.Budget) allocOutcome {
-	t.Helper()
-	sys, err := selfgo.NewTieredSystem(cfg, mode, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetBudget(budget)
-	if err := sys.LoadSource(p.src); err != nil {
-		t.Fatalf("%s: %v", p.name, err)
-	}
-	res, err := sys.Call(p.sel, p.args...)
-	if err != nil {
-		var re *selfgo.RuntimeError
-		if !errors.As(err, &re) {
-			t.Fatalf("%s under %s: %v", p.name, cfg.Name, err)
-		}
-		return allocOutcome{Kind: re.Kind, Msg: re.Msg, Trace: re.Trace}
-	}
-	return allocOutcome{Value: res.Value.String(), Run: res.Run, Compile: res.Compile}
-}
-
 // TestRegAllocChecked runs vm.CheckAllocation — the allocator's
-// independent oracle — over every Code the benchmarks and conformance
+// independent oracle, applied by the matrix's runner to every Code a
+// cell assembles — over everything the benchmarks and conformance
 // programs compile, under every preset, both eager tiers and all three
 // strategies. Each preset's own cell (optimizing tier, split) runs the
-// programs to completion; the other cells stop each program after its
-// first 300k instructions, by which time the long-running benchmarks
-// have compiled what they compile and are only looping. (-short: the
-// own cells, on the last eight programs. Under the race detector, which
-// has nothing to find in a single-goroutine oracle and makes it cost
-// minutes: the own cells of ST-80 and new SELF.)
+// programs to completion; the other cells are the compile digest's,
+// which stop each program after its first 300k instructions, by which
+// time the long-running benchmarks have compiled what they compile and
+// are only looping.
 func TestRegAllocChecked(t *testing.T) {
-	progs := allocPrograms()
-	strategies := []selfgo.Strategy{selfgo.StrategySplit, selfgo.StrategyBBV, selfgo.StrategyBoth}
-	modes := []selfgo.TierMode{selfgo.ModeOpt, selfgo.ModeBaseline}
-	presets := selfgo.Configs()
-	if testing.Short() || raceBuild {
-		strategies, modes = strategies[:1], modes[:1]
-	}
-	if testing.Short() {
-		progs = progs[len(progs)-8:]
-	}
-	if raceBuild {
-		presets = []selfgo.Config{selfgo.ST80, selfgo.NewSELF}
-	}
-	for _, cfg := range presets {
-		for _, strat := range strategies {
-			for _, mode := range modes {
-				cfg, mode := cfg, mode
-				cfg.Strategy = strat
-				var budget selfgo.Budget
-				if strat != selfgo.StrategySplit || mode != selfgo.ModeOpt {
-					budget.MaxInstrs = 300_000
-				}
-				t.Run(fmt.Sprintf("%s/%s/%s", cfg.Name, strat, mode), func(t *testing.T) {
-					n := selfgo.WithCheckedAssembly(t, func() {
-						for _, p := range progs {
-							out := allocRun(t, cfg, mode, p, budget)
-							if out.Msg != "" && (out.Kind != selfgo.KindOutOfFuel || budget.MaxInstrs == 0) {
-								t.Errorf("%s: %s", p.name, out.Msg)
-							}
-						}
-					})
-					if n < len(progs) {
-						t.Errorf("only %d allocations checked for %d programs", n, len(progs))
-					}
-				})
+	all := digestCells(shipped, strategies)
+	for i := 0; i < len(all); i += len(corpus) {
+		cs := all[i : i+len(corpus)]
+		c0 := cs[0]
+		own := c0.cfg.Strategy == selfgo.StrategySplit && c0.mode == selfgo.ModeOpt
+		for j := range cs {
+			if own { // each preset's own cell runs to completion
+				cs[j].budget = selfgo.Budget{}
 			}
 		}
+		if cs = reduce(cs); len(cs) == 0 {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s/%s/%s", c0.cfg.Name, c0.cfg.Strategy, c0.mode), func(t *testing.T) {
+			for _, c := range cs {
+				o := get(t, c)
+				if o.Msg != "" && (o.Kind != selfgo.KindOutOfFuel || own) {
+					t.Errorf("%s: %s", c, o.Msg)
+				}
+				if len(o.Codes) == 0 {
+					t.Errorf("%s assembled no code", c)
+				}
+			}
+		})
 	}
 }
 
@@ -135,80 +48,41 @@ func TestRegAllocChecked(t *testing.T) {
 // run on allocated code and a run on the raw linearization must agree
 // on the value, the whole RunStats, the compile record and — for the
 // faulting programs — kind, message and every backtrace frame, pcs
-// included. Under the versioning strategies a dead register's stale
-// fact no longer splits contexts, so the BBV counters may only fall
-// (and with fewer cap hits more tests are elided); there the value and
-// the fault are compared.
+// included; and both compile the same code. Under the versioning
+// strategies a dead register's stale fact no longer splits contexts,
+// so the BBV counters may only fall (and with fewer cap hits more
+// tests are elided); there the value and the fault are compared.
 func TestRegAllocBitIdentical(t *testing.T) {
-	progs := append(allocPrograms(), allocFaultPrograms()...)
-	if testing.Short() {
-		progs = progs[len(progs)-15:]
-	}
-	cfgs := []selfgo.Config{selfgo.NewSELF, selfgo.ST80, selfgo.OptimizedC,
-		bbvStrategyConfig(selfgo.StrategyBBV), bbvStrategyConfig(selfgo.StrategyBoth)}
-	if raceBuild {
-		cfgs = cfgs[:1] // see TestRegAllocChecked
-	}
-	for _, cfg := range cfgs {
-		cfg := cfg
+	progs := append(append([]*program(nil), corpus...), faults...)
+	for _, cfg := range []selfgo.Config{selfgo.NewSELF, selfgo.ST80, selfgo.OptimizedC,
+		withStrategy(selfgo.NewSELF, selfgo.StrategyBBV), withStrategy(selfgo.NewSELF, selfgo.StrategyBoth)} {
+		var cs []cell
+		for _, c := range cells(progs, raw, cfg) {
+			if c.p.name != "puzzle" || cfg.Name == selfgo.NewSELF.Name { // half the suite's instructions; once is enough
+				cs = append(cs, c)
+			}
+		}
+		if cs = reduce(cs); len(cs) == 0 {
+			continue
+		}
 		t.Run(cfg.Name, func(t *testing.T) {
-			for _, p := range progs {
-				if p.name == "puzzle" && cfg.Name != selfgo.NewSELF.Name {
-					continue // half the suite's instructions; once is enough
+			for _, c := range cs {
+				if cfg.Strategy == selfgo.StrategySplit {
+					identical(t, c)
+					continue
 				}
-				got := allocRun(t, cfg, selfgo.ModeOpt, p, selfgo.Budget{})
-				var want allocOutcome
-				selfgo.WithRawAssembly(func() { want = allocRun(t, cfg, selfgo.ModeOpt, p, selfgo.Budget{}) })
-				if cfg.Strategy != selfgo.StrategySplit {
-					if got.Run.BBVVersions > want.Run.BBVVersions || got.Run.BBVCapHits > want.Run.BBVCapHits {
-						t.Errorf("%s: versions %d / cap hits %d rose from %d / %d", p.name,
-							got.Run.BBVVersions, got.Run.BBVCapHits, want.Run.BBVVersions, want.Run.BBVCapHits)
-					}
-					got.Run, want.Run = selfgo.RunStats{}, selfgo.RunStats{}
+				rawO, alloc := get(t, c), get(t, c.as(shipped))
+				sameCode(t, c, rawO, alloc)
+				if alloc.Run.BBVVersions > rawO.Run.BBVVersions || alloc.Run.BBVCapHits > rawO.Run.BBVCapHits {
+					t.Errorf("%s: versions %d / cap hits %d rose from %d / %d", c,
+						alloc.Run.BBVVersions, alloc.Run.BBVCapHits, rawO.Run.BBVVersions, rawO.Run.BBVCapHits)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s diverged:\nallocated: %+v\nraw:       %+v", p.name, got, want)
-				}
+				r, a := rawO.observed, alloc.observed
+				r.Run, a.Run = selfgo.RunStats{}, selfgo.RunStats{}
+				same(t, c, r, a)
 			}
 		})
 	}
-}
-
-// fuzzEvalSeeds seeds the differential fuzz targets that evaluate
-// arbitrary program text: values, loops, vectors, closures, non-local
-// returns and each kind of fault.
-var fuzzEvalSeeds = []string{
-	"3 + 4 * 2",
-	"| s <- 0 | 1 upTo: 100 Do: [ :i | s: s + i ]. s",
-	"| v | v: vector copySize: 10. v fillFrom: [ :i | i * i ]. (v at: 3) + v size",
-	"[ :x | x * 2 ] value: 21",
-	"| b. n <- 0 | b: [ :x | n: n + x. n ]. (b value: 2) + (b value: 3)",
-	"| v | v: vector copySize: 5 FillWith: 3. v do: [ :e | (e = 3) ifTrue: [ ^ e ] ]. 0",
-	"1 / 0",
-	"nil zork",
-	"(9000000000000000000 * 9000000000000000000) + 1",
-	"| v | v: (vector copySize: 2 FillWith: 0). v at: 17",
-	"| s <- 0 | [ true ] whileTrue: [ s: s + 1 ]. s", // runs out of fuel
-}
-
-// fuzzEval evaluates src on a fresh system under a tight budget and
-// returns everything observable: value, RunStats and compile record, or
-// the fault's kind, message and backtrace.
-func fuzzEval(t *testing.T, cfg selfgo.Config, src string) allocOutcome {
-	sys, err := selfgo.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetBudget(selfgo.Budget{MaxInstrs: 200_000, MaxDepth: 200, MaxAllocs: 100_000})
-	res, err := sys.Eval(src)
-	if err != nil {
-		var re *selfgo.RuntimeError
-		if errors.As(err, &re) {
-			return allocOutcome{Kind: re.Kind, Msg: re.Msg, Trace: re.Trace}
-		}
-		return allocOutcome{Msg: err.Error()} // parse and compile errors
-	}
-	return allocOutcome{Value: res.Value.String(), Run: res.Run, Compile: res.Compile}
 }
 
 // FuzzRegAllocDifferential feeds arbitrary program text to allocated
@@ -219,19 +93,14 @@ func fuzzEval(t *testing.T, cfg selfgo.Config, src string) allocOutcome {
 // names pcs of the code as assembled). Registered in ci.sh's fuzz smoke
 // stage.
 func FuzzRegAllocDifferential(f *testing.F) {
-	for _, s := range fuzzEvalSeeds {
+	for _, s := range evalSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip()
 		}
-		var got, want allocOutcome
-		selfgo.WithCheckedAssembly(t, func() { got = fuzzEval(t, selfgo.NewSELF, src) })
-		selfgo.WithRawAssembly(func() { want = fuzzEval(t, selfgo.NewSELF, src) })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("diverged:\nallocated: %+v\nraw:       %+v", got, want)
-		}
+		identical(t, evalCell(src, selfgo.NewSELF).as(raw))
 	})
 }
 
@@ -262,22 +131,19 @@ func TestCoalescingCostsNoFrameStorage(t *testing.T) {
 		return c
 	}
 	total, codes := 0, 0
-	vm.TestHookAssemble = func(_, c *vm.Code) *vm.Code {
-		total += c.NumRegs
-		codes++
-		before, ok := widthBefore[c.Name]
-		if !ok {
-			before = 8
+	for _, c := range cells(benchmarks, shipped, selfgo.NewSELF) {
+		for _, cs := range get(t, c).Codes {
+			total += cs.Regs
+			codes++
+			before, ok := widthBefore[cs.Name]
+			if !ok {
+				before = 8
+			}
+			if class(cs.Regs) > class(before) {
+				t.Errorf("%s takes %d slots (size class %d), took %d (class %d) before coalescing",
+					cs.Name, cs.Regs, class(cs.Regs), before, class(before))
+			}
 		}
-		if class(c.NumRegs) > class(before) {
-			t.Errorf("%s takes %d slots (size class %d), took %d (class %d) before coalescing",
-				c.Name, c.NumRegs, class(c.NumRegs), before, class(before))
-		}
-		return c
-	}
-	defer func() { vm.TestHookAssemble = nil }()
-	for _, b := range bench.All() {
-		allocRun(t, selfgo.NewSELF, selfgo.ModeOpt, allocProgram{name: b.Name, src: b.Source, sel: b.Entry}, selfgo.Budget{})
 	}
 	t.Logf("%d Codes, %d slots", codes, total)
 	if codes != 103 {

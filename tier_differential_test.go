@@ -2,7 +2,6 @@ package selfgo_test
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,33 +17,23 @@ import (
 	"selfgo/internal/vm"
 )
 
-// legacyMeasurement is what the hand-built pre-tiering compile path
-// produces for one benchmark: the oracle the -tier=opt differential
-// compares against.
-type legacyMeasurement struct {
-	Value     int64
-	Run       selfgo.RunStats
-	Methods   int
-	CodeBytes int
-}
-
-// legacyRun executes b the way the system did before the pass pipeline
-// and tiers existed: a bare core.Compiler driven directly, its graphs
+// legacyRun runs c the way the system did before the pass pipeline and
+// tiers existed: a bare core.Compiler driven directly, its graphs
 // linearized with vm.Assemble + vm.Fuse, a degraded-config retry on
 // compile failure, and a bare VM (which makes its own code cache). No
-// Pipeline, no Tier, no System — the compile path the refactor replaced,
-// reconstructed from primitives so any drift the refactor introduced
-// shows up here.
-func legacyRun(t *testing.T, b bench.Benchmark, cfg selfgo.Config) *legacyMeasurement {
-	t.Helper()
+// Pipeline, no Tier, no System — the compile path the refactor
+// replaced, reconstructed from primitives so any drift the refactor
+// introduced shows up here. Split strategy only: it versions nothing.
+func legacyRun(c cell) observed {
+	cfg := c.cfg
 	w := obj.NewWorld()
-	for _, src := range []string{prelude.Source, b.Source} {
+	for _, src := range []string{prelude.Source, c.p.src} {
 		f, err := parser.ParseFile(src)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
+		if err == nil {
+			err = w.Load(f)
 		}
-		if err := w.Load(f); err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
+		if err != nil {
+			return observed{Err: err.Error()}
 		}
 	}
 	w.Finalize()
@@ -56,14 +45,13 @@ func legacyRun(t *testing.T, b bench.Benchmark, cfg selfgo.Config) *legacyMeasur
 		InstrExtra:   int64(cfg.PerInstrOverhead),
 		MissHandlers: cfg.CallSiteICMissHandlers,
 		PICs:         cfg.PolymorphicInlineCaches,
+		Budget:       c.budget,
 	}
 	comp := core.New(w, cfg)
 	degr := core.New(w, core.Degraded(cfg))
 	assemble := func(g *ir.Graph) *vm.Code {
 		c := vm.Assemble(g)
-		if !cfg.NoSuperinstructions {
-			vm.Fuse(c)
-		}
+		vm.Fuse(c)
 		return c
 	}
 	m.CompileMethod = func(meth *obj.Method, rmap *obj.Map) (*vm.Code, error) {
@@ -89,61 +77,28 @@ func legacyRun(t *testing.T, b bench.Benchmark, cfg selfgo.Config) *legacyMeasur
 		return c, nil
 	}
 
-	r := obj.Lookup(w.Lobby.Map, b.Entry)
+	r := obj.Lookup(w.Lobby.Map, c.p.sel)
 	if r == nil || r.Slot.Kind != obj.MethodSlot {
-		t.Fatalf("%s: no entry %q", b.Name, b.Entry)
+		return observed{Err: fmt.Sprintf("no entry %q", c.p.sel)}
 	}
-	m.Stats = vm.RunStats{}
-	v, err := m.RunMethod(r.Slot.Meth, obj.Obj(w.Lobby))
+	v, err := m.RunMethod(r.Slot.Meth, obj.Obj(w.Lobby), c.p.args...)
 	if err != nil {
-		t.Fatalf("%s under %s (legacy): %v", b.Name, cfg.Name, err)
+		return observeErr(err)
 	}
-	return &legacyMeasurement{
-		Value:     v.I(),
-		Run:       m.Stats,
-		Methods:   m.Compile.Methods,
-		CodeBytes: m.Compile.CodeBytes,
-	}
+	return observed{Value: v.String(), Run: m.Stats, Compile: m.Compile}
 }
 
 // TestTierOptBitIdentical is the committed differential the refactor is
 // gated on: for every benchmark in the suite, the tiered system at
 // -tier=opt agrees with the hand-built legacy compile path in the
-// check value and EVERY modelled quantity — the full RunStats struct,
-// methods compiled, and code bytes emitted. The pipeline refactor,
+// check value, EVERY modelled quantity — the full RunStats struct and
+// compile record — and the code it compiles. The pipeline refactor,
 // hotness counters and promotion machinery must be invisible in opt
 // mode.
 func TestTierOptBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite differential is slow; skipped in -short mode")
-	}
-	for _, b := range bench.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			cfg := selfgo.NewSELF
-			want := legacyRun(t, b, cfg)
-
-			sys, err := selfgo.NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.LoadSource(b.Source); err != nil {
-				t.Fatal(err)
-			}
-			res, err := sys.Call(b.Entry)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Value.I() != want.Value {
-				t.Errorf("value = %d, legacy = %d", res.Value.I(), want.Value)
-			}
-			if !reflect.DeepEqual(res.Run, want.Run) {
-				t.Errorf("RunStats diverge from legacy:\n got %+v\nwant %+v", res.Run, want.Run)
-			}
-			if res.Compile.Methods != want.Methods || res.Compile.CodeBytes != want.CodeBytes {
-				t.Errorf("compile record diverges: %d methods/%d bytes, legacy %d/%d",
-					res.Compile.Methods, res.Compile.CodeBytes, want.Methods, want.CodeBytes)
-			}
+	for _, c := range reduce(cells(benchmarks, legacy, selfgo.NewSELF)) {
+		t.Run(c.p.name, func(t *testing.T) {
+			identical(t, c)
 		})
 	}
 }
