@@ -36,8 +36,9 @@ type program struct {
 	// the others only as new SELF's shipped cells (see keepReduced).
 	light bool
 	// generated programs' Codes run to thousands of instructions, where
-	// vm.CheckAllocation's pair analysis costs seconds a program; the
-	// runner does not check them, and their oracle is the raw variant.
+	// vm.CheckAllocation's pair analysis costs a large share of a
+	// second; the runner checks them only under ST-80 and new SELF, the
+	// presets that shape code most differently (see checks).
 	generated bool
 	preset    selfgo.Config // a fault program's preset
 	recovered bool          // a fault program that ends in a value under it
@@ -318,6 +319,13 @@ func checkAllocation(rawCode, code *vm.Code, rawText, text string) error {
 	return err
 }
 
+// checks reports whether the runner checks the allocation of c's
+// Codes: always, except a generated program's under a preset other
+// than ST-80 and new SELF.
+func (c cell) checks() bool {
+	return !c.p.generated || isPreset(c.cfg, selfgo.ST80) || isPreset(c.cfg, selfgo.NewSELF)
+}
+
 // repeat runs c again, bypassing the memo: the determinism oracle's
 // extra compiles.
 func repeat(c cell) *outcome {
@@ -336,7 +344,7 @@ func runCell(c cell, img []byte) *outcome {
 		rawText, text := rawCode.Disasm(), code.Disasm()
 		io.WriteString(hr, rawText)
 		io.WriteString(ha, text)
-		if !c.p.generated {
+		if c.checks() {
 			if err := checkAllocation(rawCode, code, rawText, text); err != nil && o.AllocErr == "" {
 				o.AllocErr = fmt.Sprintf("%s: %v", code.Name, err)
 			}
@@ -470,8 +478,9 @@ func isPreset(cfg, preset selfgo.Config) bool {
 
 // keepReduced: new SELF's shipped opt/split cells on every program (the
 // reference the rows compare against), otherwise the light programs at
-// the optimizing tier under new SELF with any strategy or ST-80 with
-// split — and of the cross-strategy boots the diagonal and split to bbv.
+// the optimizing tier under new SELF with any strategy (the §7
+// comparison-facts extension included) or ST-80 with split — and of
+// the cross-strategy boots the diagonal and split to bbv.
 func keepReduced(c cell) bool {
 	newSELF := isPreset(c.cfg, selfgo.NewSELF)
 	switch {
@@ -484,7 +493,9 @@ func keepReduced(c cell) bool {
 	case c.v == warmBoot:
 		return c.from == c.cfg.Strategy || c.from == selfgo.StrategySplit && c.cfg.Strategy == selfgo.StrategyBBV
 	}
-	return newSELF || isPreset(c.cfg, selfgo.ST80) && c.cfg.Strategy == selfgo.StrategySplit
+	noFacts := c.cfg
+	noFacts.ComparisonFacts = false
+	return isPreset(noFacts, selfgo.NewSELF) || isPreset(c.cfg, selfgo.ST80) && c.cfg.Strategy == selfgo.StrategySplit
 }
 
 // identical is the bit-identical row for variant cell c against its
