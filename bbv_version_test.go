@@ -4,38 +4,39 @@ import (
 	"testing"
 
 	"selfgo"
+	"selfgo/internal/bbv"
 )
 
-// bbvMegamorphic drives one merge-heavy method: three independent
-// comparisons whose boolean results all stay live across the three
+// bbvMegamorphic drives one merge-heavy method: four independent
+// comparisons whose boolean results all stay live across the
 // conditionals that consume them, so the merge points after each
-// conditional see up to eight distinct fact combinations — far more
-// contexts than a small version cap admits. (The results are held in
+// conditional see up to sixteen distinct fact combinations — more
+// contexts than the version cap admits. (The results are held in
 // locals on purpose: a temporary's fact dies with its slot once
 // register allocation coalesces copies.)
 const bbvMegamorphic = `
 go: n = ( | s <- 0 |
     1 to: n Do: [ :i |
-        | a. b. c |
-        a: (i % 2) = 0. b: (i % 3) = 0. c: (i % 5) = 0.
+        | a. b. c. d |
+        a: (i % 2) = 0. b: (i % 3) = 0. c: (i % 5) = 0. d: (i % 7) = 0.
         a ifTrue: [ s: s + 1 ].
         b ifTrue: [ s: s + 2 ].
         c ifTrue: [ s: s + 3 ].
+        d ifTrue: [ s: s + 4 ].
         a ifTrue: [ s: s + 1 ].
         b ifTrue: [ s: s + 2 ].
+        c ifTrue: [ s: s + 3 ].
         s: s + i ].
     s ).`
 
-// TestBBVVersionCapBound: a megamorphic program plateaus at maxvers
+// TestBBVVersionCapBound: a megamorphic program plateaus at bbv.MaxVers
 // specialized versions per block, with the overflow served by the
 // generic fallback — so the version store (host memory) is bounded no
 // matter how many contexts flow through. All counter-asserted: cap
 // hits observed, per-block tables never exceed the cap, and a second
 // run materializes nothing new.
 func TestBBVVersionCapBound(t *testing.T) {
-	const maxVers = 2
 	cfg := withStrategy(selfgo.NewSELF, selfgo.StrategyBBV)
-	cfg.MaxVers = maxVers
 
 	// The split strategy pins the expected value.
 	ref, err := selfgo.NewSystem(withStrategy(selfgo.NewSELF, selfgo.StrategySplit))
@@ -79,13 +80,10 @@ func TestBBVVersionCapBound(t *testing.T) {
 	if st == nil {
 		t.Fatal("bbv strategy compiled code without a version store")
 	}
-	if st.MaxVers() != maxVers {
-		t.Fatalf("MaxVers = %d, want the configured %d", st.MaxVers(), maxVers)
-	}
 	// The bound itself: no block's specialized table ever exceeds the
 	// cap, however many contexts arrived.
-	if max := st.PerBlockMax(); max > maxVers {
-		t.Fatalf("a block holds %d specialized versions, cap is %d", max, maxVers)
+	if max := st.PerBlockMax(); max > bbv.MaxVers {
+		t.Fatalf("a block holds %d specialized versions, cap is %d", max, bbv.MaxVers)
 	}
 	versBefore, capsBefore := st.Counts()
 	if capsBefore != res.Run.BBVCapHits {
@@ -109,8 +107,8 @@ func TestBBVVersionCapBound(t *testing.T) {
 	if res2.Run.BBVVersions != 0 {
 		t.Fatalf("second run recorded %d fresh versions, want 0 (plateau)", res2.Run.BBVVersions)
 	}
-	if max := st.PerBlockMax(); max > maxVers {
-		t.Fatalf("after the second run a block holds %d versions, cap is %d", max, maxVers)
+	if max := st.PerBlockMax(); max > bbv.MaxVers {
+		t.Fatalf("after the second run a block holds %d versions, cap is %d", max, bbv.MaxVers)
 	}
 }
 

@@ -305,6 +305,12 @@ go run ./cmd/selfbench -bench richards -tier adaptive -promote 50 -assert-promot
 echo "== benchmark smoke (corpus.cold)"
 bash benchmark/run.sh -quick -workload corpus.cold -trace 0 >/dev/null
 
+# The benchmark rail is a module of its own, so `go vet ./...` and
+# `go test ./...` above do not reach it; it builds against the root
+# package's API, which a change may narrow.
+echo "== benchmark module (vet + tests)"
+(cd benchmark && go vet . && go test -count=1 .)
+
 # Server smoke: boot selfserved on an ephemeral port and drive it with
 # selfload over >= 8 concurrent connections. Asserts, from the server's
 # own /metrics: compile-once under steady load (codecache misses stop

@@ -52,7 +52,7 @@ func randomPrograms(from, n int64, nVars, nVecs, nStmts int) []*program {
 	var out []*program
 	for seed := from; seed < from+n; seed++ {
 		out = append(out, &program{name: fmt.Sprintf("seed%d", seed), sel: "fuzzMain",
-			src: selfgo.RandomProgram(seed, nVars, nVecs, nStmts), light: seed < from+8, generated: true})
+			src: selfgo.RandomProgram(seed, nVars, nVecs, nStmts), light: seed < from+8})
 	}
 	return out
 }

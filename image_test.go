@@ -400,76 +400,6 @@ func TestImageRefusesDirtyWorld(t *testing.T) {
 	}
 }
 
-// TestForkCOW covers the copy-on-write warm-start path: forks over a
-// frozen base see isolated mutable state, identity survives, and the
-// frozen base refuses further loads.
-func TestForkCOW(t *testing.T) {
-	sys, err := NewTieredSystem(NewSELF, ModeOpt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const src = `
-	counter = (| parent* = lobby. n <- 0.
-	    bump = ( n: n + 1. n ).
-	    read = ( n ) |).
-	bumpIt = ( counter bump ).
-	readIt = ( counter read ).
-	whichCounter = ( counter ).`
-	if err := sys.LoadSource(src); err != nil {
-		t.Fatal(err)
-	}
-
-	f1 := sys.ForkCOW()
-	f2 := sys.ForkCOW()
-
-	// The base is frozen now: further loads must be refused, and the
-	// refusal must NOT poison the source log (nothing was installed).
-	if err := sys.LoadSource(`late = ( 1 ).`); err == nil {
-		t.Fatal("frozen world accepted a source load")
-	}
-
-	// Writes on f1 shadow privately; f2 and the base stay at 0.
-	for i := 0; i < 3; i++ {
-		if _, err := f1.Call("bumpIt"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r1, err := f1.Call("readIt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := f2.Call("readIt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Value.I() != 3 {
-		t.Fatalf("fork1 sees n=%d, want 3", r1.Value.I())
-	}
-	if r2.Value.I() != 0 {
-		t.Fatalf("fork2 sees fork1's writes: n=%d, want 0", r2.Value.I())
-	}
-	if f1.COWShadowCount() == 0 {
-		t.Fatal("fork1 mutated base state without shadowing anything")
-	}
-	if f2.COWShadowCount() != 0 {
-		t.Fatalf("fork2 shadowed %d objects without writing", f2.COWShadowCount())
-	}
-
-	// Identity is preserved: the counter object f1 and f2 name is the
-	// same object (shadows are storage, never new identities).
-	o1, err := f1.Call("whichCounter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := f2.Call("whichCounter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.Value.Obj() != o2.Value.Obj() {
-		t.Fatal("COW forks disagree on object identity")
-	}
-}
-
 // TestBootFromImageRejectsGarbage: hostile bytes error cleanly — among
 // them a well-formed image whose block manifest entry names its cells
 // out of capture order, which would compile block code against a cell

@@ -23,25 +23,6 @@ func TestImageRoundTripBenchmarks(t *testing.T) {
 	}
 }
 
-// TestForkCOWBenchmarks: a copy-on-write fork of a loaded system runs
-// every benchmark bit-identically to a plain system under each
-// strategy — value, RunStats, compile record and compiled code. The
-// fork writes its state to shadows of the frozen base and compiles
-// through the cache it shares with the base.
-func TestForkCOWBenchmarks(t *testing.T) {
-	for _, strat := range strategies {
-		cs := reduce(cells(benchmarks, cow, withStrategy(selfgo.NewSELF, strat)))
-		if len(cs) == 0 {
-			continue
-		}
-		t.Run(strat.String(), func(t *testing.T) {
-			for _, c := range cs {
-				identical(t, c)
-			}
-		})
-	}
-}
-
 // TestImageAcrossStrategies: an image saved after a warm run under one
 // strategy boots under each strategy; pre-promotion compiles every
 // manifest entry at its recorded tier under the booting strategy (0

@@ -297,8 +297,6 @@ type block struct {
 // table mutation is under one mutex; the interpreter's steady state
 // never takes it (memoized successor pointers).
 type State struct {
-	maxVers int
-
 	mu     sync.Mutex
 	blocks map[int]*block
 
@@ -313,22 +311,16 @@ type State struct {
 	capHits  atomic.Int64
 }
 
-// DefaultMaxVers is the version cap used when the config leaves
-// MaxVers zero — the sweet spot reported by Chevalier-Boisvert &
-// Feeley (≥5 captures nearly all elisions at modest code growth).
-const DefaultMaxVers = 5
+// MaxVers bounds the specialized versions a block materializes before
+// the generic fallback takes the tail — the knee reported by
+// Chevalier-Boisvert & Feeley (≥5 captures nearly all elisions at
+// modest code growth).
+const MaxVers = 5
 
-// NewState builds an empty version store with the given cap per block
-// (<=0 selects DefaultMaxVers).
-func NewState(maxVers int) *State {
-	if maxVers <= 0 {
-		maxVers = DefaultMaxVers
-	}
-	return &State{maxVers: maxVers, blocks: map[int]*block{}}
+// NewState builds an empty version store.
+func NewState() *State {
+	return &State{blocks: map[int]*block{}}
 }
-
-// MaxVers reports the per-block version cap.
-func (s *State) MaxVers() int { return s.maxVers }
 
 // Counts reports lifetime totals: versions materialized and cap hits
 // (specialized contexts served by the generic fallback).
@@ -409,7 +401,7 @@ func (s *State) Enter(pc int, ctx Context, worldGen uint64, mat func(*Version)) 
 			b.vers[key] = nv
 			return nv, true, false
 		}
-		if len(b.vers) < s.maxVers {
+		if len(b.vers) < MaxVers {
 			nv := s.materialize(pc, ctx, false, mat)
 			b.vers[key] = nv
 			return nv, true, false

@@ -149,10 +149,7 @@ func countingMat() (func(*Version), *int) {
 
 func TestStateEnterReuse(t *testing.T) {
 	m := testMaps(1)
-	st := NewState(0)
-	if st.MaxVers() != DefaultMaxVers {
-		t.Fatalf("MaxVers = %d, want default %d", st.MaxVers(), DefaultMaxVers)
-	}
+	st := NewState()
 	mat, calls := countingMat()
 	ctx := EmptyContext().With(1, m[0], false, NoShapeGen)
 
@@ -178,21 +175,21 @@ func TestStateEnterReuse(t *testing.T) {
 }
 
 func TestStateEnterCap(t *testing.T) {
-	maps := testMaps(8)
-	st := NewState(3)
+	maps := testMaps(MaxVers + 5)
+	st := NewState()
 	mat, _ := countingMat()
 
-	// 3 distinct contexts fill the table.
-	for i := 0; i < 3; i++ {
+	// MaxVers distinct contexts fill the table.
+	for i := 0; i < MaxVers; i++ {
 		ctx := EmptyContext().With(1, maps[i], false, NoShapeGen)
 		if _, materialized, capped := st.Enter(0, ctx, 0, mat); !materialized || capped {
 			t.Fatalf("context %d should materialize under the cap", i)
 		}
 	}
-	// The 4th..8th distinct contexts are all served the SAME generic
+	// The next five distinct contexts are all served the SAME generic
 	// fallback and counted as cap hits; the table stays at the cap.
 	var generic *Version
-	for i := 3; i < 8; i++ {
+	for i := MaxVers; i < len(maps); i++ {
 		ctx := EmptyContext().With(1, maps[i], false, NoShapeGen)
 		v, _, capped := st.Enter(0, ctx, 0, mat)
 		if !capped {
@@ -207,13 +204,13 @@ func TestStateEnterCap(t *testing.T) {
 			t.Fatal("all capped contexts must share one generic version")
 		}
 	}
-	if st.VersionsAt(0) != 3 {
-		t.Fatalf("VersionsAt(0) = %d, want the cap 3", st.VersionsAt(0))
+	if st.VersionsAt(0) != MaxVers {
+		t.Fatalf("VersionsAt(0) = %d, want the cap %d", st.VersionsAt(0), MaxVers)
 	}
 	vers, caps := st.Counts()
-	// 3 specialized + 1 generic materialized; 5 cap hits.
-	if vers != 4 || caps != 5 {
-		t.Fatalf("Counts = (%d, %d), want (4, 5)", vers, caps)
+	// MaxVers specialized + 1 generic materialized; 5 cap hits.
+	if vers != MaxVers+1 || caps != 5 {
+		t.Fatalf("Counts = (%d, %d), want (%d, 5)", vers, caps, MaxVers+1)
 	}
 	// The generic version itself (empty context) is always reusable and
 	// never a cap hit.
@@ -224,7 +221,7 @@ func TestStateEnterCap(t *testing.T) {
 
 func TestStateEnterShapeStaleness(t *testing.T) {
 	m := testMaps(1)
-	st := NewState(5)
+	st := NewState()
 	// The materializer simulates a region that derives a shape fact at
 	// the current world generation.
 	var worldGen uint64 = 1

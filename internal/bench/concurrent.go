@@ -48,19 +48,14 @@ func (m *ConcurrentMeasurement) CompileOnce() bool {
 	return m.Cache.CompileOnce()
 }
 
-// RunConcurrent measures b under cfg with `workers` goroutines sharing
-// one world and one code cache, each running the benchmark `reps`
-// times. All workers start cold and simultaneously, so the first wave
-// of requests exercises the cache's single-flight path; every run's
-// check value is verified against Expect (when known) and against the
-// other runs.
-func RunConcurrent(b Benchmark, cfg selfgo.Config, workers, reps int) (*ConcurrentMeasurement, error) {
-	return RunConcurrentLimits(b, cfg, workers, reps, Limits{})
-}
-
-// RunConcurrentLimits is RunConcurrent under Limits: runaway or hung
-// benchmark programs abort with an error (KindOutOfFuel, KindCancelled)
-// instead of wedging the measurement harness.
+// RunConcurrentLimits measures b under cfg with `workers` goroutines
+// sharing one world and one code cache, each running the benchmark
+// `reps` times. All workers start cold and simultaneously, so the first
+// wave of requests exercises the cache's single-flight path; every
+// run's check value is verified against Expect (when known) and
+// against the other runs. Under lim, runaway or hung benchmark programs
+// abort with an error (KindOutOfFuel, KindCancelled) instead of
+// wedging the measurement harness.
 func RunConcurrentLimits(b Benchmark, cfg selfgo.Config, workers, reps int, lim Limits) (*ConcurrentMeasurement, error) {
 	if !b.ParallelSafe {
 		return nil, fmt.Errorf("%s mutates lobby globals and cannot run on concurrent workers", b.Name)

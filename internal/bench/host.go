@@ -55,15 +55,10 @@ type HostFile struct {
 	GeomeanSpeedup float64      `json:"geomeanSpeedup,omitempty"`
 }
 
-// HostBenchOne measures one benchmark under one configuration with
-// testing.Benchmark: the system is warmed (code compiled, inline
-// caches filled, result checked) before timing, so the measurement is
-// steady-state interpretation, not compilation.
-func HostBenchOne(cfg selfgo.Config, b Benchmark) (*HostRecord, error) {
-	return HostBenchOneMode(cfg, b, selfgo.ModeOpt, 0)
-}
-
-// HostBenchOneMode is HostBenchOne under a tier schedule. For
+// HostBenchOneMode measures one benchmark under one configuration and
+// tier schedule with testing.Benchmark: the system is warmed (code
+// compiled, inline caches filled, result checked) before timing, so the
+// measurement is steady-state interpretation, not compilation. For
 // non-default schedules the warm-up additionally drains background
 // promotions (so adaptive mode is timed on its promoted steady state)
 // and the record carries the per-tier compile counts and promotion

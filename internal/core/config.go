@@ -178,11 +178,6 @@ type Config struct {
 	// per-strategy knob settings; the degraded tier forces split, the
 	// paper's well-exercised fallback.
 	Strategy Strategy
-
-	// MaxVers bounds the specialized versions BBV materializes per
-	// basic block before the generic fallback takes the tail
-	// (0 = the bbv package default). Ignored under StrategySplit.
-	MaxVers int
 }
 
 // ApplyStrategy derives the knob settings a strategy implies. Under

@@ -144,7 +144,7 @@ func (p *Pipeline) assemble(g *ir.Graph, st *Stats) *vm.Code {
 	c := vm.Assemble(g)
 	vm.Fuse(c)
 	if p.Cfg.Strategy != StrategySplit {
-		vm.EnableBBV(c, p.Cfg.MaxVers)
+		vm.EnableBBV(c)
 	}
 	asm := time.Since(t0)
 	st.Duration += asm

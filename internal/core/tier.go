@@ -109,7 +109,6 @@ var tierTable = []tierRule{
 	// degrades code quality instead of the request. Baseline keeps the
 	// strategy: cheap stub code is exactly what BBV wants to version.
 	{"Strategy", keep, StrategySplit},
-	{"MaxVers", keep, keep},
 }
 
 // Apply derives the tier's configuration from base. TierOptimizing

@@ -86,12 +86,6 @@ func nextEpoch() uint32 {
 // (epoch 0 is reserved for the permanent heap).
 func NewArena() *Arena { return &Arena{epoch: nextEpoch()} }
 
-// NewEpoch hands out a fresh process-unique epoch from the same
-// counter arenas draw from, for non-arena lifetimes that must be
-// distinguishable from every live arena: the frozen base world
-// (World.Freeze) and each copy-on-write fork's shadow objects.
-func NewEpoch() uint32 { return nextEpoch() }
-
 // Epoch returns the current epoch. Never 0.
 func (a *Arena) Epoch() uint32 {
 	if a == nil {
@@ -108,9 +102,6 @@ func (a *Arena) MarkEscaped() {
 		a.dirty = true
 	}
 }
-
-// Escaped reports whether the current epoch has been marked escaped.
-func (a *Arena) Escaped() bool { return a != nil && a.dirty }
 
 // Reset ends the current epoch. Clean epochs recycle their chunks
 // (zeroed, so no stale Values retain dead objects); escaped epochs

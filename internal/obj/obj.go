@@ -298,17 +298,6 @@ func (m *Map) SlotNamed(name string) *Slot {
 	return nil
 }
 
-// Parents returns the values of all parent slots, in declaration order.
-func (m *Map) Parents() []Value {
-	var out []Value
-	for i := range m.Slots {
-		if m.Slots[i].Kind == ParentSlot {
-			out = append(out, m.Slots[i].Value)
-		}
-	}
-	return out
-}
-
 // Object is a heap object: a map plus assignable-slot storage, plus
 // element storage for indexable objects (vectors).
 type Object struct {

@@ -27,11 +27,6 @@ type World struct {
 	// while it is set get a LoadOrd.
 	loading bool
 
-	// frozenEp, once set by Freeze, marks every world object's epoch;
-	// further source loads are refused (copy-on-write forks share the
-	// frozen base and must see an immutable world).
-	frozenEp uint32
-
 	Lobby *Object
 
 	NilMap   *Map
@@ -258,9 +253,6 @@ func (w *World) NewVector(n int, fill Value) *Object {
 // literals). Definitions are processed in order, so files may refer to
 // anything defined earlier.
 func (w *World) Load(f *ast.File) error {
-	if w.frozenEp != 0 {
-		return fmt.Errorf("world is frozen (copy-on-write base); no further loads")
-	}
 	w.setLoading(true)
 	defer w.setLoading(false)
 	for _, s := range f.Slots {

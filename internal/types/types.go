@@ -21,7 +21,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"selfgo/internal/ast"
@@ -796,12 +795,4 @@ func Compatible(head, tail Type, intMap *obj.Map) bool {
 		return false
 	}
 	return Contains(head, tail, intMap)
-}
-
-// SortKey gives a deterministic ordering for dumping type maps.
-func SortKey(t Type) string { return t.String() }
-
-// SortTypes sorts a slice of types deterministically (for printing).
-func SortTypes(ts []Type) {
-	sort.Slice(ts, func(i, j int) bool { return SortKey(ts[i]) < SortKey(ts[j]) })
 }

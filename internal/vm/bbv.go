@@ -34,8 +34,8 @@ const bbvElideNone = bbv.ElideNone
 // pipeline does it for any strategy other than split, after Fuse:
 // versions anchor on the entry pcs of the stream the code runs, fused
 // or not.
-func EnableBBV(c *Code, maxVers int) {
-	c.bbv = bbv.NewState(maxVers)
+func EnableBBV(c *Code) {
+	c.bbv = bbv.NewState()
 }
 
 // BBVState exposes the code's version store (nil under the split

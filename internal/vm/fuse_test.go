@@ -405,7 +405,7 @@ func TestBBVVersionsFusedEntries(t *testing.T) {
 			vm.Wide{Op: ir.Return, Dst: no, A: 4, B: no, C: no},
 			vm.Wide{Op: ir.Return, Dst: no, A: 2, B: no, C: no},
 		)
-		vm.EnableBBV(c, 0)
+		vm.EnableBBV(c)
 		return c
 	}
 	const extra = 3

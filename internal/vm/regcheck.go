@@ -119,10 +119,12 @@ func CheckAllocation(raw, alloc *Code) error {
 		}
 	}
 
-	// Copy classes: same[pc] is the set of pairs equal on entry to pc (nil
-	// until some path reaches pc), after(pc, i) the set on the edge to
-	// pc's i-th successor. The overflow edge of a checked Arith (i == 1)
-	// writes nothing.
+	// Copy classes: same[pc] is the set of pairs of registers live-in at
+	// pc that are equal on entry to pc (nil until some path reaches pc),
+	// after(pc, i) the set on the edge to pc's i-th successor. The
+	// overflow edge of a checked Arith (i == 1) writes nothing. Dropping
+	// a pair with a dead register loses nothing: no check asks about it
+	// before that register is written, and the write ends the pair.
 	type pair [2]ir.Reg // ordered: pair{x, y} with x < y
 	mk := func(x, y ir.Reg) pair { return pair{min(x, y), max(x, y)} }
 	same := make([]map[pair]bool, n+1)
@@ -161,6 +163,11 @@ func CheckAllocation(raw, alloc *Code) error {
 			}
 			for i, s := range succs(pc) {
 				out := after(pc, i)
+				for p := range out {
+					if !liveIn[s][p[0]] || !liveIn[s][p[1]] {
+						delete(out, p)
+					}
+				}
 				if same[s] == nil {
 					same[s], changed = out, true
 					continue

@@ -197,19 +197,6 @@ type VM struct {
 	// arena): the store barrier compares every written-to object's
 	// epoch against it, and only mismatches take the slow path.
 	curEp uint32
-
-	// Copy-on-write state (EnableCOW): cowEp is the frozen base
-	// world's epoch — stores into objects carrying it are redirected
-	// into per-VM shadow copies, reads through them see the shadow.
-	// cowShadowEp stamps the shadows themselves (fork-permanent, so
-	// the escape check must not mistake them for arena values).
-	// Base-object stores already miss the `o.Ep != curEp` fast-path
-	// compare, so the write barrier costs nothing new; reads pay one
-	// predictable `cowEp != 0` compare. cowShadows is keyed by the
-	// base object. Zero cowEp (the default) disables all of it.
-	cowEp       uint32
-	cowShadowEp uint32
-	cowShadows  map[*obj.Object]*obj.Object
 }
 
 type methodKey struct {
@@ -549,7 +536,6 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 	st := &vm.Stats
 	extra := vm.InstrExtra
 	trackHot := vm.OnHot != nil
-	cowEp := vm.cowEp // non-zero only on copy-on-write forks
 	shapes := vm.World.ShapeTracking
 	// Lazy basic-block versioning (vm/bbv.go): anchor a version at the
 	// method entry and advance it across every branch; ver is nil when
@@ -591,9 +577,6 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			if o == nil || int(in.Aux) >= len(o.Fields) {
 				return fault(errBadField(code, "access"), code, pc)
 			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
 			fr.regs[in.Dst] = o.Fields[in.Aux]
 		case ir.StoreF:
 			o := fr.regs[in.A].Obj()
@@ -601,7 +584,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return fault(errBadField(code, "store"), code, pc)
 			}
 			if o.Ep != vm.curEp {
-				o = vm.storeSlow(o, fr.regs[in.B])
+				vm.escapeCheck(fr.regs[in.B])
 			}
 			if shapes {
 				vm.World.NoteFieldStore(o.Map, int(in.Aux), fr.regs[in.B])
@@ -616,9 +599,6 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			if i < 0 || i >= int64(len(o.Elems)) {
 				return fault(errElemOOB(code, "load", i, len(o.Elems)), code, pc)
 			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
 			fr.regs[in.Dst] = o.Elems[i]
 		case ir.StoreE:
 			o := fr.regs[in.A].Obj()
@@ -630,7 +610,7 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				return fault(errElemOOB(code, "store", i, len(o.Elems)), code, pc)
 			}
 			if o.Ep != vm.curEp {
-				o = vm.storeSlow(o, fr.regs[in.Dst])
+				vm.escapeCheck(fr.regs[in.Dst])
 			}
 			o.Elems[i] = fr.regs[in.Dst] // StoreE's Dst holds the value stored
 		case ir.VecLen:
@@ -747,9 +727,6 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 				vm.uncharge(st, f)
 				return fault(errBadField(code, "access"), code, pc)
 			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
 			fr.regs[in.Dst] = o.Fields[in.Aux]
 			br, aerr := arithVal(st, f, fr)
 			if aerr != nil {
@@ -770,9 +747,6 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 			if i < 0 || i >= int64(len(o.Elems)) {
 				vm.uncharge(st, f)
 				return fault(errElemOOB(code, "load", i, len(o.Elems)), code, pc)
-			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
 			}
 			fr.regs[in.Dst] = o.Elems[i]
 			br, aerr := arithVal(st, f, fr)
@@ -1028,9 +1002,8 @@ func (vm *VM) escapeCheck(v obj.Value) {
 	}
 	switch v.K() {
 	case obj.KObj:
-		// Permanent epochs: 0 (heap), the frozen COW base, and this
-		// fork's shadow copies. Everything else is arena-lifetime.
-		if ep := v.Obj().Ep; ep != 0 && ep != vm.cowEp && ep != vm.cowShadowEp {
+		// Epoch 0 is the permanent heap; every other epoch is an arena's.
+		if v.Obj().Ep != 0 {
 			vm.Arena.MarkEscaped()
 		}
 	case obj.KBlock:
@@ -1076,9 +1049,6 @@ func (vm *VM) makeClone(st *RunStats, fr *frame, in *Instr) error {
 		return nil
 	}
 	so := src.Obj()
-	if vm.cowEp != 0 && so.Ep == vm.cowEp {
-		so = vm.cowShadowed(so) // clone sees the fork's writes
-	}
 	if berr := vm.chargeBytes(st, int64(len(so.Fields)+len(so.Elems))); berr != nil {
 		st.Cycles -= CostCloneBase
 		return berr
@@ -1297,9 +1267,6 @@ func (vm *VM) execSend(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 		if target == nil {
 			return obj.Nil(), &RuntimeError{Msg: "data slot on immediate"}
 		}
-		if vm.cowEp != 0 && target.Ep == vm.cowEp {
-			target = vm.cowShadowed(target)
-		}
 		return target.Fields[slot.Index], nil
 	case obj.AssignSlot:
 		target := holder
@@ -1310,7 +1277,7 @@ func (vm *VM) execSend(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 			return obj.Nil(), &RuntimeError{Msg: "assignment on immediate"}
 		}
 		if target.Ep != vm.curEp {
-			target = vm.storeSlow(target, args[0])
+			vm.escapeCheck(args[0])
 		}
 		if vm.World.ShapeTracking {
 			vm.World.NoteFieldStore(target.Map, slot.Index, args[0])
@@ -1402,9 +1369,6 @@ func (vm *VM) execPrim(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 		if i < 0 || i >= int64(len(o.Elems)) {
 			return fail("index out of bounds")
 		}
-		if vm.cowEp != 0 && o.Ep == vm.cowEp {
-			o = vm.cowShadowed(o)
-		}
 		return o.Elems[i], nil
 	case "_At:Put:":
 		o := recv.Obj()
@@ -1416,7 +1380,7 @@ func (vm *VM) execPrim(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 			return fail("index out of bounds")
 		}
 		if o.Ep != vm.curEp {
-			o = vm.storeSlow(o, args[1])
+			vm.escapeCheck(args[1])
 		}
 		o.Elems[i] = args[1]
 		return args[1], nil
@@ -1446,9 +1410,6 @@ func (vm *VM) execPrim(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 			return recv, nil
 		}
 		ro := recv.Obj()
-		if vm.cowEp != 0 && ro.Ep == vm.cowEp {
-			ro = vm.cowShadowed(ro) // clone sees the fork's writes
-		}
 		if berr := vm.chargeBytes(st, int64(len(ro.Fields)+len(ro.Elems))); berr != nil {
 			return obj.Nil(), berr
 		}

@@ -34,12 +34,7 @@ type program struct {
 	want           int64 // the known result; 0 when only agreement is checked
 	// light programs run in the reduced matrix under every variant;
 	// the others only as new SELF's shipped cells (see keepReduced).
-	light bool
-	// generated programs' Codes run to thousands of instructions, where
-	// vm.CheckAllocation's pair analysis costs a large share of a
-	// second; the runner checks them only under ST-80 and new SELF, the
-	// presets that shape code most differently (see checks).
-	generated bool
+	light     bool
 	preset    selfgo.Config // a fault program's preset
 	recovered bool          // a fault program that ends in a value under it
 }
@@ -157,12 +152,11 @@ const (
 	poisoned                // loop-simulation releases poison what they free
 	legacy                  // the hand-built pre-pipeline compile path (legacyRun)
 	imaged                  // booted from an image saved right after loading
-	cow                     // a ForkCOW worker of the loaded system
 	warmSave                // shipped, then an image saved after the run
 	warmBoot                // booted from cell.from's warmSave image, prepromoted
 )
 
-var variantNames = [...]string{"shipped", "raw", "unfused", "poisoned", "legacy", "image", "cow", "warm-save", "warm-boot"}
+var variantNames = [...]string{"shipped", "raw", "unfused", "poisoned", "legacy", "image", "warm-save", "warm-boot"}
 
 // cell is one run: program × preset (with its strategy) × tier ×
 // variant × budget.
@@ -319,13 +313,6 @@ func checkAllocation(rawCode, code *vm.Code, rawText, text string) error {
 	return err
 }
 
-// checks reports whether the runner checks the allocation of c's
-// Codes: always, except a generated program's under a preset other
-// than ST-80 and new SELF.
-func (c cell) checks() bool {
-	return !c.p.generated || isPreset(c.cfg, selfgo.ST80) || isPreset(c.cfg, selfgo.NewSELF)
-}
-
 // repeat runs c again, bypassing the memo: the determinism oracle's
 // extra compiles.
 func repeat(c cell) *outcome {
@@ -344,10 +331,8 @@ func runCell(c cell, img []byte) *outcome {
 		rawText, text := rawCode.Disasm(), code.Disasm()
 		io.WriteString(hr, rawText)
 		io.WriteString(ha, text)
-		if c.checks() {
-			if err := checkAllocation(rawCode, code, rawText, text); err != nil && o.AllocErr == "" {
-				o.AllocErr = fmt.Sprintf("%s: %v", code.Name, err)
-			}
+		if err := checkAllocation(rawCode, code, rawText, text); err != nil && o.AllocErr == "" {
+			o.AllocErr = fmt.Sprintf("%s: %v", code.Name, err)
 		}
 		o.Codes = append(o.Codes, codeSize{code.Name, code.NumRegs})
 		// Fusing here leaves the caller's own Fuse nothing to do
@@ -416,15 +401,12 @@ func (c cell) system(o *outcome, img []byte) (*selfgo.System, error) {
 	if err := sys.LoadSource(c.p.src); err != nil {
 		return nil, err
 	}
-	switch c.v {
-	case imaged:
+	if c.v == imaged {
 		var buf bytes.Buffer
 		if _, err := sys.SaveImage(&buf, nil); err != nil {
 			return nil, err
 		}
 		return c.boot(o, buf.Bytes())
-	case cow:
-		return sys.ForkCOW(), nil
 	}
 	return sys, nil
 }

@@ -669,7 +669,7 @@ func (s *System) TakeFrameStats() FrameStats {
 func (s *System) MarkEscaped(v Value) {
 	switch v.K() {
 	case obj.KObj:
-		if o := v.Obj(); o != nil && !s.machine.Permanent(o.Ep) {
+		if o := v.Obj(); o != nil && o.Ep != 0 {
 			s.machine.Arena.MarkEscaped()
 		}
 	case obj.KBlock:
@@ -710,17 +710,14 @@ func (s *System) World() *World { return s.world }
 // LoadSource parses src as lobby slot definitions and installs them.
 // Successful loads are recorded for SaveImage; a load that fails after
 // installing some slots leaves the world unreplayable and poisons
-// image saving (parse errors and loads refused by a frozen world
-// install nothing and poison nothing).
+// image saving (a parse error installs nothing and poisons nothing).
 func (s *System) LoadSource(src string) error {
 	f, err := parser.ParseFile(src)
 	if err != nil {
 		return err
 	}
 	if err := s.world.Load(f); err != nil {
-		if s.world.FrozenEpoch() == 0 {
-			s.sources.markDirty()
-		}
+		s.sources.markDirty()
 		return err
 	}
 	s.world.Finalize()

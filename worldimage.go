@@ -270,23 +270,3 @@ func (s *System) prepromoteOne(ent image.RestoredManifest) bool {
 	c.Hot.Seed(ent.Invocations, ent.Backedges, ent.Requested)
 	return true
 }
-
-// ForkCOW freezes this system's world (first call; later calls reuse
-// the frozen base) and returns a worker whose writes to base objects
-// go to private per-fork shadow copies: cheap isolated forks over one
-// shared restored base. Once frozen, the base world refuses further
-// source loads, and the parent system's own VM must stay quiescent —
-// run all work on the forks. Identity is preserved (shadows are
-// storage, never Values), so maps, inline caches and Eq behave exactly
-// as on a private world; only field and element state diverges per
-// fork.
-func (s *System) ForkCOW() *System {
-	baseEp := s.world.Freeze()
-	f := s.Fork()
-	f.machine.EnableCOW(baseEp)
-	return f
-}
-
-// COWShadowCount reports how many base objects this system's VM has
-// shadowed; zero for non-COW systems.
-func (s *System) COWShadowCount() int { return s.machine.COWShadowCount() }
