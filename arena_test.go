@@ -1,11 +1,13 @@
 package selfgo_test
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"selfgo"
+	"selfgo/internal/bench"
 )
 
 // TestBudgetMaxBytes: the bytes axis of the budget faults at the
@@ -272,4 +274,76 @@ func TestArenaLifecycle(t *testing.T) {
 		}(f)
 	}
 	wg.Wait()
+}
+
+// TestWarmCallHostBytes pins the Go heap bytes one warm Call plus
+// ResetArena costs for each program the benchmark's loops.warm and
+// sends.warm workloads run, at 1.25 times what was measured when the
+// arena's chunks became sized to their epoch (averaged over 20 calls
+// after three warm-ups). What remains is the Result, escaped frames
+// and closures (richards), and what the guest keeps: tree stores its
+// vectors in the lobby, so every epoch is abandoned to the GC. A return
+// to full-size chunks costs towers, tree and queens 192 KiB a call, and
+// sieve's 8,191-element vector 128 KiB when large vectors are not
+// recycled.
+func TestWarmCallHostBytes(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector changes what the host allocates")
+	}
+	pins := []struct {
+		name string
+		max  float64 // bytes per warm call
+	}{
+		{"sieve", 300}, {"sumTo", 300}, {"sumFromTo", 300}, {"sumToConst", 300},
+		{"atAllPut", 300}, {"bubble", 300},
+		{"towers", 9200}, {"tree", 67000}, {"richards", 390000}, {"queens", 9200},
+		{"perm", 300}, {"towers-oo", 300}, {"tree-oo", 1000}, {"queens-oo", 300},
+		{"perm-oo", 300},
+	}
+	for _, p := range pins {
+		b, ok := bench.ByName(p.name)
+		if !ok {
+			t.Fatalf("no benchmark %q", p.name)
+		}
+		sys, err := selfgo.NewSystem(selfgo.NewSELF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadSource(b.Source); err != nil {
+			t.Fatal(err)
+		}
+		call := func() {
+			if _, err := sys.Call(b.Entry); err != nil {
+				t.Fatal(err)
+			}
+			sys.ResetArena()
+		}
+		for i := 0; i < 3; i++ {
+			call()
+		}
+		// Another goroutine's allocation can only add bytes, so a round
+		// over the pin is retried and the least round counts.
+		const calls = 20
+		got := float64(warmBytes(calls, call)) / calls
+		for retry := 0; retry < 2 && got > p.max; retry++ {
+			got = min(got, float64(warmBytes(calls, call))/calls)
+		}
+		t.Logf("%-10s %9.0f B per warm call (pin %.0f)", p.name, got, p.max)
+		if got > p.max {
+			t.Errorf("%s: %.0f host bytes per warm call, pinned at %.0f", p.name, got, p.max)
+		}
+	}
+}
+
+// warmBytes returns the Go heap bytes n calls of f allocate, measured
+// with one P so that other goroutines add as little as possible.
+func warmBytes(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }

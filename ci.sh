@@ -405,7 +405,8 @@ fi
 
 # Fuzz smoke: a short budget per front-end fuzzer, enough to catch
 # easy regressions in the lexer and parser without stalling CI — plus
-# the serving layer's JSON request decoder. Trimmed from -short runs.
+# the serving layer's JSON request decoder, and differential fuzzers
+# (compiler tiers, the arena, message lookup). Trimmed from -short runs.
 if [ "$short" != "-short" ]; then
     echo "== fuzz smoke: FuzzLexer"
     go test -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/lexer
@@ -427,6 +428,10 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzEnvModel$' -fuzztime 10s ./internal/core
     echo "== fuzz smoke: FuzzImageDecode"
     go test -run '^$' -fuzz '^FuzzImageDecode$' -fuzztime 10s ./internal/image
+    echo "== fuzz smoke: FuzzLookup"
+    go test -run '^$' -fuzz '^FuzzLookup$' -fuzztime 10s ./internal/obj
+    echo "== fuzz smoke: FuzzArena"
+    go test -run '^$' -fuzz '^FuzzArena$' -fuzztime 10s ./internal/obj
 fi
 
 echo "ci: all checks passed"

@@ -334,8 +334,8 @@ func TestImageInternGenerationEq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	label := obj.Lookup(want.Value.Obj().Map, "label")
-	if label == nil {
+	label, ok := obj.Lookup(want.Value.Obj().Map, "label")
+	if !ok {
 		t.Fatal("tag object lost its label slot")
 	}
 	original := label.Slot.Value
@@ -359,8 +359,8 @@ func TestImageInternGenerationEq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl := obj.Lookup(got.Value.Obj().Map, "label")
-	if rl == nil {
+	rl, ok := obj.Lookup(got.Value.Obj().Map, "label")
+	if !ok {
 		t.Fatal("restored tag object lost its label slot")
 	}
 	restored := rl.Slot.Value

@@ -108,7 +108,7 @@ func TestAnnotateTypes(t *testing.T) {
 // block with zero arguments.
 func TestBlockArityMismatch(t *testing.T) {
 	w := buildWorld(t, `go = ( | blk | blk: [ :x | x ]. blk value ).`)
-	r := obj.Lookup(w.Lobby.Map, "go")
+	r, _ := obj.Lookup(w.Lobby.Map, "go")
 	_, _, err := New(w, NewSELF).CompileMethod(r.Slot.Meth, w.Lobby.Map)
 	if err == nil || !strings.Contains(err.Error(), "block takes") {
 		t.Errorf("expected block arity error, got %v", err)

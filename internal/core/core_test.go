@@ -30,8 +30,8 @@ func buildWorld(t *testing.T, src string) *obj.World {
 // compileLobby compiles the lobby method named sel under cfg.
 func compileLobby(t *testing.T, w *obj.World, cfg Config, sel string) (*ir.Graph, *Stats) {
 	t.Helper()
-	r := obj.Lookup(w.Lobby.Map, sel)
-	if r == nil || r.Slot.Kind != obj.MethodSlot {
+	r, ok := obj.Lookup(w.Lobby.Map, sel)
+	if !ok || r.Slot.Kind != obj.MethodSlot {
 		t.Fatalf("no method %q", sel)
 	}
 	rmap := w.Lobby.Map
@@ -308,7 +308,7 @@ func TestCustomizationKnowsReceiver(t *testing.T) {
 	`
 	w := buildWorld(t, src)
 	ov, _ := w.GlobalValue("o")
-	r := obj.Lookup(ov.Obj().Map, "double")
+	r, _ := obj.Lookup(ov.Obj().Map, "double")
 
 	g, _, err := New(w, NewSELF).CompileMethod(r.Slot.Meth, ov.Obj().Map)
 	if err != nil {

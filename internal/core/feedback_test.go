@@ -22,8 +22,8 @@ poke: c = ( c bump ).`
 
 func lobbyMethod(t *testing.T, w *obj.World, sel string) *obj.Method {
 	t.Helper()
-	r := obj.Lookup(w.Lobby.Map, sel)
-	if r == nil || r.Slot.Kind != obj.MethodSlot {
+	r, ok := obj.Lookup(w.Lobby.Map, sel)
+	if !ok || r.Slot.Kind != obj.MethodSlot {
 		t.Fatalf("no method %q", sel)
 	}
 	return r.Slot.Meth
@@ -31,8 +31,8 @@ func lobbyMethod(t *testing.T, w *obj.World, sel string) *obj.Method {
 
 func constObjMap(t *testing.T, w *obj.World, name string) *obj.Map {
 	t.Helper()
-	r := obj.Lookup(w.Lobby.Map, name)
-	if r == nil || r.Slot.Value.Obj() == nil {
+	r, ok := obj.Lookup(w.Lobby.Map, name)
+	if !ok || r.Slot.Value.Obj() == nil {
 		t.Fatalf("no object %q on the lobby", name)
 	}
 	return r.Slot.Value.Obj().Map

@@ -103,8 +103,8 @@ func (cp *compilation) sendOne(f *flow, rr ir.Reg, sel string, args []ir.Reg, sc
 // sendStatic compiles a send whose receiver map is statically known:
 // the lookup happens at compile time and the slot is inlined (§3.2.2).
 func (cp *compilation) sendStatic(f *flow, m *obj.Map, rr ir.Reg, sel string, args []ir.Reg, sc *scope) ([]*flow, ir.Reg) {
-	res := obj.Lookup(m, sel)
-	if res == nil {
+	res, ok := obj.Lookup(m, sel)
+	if !ok {
 		// Message not understood: compile the error out of line.
 		n := cp.g.NewNode(ir.Fail)
 		n.Sel = "doesNotUnderstand: " + sel
@@ -175,7 +175,7 @@ func (cp *compilation) sendStatic(f *flow, m *obj.Map, rr ir.Reg, sel string, ar
 // accessed data slot lives in: the receiver itself, or — for a slot
 // inherited from a constant parent — that parent object, loaded as a
 // constant.
-func (cp *compilation) holderReg(f *flow, rr ir.Reg, res *obj.LookupResult) ir.Reg {
+func (cp *compilation) holderReg(f *flow, rr ir.Reg, res obj.LookupResult) ir.Reg {
 	if res.Holder == nil {
 		return rr
 	}

@@ -154,7 +154,7 @@ func TestTierOrderAndNames(t *testing.T) {
 // config, events attributed, assemble measured.
 func TestPipelinePassStats(t *testing.T) {
 	w := buildWorld(t, triangleSrc)
-	r := obj.Lookup(w.Lobby.Map, "triangleNumber:")
+	r, _ := obj.Lookup(w.Lobby.Map, "triangleNumber:")
 	p := NewPipeline(w, NewSELF, TierOptimizing)
 	c, st, err := p.CompileMethod(r.Slot.Meth, w.Lobby.Map, nil)
 	if err != nil {
@@ -231,7 +231,7 @@ func TestPipelineOptMatchesBareCompiler(t *testing.T) {
 	}
 	for _, cfg := range allPresets() {
 		w := buildWorld(t, triangleSrc)
-		r := obj.Lookup(w.Lobby.Map, "triangleNumber:")
+		r, _ := obj.Lookup(w.Lobby.Map, "triangleNumber:")
 		rmap := w.Lobby.Map
 		if !cfg.Customization {
 			rmap = nil
@@ -265,7 +265,7 @@ func TestVersioningStrategiesRunFusedCode(t *testing.T) {
 		cfg := NewSELF
 		cfg.Strategy = strat
 		w := buildWorld(t, triangleSrc)
-		r := obj.Lookup(w.Lobby.Map, "triangleNumber:")
+		r, _ := obj.Lookup(w.Lobby.Map, "triangleNumber:")
 		c, _, err := NewPipeline(w, cfg, TierOptimizing).CompileMethod(r.Slot.Meth, w.Lobby.Map, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,9 @@
 package obj
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Arena is a per-VM bump allocator for request-lifetime object
 // storage: vector elements, clone fields and the Object headers
@@ -8,6 +11,16 @@ import "sync/atomic"
 // allocations. Lifetimes are epochs: the serving layer resets the
 // arena when a pooled VM returns to the pool (and the bench harness
 // between iterations), recycling every chunk of the finished epoch.
+//
+// Chunks come in size classes: class k holds base<<k elements (base is
+// 256 Values or 32 Object headers). An epoch's first chunk is class 0
+// and each later one doubles, up to class arenaGrowTop (8,192 Values,
+// 128 KiB; 1,024 headers, 64 KiB), so an epoch holds about twice what
+// it used. A vector too large to share a chunk gets a chunk of its own
+// class, up to arenaTop (65,536 Values, 1 MiB); a larger one is plain
+// heap. A clean Reset puts each chunk on its class's free list, the
+// lists together holding at most arenaFreeChunks top-growth-class
+// chunks' worth of each kind (2 MiB of Values, 1 MiB of headers).
 //
 // Soundness: an arena value must not outlive its epoch, or a recycled
 // chunk would be rewritten under it. Epoch 0 is the permanent Go heap
@@ -25,8 +38,9 @@ import "sync/atomic"
 // after Reset, and the barrier promotes the whole epoch: MarkEscaped
 // flips the dirty bit, and a dirty Reset abandons its chunks to the
 // Go garbage collector (which keeps them alive exactly as long as the
-// escaped values are referenced) instead of recycling them. This
-// mirrors the frame pool's escaped-frame exemption: escape is rare,
+// escaped values are referenced) instead of recycling them. Since
+// chunks grow with use, that costs about what the epoch allocated.
+// This mirrors the frame pool's escaped-frame exemption: escape is rare,
 // detection is a single epoch compare on the store fast path, and the
 // abandoned chunks are ordinary heap memory so escaped closures and
 // NLR homes stay valid forever. Blocks escape conservatively: a
@@ -38,18 +52,8 @@ type Arena struct {
 	epoch uint32
 	dirty bool
 
-	// Value storage: the current chunk being bumped, the full list of
-	// this epoch's tracked chunks, and the clean recycled free list.
-	cur    []Value
-	used   int
-	chunks [][]Value
-	free   [][]Value
-
-	// Object-header storage, same discipline.
-	objCur    []Object
-	objUsed   int
-	objChunks [][]Object
-	objFree   [][]Object
+	vals chunks[Value]  // vector elements and clone fields
+	objs chunks[Object] // Object headers
 
 	// Counters for tests and /statusz.
 	Resets   int64 // epochs recycled cleanly
@@ -57,11 +61,76 @@ type Arena struct {
 }
 
 const (
-	arenaChunkValues = 8192 // 128 KiB of Value storage per chunk
-	arenaChunkObjs   = 1024 // Object headers per chunk
-	arenaMaxTracked  = 64   // chunks tracked per epoch; beyond this, loose heap chunks
-	arenaMaxFree     = 16   // recycled chunks kept across epochs
+	arenaBaseValues = 256 // Values in a class-0 chunk (4 KiB)
+	arenaBaseObjs   = 32  // Object headers in a class-0 chunk (2 KiB)
+	arenaGrowTop    = 5   // an epoch's bump chunks grow up to this class
+	arenaTop        = 8   // largest class: one vector of up to 65,536 Values
+	arenaMaxTracked = 64  // chunks tracked per epoch; beyond this, loose heap chunks
+	arenaFreeChunks = 16  // free lists hold this many class-arenaGrowTop chunks' worth
 )
+
+// chunks is one kind of arena storage: the chunk being bumped, the
+// epoch's tracked chunks, and the recycled free lists, one per class.
+type chunks[T any] struct {
+	base    int // elements in a class-0 chunk
+	cur     []T
+	used    int
+	grow    int // class of the epoch's next bump chunk
+	tracked [][]T
+	free    [arenaTop + 1][][]T
+	freeLen int // elements held on the free lists
+}
+
+// class returns the smallest class whose chunks hold n elements.
+func (c *chunks[T]) class(n int) int { return bits.Len(uint((n - 1) / c.base)) }
+
+// take returns a zeroed class-k chunk, recycled when one is free, and
+// tracks it for Reset. Once the epoch tracks arenaMaxTracked chunks,
+// further chunks are loose heap memory Reset never sees: taking them
+// from a free list would permanently drain it, so they come fresh.
+func (c *chunks[T]) take(k int) []T {
+	if len(c.tracked) >= arenaMaxTracked {
+		return make([]T, c.base<<k)
+	}
+	var s []T
+	if f := c.free[k]; len(f) > 0 {
+		s = f[len(f)-1]
+		f[len(f)-1] = nil
+		c.free[k] = f[:len(f)-1]
+		c.freeLen -= len(s)
+	} else {
+		s = make([]T, c.base<<k)
+	}
+	c.tracked = append(c.tracked, s)
+	return s
+}
+
+// bump makes a fresh chunk current that holds at least n elements: the
+// epoch's next growth class, or n's class if that is larger.
+func (c *chunks[T]) bump(n int) {
+	k := max(c.grow, c.class(n))
+	c.cur, c.used = c.take(k), 0
+	c.grow = min(k+1, arenaGrowTop)
+}
+
+// reset ends the epoch: its chunks go, zeroed, to the free lists while
+// they have room (recycle), or are dropped for the GC.
+func (c *chunks[T]) reset(recycle bool) {
+	if recycle {
+		for _, s := range c.tracked {
+			if c.freeLen+len(s) > arenaFreeChunks*c.base<<arenaGrowTop {
+				continue
+			}
+			clear(s)
+			k := c.class(len(s))
+			c.free[k] = append(c.free[k], s)
+			c.freeLen += len(s)
+		}
+	}
+	clear(c.tracked)
+	c.tracked = c.tracked[:0]
+	c.cur, c.used, c.grow = nil, 0, 0
+}
 
 // epochCounter hands out epoch numbers process-wide. Epochs are
 // identity, not just sequence: the store barrier's `o.Ep != curEp`
@@ -84,7 +153,13 @@ func nextEpoch() uint32 {
 
 // NewArena returns an empty arena at a fresh process-unique epoch
 // (epoch 0 is reserved for the permanent heap).
-func NewArena() *Arena { return &Arena{epoch: nextEpoch()} }
+func NewArena() *Arena {
+	return &Arena{
+		epoch: nextEpoch(),
+		vals:  chunks[Value]{base: arenaBaseValues},
+		objs:  chunks[Object]{base: arenaBaseObjs},
+	}
+}
 
 // Epoch returns the current epoch. Never 0.
 func (a *Arena) Epoch() uint32 {
@@ -113,95 +188,49 @@ func (a *Arena) Reset() {
 		return
 	}
 	if a.dirty {
-		a.chunks = nil
-		a.objChunks = nil
 		a.Abandons++
 	} else {
-		for _, c := range a.chunks {
-			if len(a.free) >= arenaMaxFree {
-				break
-			}
-			clear(c)
-			a.free = append(a.free, c)
-		}
-		a.chunks = a.chunks[:0]
-		for _, c := range a.objChunks {
-			if len(a.objFree) >= arenaMaxFree {
-				break
-			}
-			clear(c)
-			a.objFree = append(a.objFree, c)
-		}
-		a.objChunks = a.objChunks[:0]
 		a.Resets++
 	}
-	a.cur, a.used = nil, 0
-	a.objCur, a.objUsed = nil, 0
+	a.vals.reset(!a.dirty)
+	a.objs.reset(!a.dirty)
 	a.dirty = false
 	a.epoch = nextEpoch()
 }
 
 // allocValues returns a zeroed n-slot Value array from the current
-// chunk. Oversized requests (and every request once the per-epoch
-// tracking cap is hit) fall through to plain heap makes — correct,
-// just not recycled.
+// chunk. A request of more than half a top growth chunk gets a chunk of
+// its own class instead, and one past the largest class (or any chunk
+// once the per-epoch tracking cap is hit) is a plain heap make —
+// correct, just not recycled.
 func (a *Arena) allocValues(n int) []Value {
+	c := &a.vals
 	if n == 0 {
 		return nil
 	}
-	if n > arenaChunkValues/2 {
-		return make([]Value, n)
+	if n > arenaBaseValues<<arenaGrowTop/2 {
+		if n > arenaBaseValues<<arenaTop {
+			return make([]Value, n)
+		}
+		return c.take(c.class(n))[:n:n]
 	}
-	if a.used+n > len(a.cur) {
-		a.newValueChunk()
+	if c.used+n > len(c.cur) {
+		c.bump(n)
 	}
-	s := a.cur[a.used : a.used+n : a.used+n]
-	a.used += n
+	s := c.cur[c.used : c.used+n : c.used+n]
+	c.used += n
 	return s
-}
-
-func (a *Arena) newValueChunk() {
-	// Once the per-epoch tracking cap is hit, further chunks are loose
-	// heap memory that Reset never sees — consuming the free list for
-	// them would permanently drain the recycled pool, so untracked
-	// chunks always come fresh from the heap.
-	if len(a.chunks) >= arenaMaxTracked {
-		a.cur, a.used = make([]Value, arenaChunkValues), 0
-		return
-	}
-	var c []Value
-	if k := len(a.free); k > 0 {
-		c = a.free[k-1]
-		a.free = a.free[:k-1]
-	} else {
-		c = make([]Value, arenaChunkValues)
-	}
-	a.chunks = append(a.chunks, c)
-	a.cur, a.used = c, 0
 }
 
 // allocObject returns a zeroed Object header stamped with the current
 // epoch.
 func (a *Arena) allocObject() *Object {
-	if a.objUsed >= len(a.objCur) {
-		if len(a.objChunks) >= arenaMaxTracked {
-			// Same rule as newValueChunk: untracked chunks must not
-			// drain the recycled free list.
-			a.objCur, a.objUsed = make([]Object, arenaChunkObjs), 0
-		} else {
-			var c []Object
-			if k := len(a.objFree); k > 0 {
-				c = a.objFree[k-1]
-				a.objFree = a.objFree[:k-1]
-			} else {
-				c = make([]Object, arenaChunkObjs)
-			}
-			a.objChunks = append(a.objChunks, c)
-			a.objCur, a.objUsed = c, 0
-		}
+	c := &a.objs
+	if c.used >= len(c.cur) {
+		c.bump(1)
 	}
-	o := &a.objCur[a.objUsed]
-	a.objUsed++
+	o := &c.cur[c.used]
+	c.used++
 	o.Ep = a.epoch
 	return o
 }

@@ -365,39 +365,67 @@ type LookupResult struct {
 
 // Lookup performs SELF message lookup starting at map m: the receiver's
 // own slots first, then its parents depth-first in slot order. The
-// first match wins; cycles are tolerated. Returns nil when the
-// message is not understood.
-func Lookup(m *Map, sel string) *LookupResult {
-	seen := make(map[*Map]bool)
-	return lookup(m, sel, seen)
+// first match wins; cycles are tolerated. ok is false when the message
+// is not understood. Lookup allocates nothing unless the search visits
+// more maps than its on-stack visited set holds.
+func Lookup(m *Map, sel string) (r LookupResult, ok bool) {
+	var seen visited
+	return lookup(m, sel, &seen)
 }
 
-func lookup(m *Map, sel string, seen map[*Map]bool) *LookupResult {
-	if m == nil || seen[m] {
-		return nil
+func lookup(m *Map, sel string, seen *visited) (LookupResult, bool) {
+	if m == nil || !seen.add(m) {
+		return LookupResult{}, false
 	}
-	seen[m] = true
 	if s := m.SlotNamed(sel); s != nil {
-		return &LookupResult{Slot: s, Map: m}
+		return LookupResult{Slot: s, Map: m}, true
 	}
 	for i := range m.Slots {
 		if m.Slots[i].Kind != ParentSlot {
 			continue
 		}
 		pv := m.Slots[i].Value
-		var pm *Map
-		switch pv.K() {
-		case KObj:
-			pm = pv.Obj().Map
-		default:
+		if pv.K() != KObj {
 			continue
 		}
-		if r := lookup(pm, sel, seen); r != nil {
+		if r, ok := lookup(pv.Obj().Map, sel, seen); ok {
 			if r.Holder == nil {
 				r.Holder = pv.Obj()
 			}
-			return r
+			return r, true
 		}
 	}
-	return nil
+	return LookupResult{}, false
+}
+
+// visited is the set of maps a lookup has entered. It lives on the
+// lookup's stack, not as a mark on Map, because forked VMs look up
+// through shared maps concurrently; chains longer than the array spill
+// into a map.
+type visited struct {
+	n     int
+	near  [16]*Map
+	spill map[*Map]bool
+}
+
+// add records m and reports whether it was new.
+func (v *visited) add(m *Map) bool {
+	for _, x := range v.near[:v.n] {
+		if x == m {
+			return false
+		}
+	}
+	if v.n < len(v.near) {
+		v.near[v.n] = m
+		v.n++
+		return true
+	}
+	if v.spill[m] {
+		return false
+	}
+	if v.spill == nil {
+		v.spill = make(map[*Map]bool)
+	}
+	v.spill[m] = true
+	return true
 }

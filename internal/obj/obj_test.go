@@ -53,8 +53,8 @@ func TestLoadAndLookup(t *testing.T) {
 		t.Fatalf("child = %v", cv)
 	}
 	// Inherited method lookup.
-	r := Lookup(cv.Obj().Map, "greet")
-	if r == nil || r.Slot.Kind != MethodSlot {
+	r, ok := Lookup(cv.Obj().Map, "greet")
+	if !ok || r.Slot.Kind != MethodSlot {
 		t.Fatalf("greet lookup = %v", r)
 	}
 	if r.Map.Name != "base" {
@@ -110,15 +110,15 @@ func TestFinalizePatchesTraits(t *testing.T) {
 		traitsInteger = (| double = ( 2 ) |).
 		traitsTrue = (| yes = ( 1 ) |).
 	`)
-	if r := Lookup(w.IntMap, "double"); r == nil {
+	if _, ok := Lookup(w.IntMap, "double"); !ok {
 		t.Error("int traits not patched")
 	}
-	if r := Lookup(w.TrueObj.Map, "yes"); r == nil {
+	if _, ok := Lookup(w.TrueObj.Map, "yes"); !ok {
 		t.Error("true traits not patched")
 	}
 	// Finalize is idempotent.
 	w.Finalize()
-	if r := Lookup(w.IntMap, "double"); r == nil {
+	if _, ok := Lookup(w.IntMap, "double"); !ok {
 		t.Error("int traits lost after second finalize")
 	}
 }
@@ -130,11 +130,11 @@ func TestLookupCycleTolerated(t *testing.T) {
 	av, _ := w.GlobalValue("a")
 	// Create a cycle: lobby gets a parent pointing back at a.
 	w.addSlot(w.Lobby.Map, Slot{Name: "cyc", Kind: ParentSlot, Value: av})
-	if r := Lookup(av.Obj().Map, "noSuchMessage"); r != nil {
+	if r, ok := Lookup(av.Obj().Map, "noSuchMessage"); ok {
 		t.Errorf("found %v", r)
 	}
 	// Still finds lobby slots through the parent.
-	if r := Lookup(av.Obj().Map, "true"); r == nil {
+	if _, ok := Lookup(av.Obj().Map, "true"); !ok {
 		t.Error("true not visible through lobby parent")
 	}
 }
@@ -201,13 +201,15 @@ func TestLookupPrecedence(t *testing.T) {
 		child = (| pa* = p1. pb* = p2. tag = ( 3 ) |).
 	`)
 	cv, _ := w.GlobalValue("child")
-	r := Lookup(cv.Obj().Map, "tag")
-	if r == nil || r.Map != cv.Obj().Map {
+	r, ok := Lookup(cv.Obj().Map, "tag")
+	if !ok || r.Map != cv.Obj().Map {
 		t.Errorf("own slot should shadow parents: %+v", r)
 	}
 	// First parent wins for slots both parents define? They define
 	// distinct slots here; both are reachable.
-	if Lookup(cv.Obj().Map, "only1") == nil || Lookup(cv.Obj().Map, "only2") == nil {
+	_, ok1 := Lookup(cv.Obj().Map, "only1")
+	_, ok2 := Lookup(cv.Obj().Map, "only2")
+	if !ok1 || !ok2 {
 		t.Error("parent slots not reachable")
 	}
 	// Declaration order: pa before pb, so a slot in both resolves to pa.
@@ -217,8 +219,8 @@ func TestLookupPrecedence(t *testing.T) {
 		kid = (| pa* = q1. pb* = q2 |).
 	`)
 	kv, _ := w2.GlobalValue("kid")
-	r2 := Lookup(kv.Obj().Map, "both")
-	if r2 == nil || r2.Slot.Meth == nil {
+	r2, ok := Lookup(kv.Obj().Map, "both")
+	if !ok || r2.Slot.Meth == nil {
 		t.Fatal("both not found")
 	}
 	q1v, _ := w2.GlobalValue("q1")
@@ -238,18 +240,18 @@ func TestInheritedDataSlotHolder(t *testing.T) {
 	av, _ := w.GlobalValue("kidA")
 	bv, _ := w.GlobalValue("kidB")
 	basev, _ := w.GlobalValue("base")
-	ra := Lookup(av.Obj().Map, "shared")
-	if ra == nil || ra.Holder != basev.Obj() {
+	ra, ok := Lookup(av.Obj().Map, "shared")
+	if !ok || ra.Holder != basev.Obj() {
 		t.Fatalf("holder = %v, want base", ra)
 	}
 	// Writing through one inheritor is visible through the other: the
 	// slot lives in base.
-	wSlot := Lookup(av.Obj().Map, "shared:")
-	if wSlot == nil || wSlot.Holder != basev.Obj() {
+	wSlot, ok := Lookup(av.Obj().Map, "shared:")
+	if !ok || wSlot.Holder != basev.Obj() {
 		t.Fatal("assignment slot holder wrong")
 	}
 	wSlot.Holder.Fields[wSlot.Slot.Index] = Int(42)
-	rb := Lookup(bv.Obj().Map, "shared")
+	rb, _ := Lookup(bv.Obj().Map, "shared")
 	if got := rb.Holder.Fields[rb.Slot.Index]; !got.Eq(Int(42)) {
 		t.Errorf("shared storage not shared: %v", got)
 	}
@@ -274,36 +276,6 @@ func TestArenaEpochsGloballyUnique(t *testing.T) {
 			seen[e] = true
 			ar.Reset()
 		}
-	}
-}
-
-// TestArenaUntrackedChunksSpareFreeList: once an epoch has hit the
-// tracking cap, further chunks are invisible to Reset — consuming the
-// recycled free list for them would permanently lose those chunks from
-// the pool, silently degrading a busy worker to plain heap allocation.
-func TestArenaUntrackedChunksSpareFreeList(t *testing.T) {
-	a := NewArena()
-	for len(a.chunks) < arenaMaxTracked {
-		a.chunks = append(a.chunks, make([]Value, arenaChunkValues))
-	}
-	a.free = append(a.free, make([]Value, arenaChunkValues))
-	a.cur, a.used = nil, 0
-	a.newValueChunk()
-	if len(a.free) != 1 {
-		t.Fatalf("untracked value chunk consumed the free list (len=%d, want 1)", len(a.free))
-	}
-	if len(a.chunks) != arenaMaxTracked {
-		t.Fatalf("chunk tracked past the cap: %d", len(a.chunks))
-	}
-
-	for len(a.objChunks) < arenaMaxTracked {
-		a.objChunks = append(a.objChunks, make([]Object, arenaChunkObjs))
-	}
-	a.objFree = append(a.objFree, make([]Object, arenaChunkObjs))
-	a.objCur, a.objUsed = nil, 0
-	a.allocObject()
-	if len(a.objFree) != 1 {
-		t.Fatalf("untracked object chunk consumed the free list (len=%d, want 1)", len(a.objFree))
 	}
 }
 

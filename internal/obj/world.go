@@ -311,8 +311,8 @@ func (w *World) evalInit(e ast.Expr) (Value, error) {
 	case *ast.StrLit:
 		return Str(n.Value), nil
 	case *ast.Ident:
-		r := Lookup(w.Lobby.Map, n.Name)
-		if r == nil {
+		r, ok := Lookup(w.Lobby.Map, n.Name)
+		if !ok {
 			return Nil(), fmt.Errorf("%s: undefined global %q in slot initializer", n.P, n.Name)
 		}
 		switch r.Slot.Kind {
@@ -354,8 +354,8 @@ func (w *World) BuildObject(lit *ast.ObjectLit) (Value, error) {
 // Safe to call repeatedly.
 func (w *World) Finalize() {
 	patch := func(m *Map, traitsName string) {
-		r := Lookup(w.Lobby.Map, traitsName)
-		if r == nil || r.Slot.Kind != ConstSlot {
+		r, ok := Lookup(w.Lobby.Map, traitsName)
+		if !ok || r.Slot.Kind != ConstSlot {
 			return
 		}
 		if ps := m.SlotNamed("parent"); ps != nil {
@@ -378,8 +378,8 @@ func (w *World) Finalize() {
 
 // GlobalValue reads a lobby slot's current value (const or data).
 func (w *World) GlobalValue(name string) (Value, bool) {
-	r := Lookup(w.Lobby.Map, name)
-	if r == nil {
+	r, ok := Lookup(w.Lobby.Map, name)
+	if !ok {
 		return Nil(), false
 	}
 	switch r.Slot.Kind {

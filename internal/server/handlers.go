@@ -243,7 +243,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			if prog != nil {
 				return sys.EvalProgramCtx(ctx, prog)
 			}
-			if lk := obj.Lookup(s.root.World().Lobby.Map, req.Entry); lk == nil || lk.Slot.Kind != obj.MethodSlot {
+			if lk, ok := obj.Lookup(s.root.World().Lobby.Map, req.Entry); !ok || lk.Slot.Kind != obj.MethodSlot {
 				return nil, &wire.RequestError{Status: http.StatusNotFound,
 					Msg: fmt.Sprintf("lobby does not define a method %q", req.Entry)}
 			}

@@ -70,8 +70,8 @@ func TestSharedCompilePanicContained(t *testing.T) {
 		return m
 	}
 
-	r := obj.Lookup(w.Lobby.Map, "broken")
-	if r == nil {
+	r, ok := obj.Lookup(w.Lobby.Map, "broken")
+	if !ok {
 		t.Fatal("no broken method")
 	}
 
@@ -112,7 +112,7 @@ func TestSharedCompilePanicContained(t *testing.T) {
 // instead of silently dropping extras or reading garbage.
 func TestRunMethodArityMismatch(t *testing.T) {
 	h := newHarness(t, core.NewSELF, `addOne: n = ( n + 1 ).`)
-	r := obj.Lookup(h.w.Lobby.Map, "addOne:")
+	r, _ := obj.Lookup(h.w.Lobby.Map, "addOne:")
 	for _, args := range [][]obj.Value{
 		{},
 		{obj.Int(1), obj.Int(2)},
@@ -138,7 +138,7 @@ func TestRunMethodArityMismatch(t *testing.T) {
 // RuntimeError instead.
 func TestNegativeNewVecUnchecked(t *testing.T) {
 	h := newHarness(t, core.StaticIdealC, `go: n = ( _NewVec: n ).`)
-	r := obj.Lookup(h.w.Lobby.Map, "go:")
+	r, _ := obj.Lookup(h.w.Lobby.Map, "go:")
 	_, err := h.vm.RunMethod(r.Slot.Meth, obj.Obj(h.w.Lobby), obj.Int(-5))
 	if err == nil {
 		t.Fatal("negative _NewVec: succeeded on the unchecked path")
@@ -158,7 +158,7 @@ func TestBudgetPollPreservesCycles(t *testing.T) {
 	run := func(budget vm.Budget, ctx context.Context) vm.RunStats {
 		h := newHarness(t, core.NewSELF, src)
 		h.vm.Budget = budget
-		r := obj.Lookup(h.w.Lobby.Map, "loop:")
+		r, _ := obj.Lookup(h.w.Lobby.Map, "loop:")
 		var err error
 		if ctx != nil {
 			_, err = h.vm.RunMethodCtx(ctx, r.Slot.Meth, obj.Obj(h.w.Lobby), obj.Int(5000))

@@ -154,8 +154,8 @@ func TestFusedExecutionMatchesUnfused(t *testing.T) {
 
 func lookupMeth(t *testing.T, h *harness, sel string) *obj.Method {
 	t.Helper()
-	r := obj.Lookup(h.w.Lobby.Map, sel)
-	if r == nil {
+	r, ok := obj.Lookup(h.w.Lobby.Map, sel)
+	if !ok {
 		t.Fatalf("no %q", sel)
 	}
 	return r.Slot.Meth

@@ -78,7 +78,7 @@ func TestDeadHomeStillDetectedWithPooling(t *testing.T) {
 	// Churn: if mkRet's frame were pooled, these calls would recycle it
 	// into a live-looking frame.
 	h.call(t, "down:", obj.Int(200))
-	r := obj.Lookup(h.w.Lobby.Map, "callBlock:")
+	r, _ := obj.Lookup(h.w.Lobby.Map, "callBlock:")
 	_, err := h.vm.RunMethod(r.Slot.Meth, obj.Obj(h.w.Lobby), blk)
 	if err == nil || !strings.Contains(err.Error(), "dead home") {
 		t.Fatalf("non-local return from dead home: err = %v, want dead-home error", err)

@@ -1237,8 +1237,8 @@ func (vm *VM) execSend(code *Code, in *Instr, fr *frame) (obj.Value, error) {
 				st.Cycles += CostSendICMiss - CostSendICHit
 			}
 		}
-		r := obj.Lookup(m, s.Sel)
-		if r == nil {
+		r, ok := obj.Lookup(m, s.Sel)
+		if !ok {
 			return obj.Nil(), &RuntimeError{Kind: KindDoesNotUnderstand,
 				Msg: fmt.Sprintf("%s does not understand %q", m.Name, s.Sel)}
 		}

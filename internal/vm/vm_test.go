@@ -58,8 +58,8 @@ func newHarness(t *testing.T, cfg core.Config, src string) *harness {
 
 func (h *harness) call(t *testing.T, sel string, args ...obj.Value) obj.Value {
 	t.Helper()
-	r := obj.Lookup(h.w.Lobby.Map, sel)
-	if r == nil {
+	r, ok := obj.Lookup(h.w.Lobby.Map, sel)
+	if !ok {
 		t.Fatalf("no %q", sel)
 	}
 	v, err := h.vm.RunMethod(r.Slot.Meth, obj.Obj(h.w.Lobby), args...)
@@ -71,8 +71,8 @@ func (h *harness) call(t *testing.T, sel string, args ...obj.Value) obj.Value {
 
 func (h *harness) codeFor(t *testing.T, sel string) *vm.Code {
 	t.Helper()
-	r := obj.Lookup(h.w.Lobby.Map, sel)
-	if r == nil {
+	r, ok := obj.Lookup(h.w.Lobby.Map, sel)
+	if !ok {
 		t.Fatalf("no %q", sel)
 	}
 	c, err := h.vm.CodeFor(r.Slot.Meth, h.w.Lobby.Map)
@@ -275,7 +275,7 @@ func TestNLRFromDeadFrame(t *testing.T) {
 	h := newHarness(t, core.ST80, `
 	mk = ( [ ^ 1 ] ).
 	go = ( | blk | blk: mk. blk value ).`)
-	r := obj.Lookup(h.w.Lobby.Map, "go")
+	r, _ := obj.Lookup(h.w.Lobby.Map, "go")
 	_, err := h.vm.RunMethod(r.Slot.Meth, obj.Obj(h.w.Lobby))
 	if err == nil || !strings.Contains(err.Error(), "dead home") {
 		t.Errorf("expected dead-home error, got %v", err)
@@ -300,7 +300,7 @@ func TestGenericPrimOpPath(t *testing.T) {
 
 func TestDeepRecursionGuard(t *testing.T) {
 	h := newHarness(t, core.NewSELF, `deep: n = ( (deep: n + 1) ).`)
-	r := obj.Lookup(h.w.Lobby.Map, "deep:")
+	r, _ := obj.Lookup(h.w.Lobby.Map, "deep:")
 	_, err := h.vm.RunMethod(r.Slot.Meth, obj.Obj(h.w.Lobby), obj.Int(0))
 	if err == nil || !strings.Contains(err.Error(), "stack overflow") {
 		t.Errorf("expected stack overflow, got %v", err)

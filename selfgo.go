@@ -736,8 +736,8 @@ func (s *System) Call(selector string, args ...Value) (*Result, error) {
 // the run promptly (at the next budget poll) with a RuntimeError of
 // KindCancelled. The system's Budget (SetBudget) applies as well.
 func (s *System) CallCtx(ctx context.Context, selector string, args ...Value) (*Result, error) {
-	r := obj.Lookup(s.world.Lobby.Map, selector)
-	if r == nil {
+	r, ok := obj.Lookup(s.world.Lobby.Map, selector)
+	if !ok {
 		return nil, fmt.Errorf("lobby does not define %q", selector)
 	}
 	if r.Slot.Kind != obj.MethodSlot {
@@ -873,8 +873,8 @@ func (s *System) CompileNodes() (built, kept int64) { return s.log.nodes() }
 // its control flow graph — the artifact the paper's figures draw.
 // Always uses the optimizing tier, whatever the system's mode.
 func (s *System) GraphFor(selector string) (*Graph, *CompileStats, error) {
-	r := obj.Lookup(s.world.Lobby.Map, selector)
-	if r == nil || r.Slot.Kind != obj.MethodSlot {
+	r, ok := obj.Lookup(s.world.Lobby.Map, selector)
+	if !ok || r.Slot.Kind != obj.MethodSlot {
 		return nil, nil, fmt.Errorf("lobby does not define method %q", selector)
 	}
 	rmap := s.world.Lobby.Map
@@ -886,8 +886,8 @@ func (s *System) GraphFor(selector string) (*Graph, *CompileStats, error) {
 
 // CodeFor compiles selector to bytecode (through the code cache).
 func (s *System) CodeFor(selector string) (*Code, error) {
-	r := obj.Lookup(s.world.Lobby.Map, selector)
-	if r == nil || r.Slot.Kind != obj.MethodSlot {
+	r, ok := obj.Lookup(s.world.Lobby.Map, selector)
+	if !ok || r.Slot.Kind != obj.MethodSlot {
 		return nil, fmt.Errorf("lobby does not define method %q", selector)
 	}
 	return s.machine.CodeFor(r.Slot.Meth, s.world.Lobby.Map)

@@ -77,8 +77,8 @@ func legacyRun(c cell) observed {
 		return c, nil
 	}
 
-	r := obj.Lookup(w.Lobby.Map, c.p.sel)
-	if r == nil || r.Slot.Kind != obj.MethodSlot {
+	r, ok := obj.Lookup(w.Lobby.Map, c.p.sel)
+	if !ok || r.Slot.Kind != obj.MethodSlot {
 		return observed{Err: fmt.Sprintf("no entry %q", c.p.sel)}
 	}
 	v, err := m.RunMethod(r.Slot.Meth, obj.Obj(w.Lobby), c.p.args...)
