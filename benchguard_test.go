@@ -15,9 +15,9 @@ import (
 // one (benchmark, config) point of the §6.1 speed table; any drift
 // means an infrastructure change (cache sharing, VM refactor) altered
 // execution semantics or the cost model, which must be a deliberate,
-// re-pinned decision — never an accident. (BENCH_host.json and
-// BENCH_serve.json are wall-clock measurements, not pins.) Regenerate
-// the pins with:
+// re-pinned decision — never an accident. (Wall-clock speed is the
+// benchmark/ rail's to measure; nothing pins it.) Regenerate the pins
+// with:
 //
 //	go run ./cmd/selfbench -table guard -q > BENCH_guard.json
 func TestBenchmarkGuard(t *testing.T) {

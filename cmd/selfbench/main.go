@@ -10,10 +10,9 @@
 //	selfbench -table size              # Appendix B
 //	selfbench -table compile           # Appendix C
 //	selfbench -table ablation          # per-technique ablation
-//	selfbench -table guard             # §6.1 guard records (JSON) for BENCH_*.json
+//	selfbench -table guard             # §6.1 guard records (JSON) for BENCH_guard.json
 //	selfbench -bench richards          # one benchmark across all systems
 //	selfbench -workers 8               # concurrent VMs against one shared code cache
-//	selfbench -hostbench               # host wall-clock speed (BENCH_host.json schema)
 //	selfbench -tier adaptive -promote 50 -bench richards   # adaptive-mode measurement
 //	selfbench -list                    # list benchmarks
 package main
@@ -39,16 +38,13 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output")
 	workers := flag.Int("workers", 0, "run benchmarks on N concurrent VMs sharing one code cache")
 	reps := flag.Int("reps", 4, "with -workers: benchmark runs per worker")
-	configName := flag.String("config", "new", "compiler config (new, new-multi, old89, old90, st80, c); used by -workers and -hostbench")
+	configName := flag.String("config", "new", "compiler config (new, new-multi, old89, old90, st80, c); used by -workers and -tier")
 	tierName := flag.String("tier", "opt", "tier schedule: opt (eager optimizing), baseline, adaptive")
-	strategyName := flag.String("strategy", "split", "specialization strategy for -workers/-hostbench/-bench/-tier runs: split, bbv, both")
+	strategyName := flag.String("strategy", "split", "specialization strategy for -workers/-bench/-tier runs: split, bbv, both")
 	promote := flag.Int64("promote", 0, "adaptive promotion threshold (invocations+backedges; 0 = default)")
 	assertPromoted := flag.Bool("assert-promoted", false, "with -tier adaptive: exit nonzero unless every measured benchmark installs >= 1 promotion")
 	timeout := flag.Duration("timeout", 0, "with -workers: wall-clock limit per benchmark measurement (e.g. 30s)")
 	fuel := flag.Int64("fuel", 0, "with -workers: instruction budget per benchmark run")
-	hostbench := flag.Bool("hostbench", false, "measure host wall-clock speed per benchmark and print BENCH_host.json to stdout")
-	hostbase := flag.String("hostbase", "", "with -hostbench: previous BENCH_host.json to carry as baseline and compute the geomean speedup against")
-	allocguard := flag.String("allocguard", "", "with -hostbench: committed BENCH_host.json to guard against — exit nonzero if allocsPerOp or bytesPerOp regress more than 10% on matching records")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -112,17 +108,6 @@ func main() {
 	mode, err := selfgo.TierModeByName(*tierName)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *hostbench {
-		cfg, err := loadCfg()
-		if err != nil {
-			fatal(err)
-		}
-		if err := runHostBench(cfg, mode, *promote, *one, *hostbase, *allocguard, *quiet); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if mode != selfgo.ModeOpt {
@@ -283,81 +268,6 @@ func runTiered(cfg selfgo.Config, mode selfgo.TierMode, threshold int64, filter 
 				m.Bench, m.FirstRun.Promotions)
 		}
 	}
-	return nil
-}
-
-// runHostBench measures host wall-clock speed (ns/op, guest-instrs/s,
-// Go allocs/op) for every benchmark — or just the one named by filter —
-// under cfg, and prints a BENCH_host.json document to stdout. With
-// basePath, the previous file's records ride along as the baseline and
-// the geomean guest-instrs/sec speedup against them is computed. With
-// guardPath, the measurements are additionally checked against that
-// file's records and the run fails on a >10% allocation regression.
-func runHostBench(cfg selfgo.Config, mode selfgo.TierMode, threshold int64, filter, basePath, guardPath string, quiet bool) error {
-	benches := bench.All()
-	if filter != "" {
-		b, ok := bench.ByName(filter)
-		if !ok {
-			return fmt.Errorf("unknown benchmark %q (try -list)", filter)
-		}
-		benches = []bench.Benchmark{b}
-	}
-	var progress func(r *bench.HostRecord)
-	if !quiet {
-		progress = func(r *bench.HostRecord) {
-			fmt.Fprintf(os.Stderr, "%-12s %-12s %12d ns/op %10.2f Mginstrs/s %6d allocs/op\n",
-				r.Bench, r.Config, r.NsPerOp, r.GuestMInstrsPerSec, r.AllocsPerOp)
-		}
-	}
-	// The eager records are always measured (they are the pinned
-	// comparison point); a non-default tier schedule rides along as a
-	// second record set, so the file tracks adaptive vs eager speed on
-	// the same build.
-	recs, err := bench.HostBench(cfg, benches, progress)
-	if err != nil {
-		return err
-	}
-	if mode != selfgo.ModeOpt {
-		tiered, err := bench.HostBenchMode(cfg, benches, mode, threshold, progress)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, tiered...)
-	}
-	out := bench.HostFile{
-		Note:    "host wall-clock speed; modelled quantities are pinned separately by BENCH_guard.json",
-		Records: recs,
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return err
-		}
-		var prev bench.HostFile
-		if err := json.Unmarshal(data, &prev); err != nil {
-			return fmt.Errorf("%s: %w", basePath, err)
-		}
-		out.Baseline = prev.Records
-		out.GeomeanSpeedup = bench.HostGeomeanSpeedup(prev.Records, recs)
-	}
-	if guardPath != "" {
-		data, err := os.ReadFile(guardPath)
-		if err != nil {
-			return err
-		}
-		var pinned bench.HostFile
-		if err := json.Unmarshal(data, &pinned); err != nil {
-			return fmt.Errorf("%s: %w", guardPath, err)
-		}
-		if err := bench.HostAllocGuard(pinned.Records, recs); err != nil {
-			return err
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(data))
 	return nil
 }
 

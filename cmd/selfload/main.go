@@ -26,9 +26,7 @@
 // (-min-promotions), and that overload was shed, not queued forever
 // (-min-429). -scrape NAME
 // prints one /metrics value and exits, so shell scripts can read
-// per-replica counters without a curl|grep pipeline. -json emits the
-// whole run summary as one JSON object on stdout for scripted
-// consumers.
+// per-replica counters without a curl|grep pipeline.
 package main
 
 import (
@@ -78,7 +76,6 @@ func main() {
 		min429        = flag.Int("min-429", 0, "fail unless at least this many requests were shed with 429")
 		assertPool    = flag.Bool("assert-pool-moves", false, "fail unless pool occupancy rose above zero during the run — live selfserved_pool_in_use samples or the server's checkout high-water mark (gauges must track live occupancy, not config)")
 		scrape        = flag.String("scrape", "", "print one value scraped from /metrics and exit (bare name or fully-labelled series)")
-		jsonOut       = flag.Bool("json", false, "print one JSON summary object on stdout; human output moves to stderr")
 		quiet         = flag.Bool("q", false, "print only the summary line")
 	)
 	flag.Parse()
@@ -195,18 +192,9 @@ func main() {
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 
-	// Human-readable report. With -json it moves to stderr so stdout
-	// stays a single machine-readable object.
-	out := func(format string, a ...any) {
-		if *jsonOut {
-			log.Printf(format, a...)
-		} else {
-			fmt.Printf(format+"\n", a...)
-		}
-	}
 	if !*quiet {
-		out("target      %s", *base)
-		out("requests    %d in %v (%.1f req/s, mode=%s)",
+		fmt.Printf("target      %s\n", *base)
+		fmt.Printf("requests    %d in %v (%.1f req/s, mode=%s)\n",
 			done, wall.Round(time.Millisecond), float64(done)/wall.Seconds(), mode)
 		keys := make([]int, 0, len(cl.codes))
 		for k := range cl.codes {
@@ -223,21 +211,16 @@ func main() {
 				sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
 				line += fmt.Sprintf("   p50 %v  p99 %v", quantile(l, 0.50), quantile(l, 0.99))
 			}
-			out("%s", line)
+			fmt.Println(line)
 		}
 		if len(lats) > 0 {
-			out("latency     p50 %v  p90 %v  p99 %v  max %v",
+			fmt.Printf("latency     p50 %v  p90 %v  p99 %v  max %v\n",
 				quantile(lats, 0.50), quantile(lats, 0.90),
 				quantile(lats, 0.99), lats[len(lats)-1])
 		}
 	}
-	if *jsonOut {
-		log.Printf("%d requests, %d ok, %d shed, %.1f req/s",
-			done, cl.codes[200], cl.codes[429], float64(done)/wall.Seconds())
-	} else {
-		fmt.Printf("selfload: %d requests, %d ok, %d shed, %.1f req/s\n",
-			done, cl.codes[200], cl.codes[429], float64(done)/wall.Seconds())
-	}
+	fmt.Printf("selfload: %d requests, %d ok, %d shed, %.1f req/s\n",
+		done, cl.codes[200], cl.codes[429], float64(done)/wall.Seconds())
 
 	fail := false
 	if *hasExpect && cl.badInts > 0 {
@@ -270,7 +253,7 @@ func main() {
 			log.Print("FAIL: selfserved_pool_in_use_peak never rose above zero under load")
 			fail = true
 		} else if !*quiet {
-			out("pool occupancy moved: peak in-use %d", poolMax.Load())
+			fmt.Printf("pool occupancy moved: peak in-use %d\n", poolMax.Load())
 		}
 	}
 	if *assertOnce {
@@ -283,7 +266,7 @@ func main() {
 				missesBefore, missesAfter)
 			fail = true
 		} else if !*quiet {
-			out("compile-once held: codecache misses stable at %d", missesAfter)
+			fmt.Printf("compile-once held: codecache misses stable at %d\n", missesAfter)
 		}
 	}
 	if *minPromotions > 0 {
@@ -294,54 +277,10 @@ func main() {
 			log.Printf("FAIL: %d promotions installed, want >= %d", got, *minPromotions)
 			fail = true
 		} else if !*quiet {
-			out("promotions installed: %d", got)
+			fmt.Printf("promotions installed: %d\n", got)
 		}
 	}
 
-	if *jsonOut {
-		s := summary{
-			Target:      *base,
-			Mode:        mode,
-			Requests:    done,
-			OK:          cl.codes[200],
-			Shed:        cl.codes[429],
-			Errors:      errors,
-			WallSeconds: round3(wall.Seconds()),
-			RPS:         round3(float64(done) / wall.Seconds()),
-			Status:      map[string]int{},
-			ByStatusUS:  map[string]quantilesUS{},
-			Recorded:    *record,
-			Failed:      fail,
-		}
-		if mode == "replay" {
-			s.Speed = *speed
-		} else {
-			s.Concurrency = *conc
-		}
-		for code, n := range cl.codes {
-			label := strconv.Itoa(code)
-			if code == -1 {
-				label = "transport_error"
-			}
-			s.Status[label] = n
-			if l := cl.lats[code]; len(l) > 0 {
-				sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-				s.ByStatusUS[label] = newQuantilesUS(l)
-			}
-		}
-		if len(lats) > 0 {
-			q := newQuantilesUS(lats)
-			s.LatencyUS = &q
-		}
-		if *assertPool {
-			s.PoolPeak = poolMax.Load()
-		}
-		b, err := json.Marshal(&s)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(b))
-	}
 	if fail {
 		os.Exit(1)
 	}
@@ -437,45 +376,6 @@ func runReplay(base string, trace []wire.TraceRecord, speed float64,
 	wg.Wait()
 	return time.Since(start)
 }
-
-// summary is the -json output object, stable vocabulary for scripts
-// (BENCH_serve.json embeds these verbatim).
-type summary struct {
-	Target      string                 `json:"target"`
-	Mode        string                 `json:"mode"`
-	Concurrency int                    `json:"concurrency,omitempty"`
-	Speed       float64                `json:"speed,omitempty"`
-	Requests    int                    `json:"requests"`
-	OK          int                    `json:"ok"`
-	Shed        int                    `json:"shed"`
-	Errors      int                    `json:"errors"`
-	WallSeconds float64                `json:"wall_seconds"`
-	RPS         float64                `json:"rps"`
-	Status      map[string]int         `json:"status"`
-	LatencyUS   *quantilesUS           `json:"latency_us,omitempty"`
-	ByStatusUS  map[string]quantilesUS `json:"latency_by_status_us,omitempty"`
-	PoolPeak    int64                  `json:"pool_peak_in_use,omitempty"`
-	Recorded    string                 `json:"recorded,omitempty"`
-	Failed      bool                   `json:"failed,omitempty"`
-}
-
-type quantilesUS struct {
-	P50 int64 `json:"p50"`
-	P90 int64 `json:"p90"`
-	P99 int64 `json:"p99"`
-	Max int64 `json:"max"`
-}
-
-func newQuantilesUS(sorted []time.Duration) quantilesUS {
-	return quantilesUS{
-		P50: quantile(sorted, 0.50).Microseconds(),
-		P90: quantile(sorted, 0.90).Microseconds(),
-		P99: quantile(sorted, 0.99).Microseconds(),
-		Max: sorted[len(sorted)-1].Microseconds(),
-	}
-}
-
-func round3(f float64) float64 { return float64(int64(f*1000+0.5)) / 1000 }
 
 // buildBody assembles the request body from the flag combination.
 func buildBody(expr, entry, args, benchName string, deadlineMS int64) (endpoint, body string, err error) {

@@ -47,7 +47,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8700", "listen address (use :0 for an ephemeral port)")
 		replicas = flag.String("replicas", "", "comma-separated selfserved base URLs (required)")
-		policy   = flag.String("policy", "affinity", "routing policy: affinity (rendezvous-hash the cache key) or random (experimental control)")
 		tenant   = flag.String("tenant-header", "X-Tenant", "header that overrides the body-derived affinity key")
 
 		healthEvery   = flag.Duration("health-every", 250*time.Millisecond, "replica /readyz poll interval")
@@ -61,10 +60,6 @@ func main() {
 	if *replicas == "" {
 		log.Fatal("-replicas is required (comma-separated base URLs)")
 	}
-	pol, err := router.PolicyByName(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
@@ -74,7 +69,6 @@ func main() {
 
 	rt, err := router.New(router.Config{
 		Replicas:      urls,
-		Policy:        pol,
 		TenantHeader:  *tenant,
 		HealthEvery:   *healthEvery,
 		HealthTimeout: *healthTimeout,
@@ -84,7 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rt.Close()
-	log.Printf("routing %d replicas, policy %s", len(urls), pol)
+	log.Printf("routing %d replicas", len(urls))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

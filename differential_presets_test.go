@@ -46,6 +46,20 @@ func TestConformanceAcrossConfigs(t *testing.T) {
 	}
 }
 
+// inheritedGlobal reads a data slot the lobby inherits through a
+// parent from another global's initializer (y), a local's initializer
+// (go3) and a send (go2). Each must see the holder's field, 5, not the
+// lobby's own field at the same index (first's 1).
+var inheritedGlobal = &program{name: "inherited-global", sel: "all", want: 555, light: true,
+	src: "first <- 1. base = (| x <- 5 |). pp* = base. y <- x. go = ( y ). go3 = ( | v <- x | v ). go2 = ( x ). " +
+		"all = ( ((go * 100) + (go3 * 10)) + go2 )."}
+
+// TestInheritedGlobalAcrossConfigs: every system reads an inherited
+// global data slot from the object that holds it.
+func TestInheritedGlobalAcrossConfigs(t *testing.T) {
+	agreeAcrossPresets(t, inheritedGlobal, selfgo.Configs())
+}
+
 // randomPrograms are progGen's programs for seeds from..from+n-1; the
 // first eight are light.
 func randomPrograms(from, n int64, nVars, nVecs, nStmts int) []*program {

@@ -523,8 +523,8 @@ func (r *Runner) JSON() ([]byte, error) {
 }
 
 // GuardRecord pins one (benchmark, config) point of the §6.1 speed
-// table: the check value and the modelled cycle count. BENCH_*.json
-// files of these records are committed so a test can prove that
+// table: the check value and the modelled cycle count. BENCH_guard.json
+// holds these records so that a test can prove that
 // infrastructure changes (cache sharing, VM refactors) do not drift
 // the cost model or execution semantics.
 type GuardRecord struct {

@@ -95,6 +95,27 @@ func TestCompileSummaryShape(t *testing.T) {
 	}
 }
 
+// TestAblationTableShape runs the ablation for real: new SELF and its
+// eight variants over six programs, every cell a percentage of
+// optimized C.
+func TestAblationTableShape(t *testing.T) {
+	tb, err := NewRunner().AblationTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 9 || len(tb.Header) != 7 {
+		t.Fatalf("%d rows under header %v, want 9 variants x 6 programs", len(tb.Rows), tb.Header)
+	}
+	for _, row := range tb.Rows {
+		for _, cell := range row[1:] {
+			var pct float64
+			if n, err := fmt.Sscanf(cell, "%f%%", &pct); n != 1 || err != nil || !strings.HasSuffix(cell, "%") || pct <= 0 {
+				t.Errorf("%s: cell %q is not a percentage", row[0], cell)
+			}
+		}
+	}
+}
+
 func TestGroupForIncludesPuzzleInOO(t *testing.T) {
 	names := map[string]bool{}
 	for _, b := range groupFor("stanford-oo") {

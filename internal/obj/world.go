@@ -315,11 +315,8 @@ func (w *World) evalInit(e ast.Expr) (Value, error) {
 		if !ok {
 			return Nil(), fmt.Errorf("%s: undefined global %q in slot initializer", n.P, n.Name)
 		}
-		switch r.Slot.Kind {
-		case ConstSlot, ParentSlot:
-			return r.Slot.Value, nil
-		case DataSlot:
-			return w.Lobby.Fields[r.Slot.Index], nil
+		if v, ok := w.globalSlot(r); ok {
+			return v, nil
 		}
 		return Nil(), fmt.Errorf("%s: global %q is not a value slot", n.P, n.Name)
 	case *ast.ObjectLit:
@@ -382,11 +379,23 @@ func (w *World) GlobalValue(name string) (Value, bool) {
 	if !ok {
 		return Nil(), false
 	}
+	return w.globalSlot(r)
+}
+
+// globalSlot reads the value of a slot that lookup from the lobby
+// found: a const or parent slot's value, or a data slot's field in the
+// object that holds it, which is an ancestor when the slot is
+// inherited through a parent and the lobby itself otherwise.
+func (w *World) globalSlot(r LookupResult) (Value, bool) {
 	switch r.Slot.Kind {
 	case ConstSlot, ParentSlot:
 		return r.Slot.Value, true
 	case DataSlot:
-		return w.Lobby.Fields[r.Slot.Index], true
+		holder := r.Holder
+		if holder == nil {
+			holder = w.Lobby
+		}
+		return holder.Fields[r.Slot.Index], true
 	}
 	return Nil(), false
 }

@@ -94,17 +94,6 @@ func (p Policy) String() string {
 	return "affinity"
 }
 
-// PolicyByName parses a -policy flag value.
-func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "affinity", "":
-		return PolicyAffinity, nil
-	case "random":
-		return PolicyRandom, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (want affinity or random)", name)
-}
-
 func (c Config) withDefaults() Config {
 	if c.TenantHeader == "" {
 		c.TenantHeader = "X-Tenant"
