@@ -397,7 +397,8 @@ image_smoke
 
 # Fuzz smoke: a short budget per front-end fuzzer, enough to catch
 # easy regressions in the lexer and parser without stalling CI — plus
-# the serving layer's JSON request decoder, and differential fuzzers
+# the serving layer's wire codec (request decoding, reply encoding and
+# affinity keys, each held to encoding/json), and differential fuzzers
 # (compiler tiers, the arena, message lookup). Trimmed from -short runs.
 if [ "$short" != "-short" ]; then
     echo "== fuzz smoke: FuzzLexer"
@@ -408,6 +409,10 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzDecodeEvalRequest$' -fuzztime 10s ./internal/wire
     echo "== fuzz smoke: FuzzDecodeRunRequest"
     go test -run '^$' -fuzz '^FuzzDecodeRunRequest$' -fuzztime 5s ./internal/wire
+    echo "== fuzz smoke: FuzzAppendResult"
+    go test -run '^$' -fuzz '^FuzzAppendResult$' -fuzztime 10s ./internal/wire
+    echo "== fuzz smoke: FuzzAffinityKey"
+    go test -run '^$' -fuzz '^FuzzAffinityKey$' -fuzztime 10s ./internal/wire
     echo "== fuzz smoke: FuzzUpstreamResponse"
     go test -run '^$' -fuzz '^FuzzUpstreamResponse$' -fuzztime 10s ./internal/router
     echo "== fuzz smoke: FuzzBBVDifferential"

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -256,12 +257,15 @@ func writeMemProfile(path string) {
 	}
 }
 
-// printJSON prints a result indented: the encoding is the server's, the
-// layout is for the person at the terminal.
+// printJSON prints a result indented: the bytes are the server's reply
+// (wire's AppendJSON), the layout is for the person at the terminal.
 func printJSON(res *wire.Result) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+	var out bytes.Buffer
+	if err := json.Indent(&out, res.AppendJSON(nil), "", "  "); err != nil {
+		return err
+	}
+	_, err := out.WriteTo(os.Stdout)
+	return err
 }
 
 func fatal(err error) {

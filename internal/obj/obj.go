@@ -10,6 +10,7 @@ package obj
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,7 +191,7 @@ func (v Value) String() string {
 	case KNil:
 		return "nil"
 	case KInt:
-		return fmt.Sprintf("%d", v.I())
+		return strconv.FormatInt(v.I(), 10)
 	case KStr:
 		return v.S()
 	case KObj:

@@ -385,15 +385,15 @@ const statusClientClosedRequest = 499
 // key's preference list with at most one failover, relay the answer.
 // Returns the status sent to the client.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string) int {
-	buf := bufPool.Get().(*[]byte)
-	defer putBuf(buf)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
 	var body []byte
-	err := errTooLarge // a declared size over the limit is not worth reading
+	err := wire.ErrTooLarge // a declared size over the limit is not worth reading
 	if r.ContentLength <= rt.cfg.MaxBody {
-		body, err = readBounded(r.Body, *buf, r.ContentLength, rt.cfg.MaxBody)
+		body, err = wire.ReadBody(r.Body, *buf, r.ContentLength, rt.cfg.MaxBody)
 		*buf = body
 	}
-	if err == errTooLarge {
+	if err == wire.ErrTooLarge {
 		return rt.fail(w, r, http.StatusRequestEntityTooLarge, "request",
 			fmt.Sprintf("body exceeds %d bytes", rt.cfg.MaxBody))
 	}
@@ -490,7 +490,11 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 // in memory, so it goes out under its true Content-Length.
 func relay(w http.ResponseWriter, rp *reply) int {
 	h := w.Header()
-	if rp.contentType != "" {
+	switch rp.contentType {
+	case "":
+	case "application/json":
+		wire.SetJSONContentType(h)
+	default:
 		h.Set("Content-Type", rp.contentType)
 	}
 	if rp.retryAfter != "" {
@@ -507,10 +511,7 @@ func relay(w http.ResponseWriter, rp *reply) int {
 // a replica.
 func (rt *Router) fail(w http.ResponseWriter, r *http.Request, status int, kind, msg string) int {
 	rid := w.Header().Get(wire.RequestIDHeader)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	res := &wire.Result{Error: &wire.ErrorJSON{Kind: kind, Message: msg, RequestID: rid}}
-	_ = res.Encode(w)
+	wire.WriteJSON(w, status, &wire.Result{Error: &wire.ErrorJSON{Kind: kind, Message: msg, RequestID: rid}})
 	return status
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"selfgo/internal/metrics"
+	"selfgo/internal/wire"
 )
 
 // The upstream client is what the router speaks to a replica. It is
@@ -42,60 +43,15 @@ const (
 	// the connection's read buffer (ReadSlice fails on a longer one).
 	maxHeaderLines = 64
 
-	// maxRetained is the largest buffer kept for reuse, on a connection
-	// or in bufPool: one request near MaxBody must not pin a megabyte
-	// per idle connection.
+	// maxRetained is the largest output buffer a connection keeps: one
+	// request near MaxBody must not pin a megabyte per idle connection.
+	// (Body buffers come from, and go back to, wire's pool.)
 	maxRetained = 64 << 10
 )
 
-var (
-	errTooLarge = errors.New("body exceeds the router's MaxBody")
-
-	// errStale marks a pooled connection that failed before the first
-	// byte of a reply: the replica closed it while it sat idle.
-	errStale = errors.New("pooled connection was closed by the replica")
-)
-
-// bufPool holds the byte slices request and reply bodies are read into.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
-
-func putBuf(b *[]byte) {
-	if cap(*b) <= maxRetained {
-		bufPool.Put(b)
-	}
-}
-
-// readBounded reads r to EOF into buf[:0] and fails with errTooLarge
-// once more than limit bytes have arrived; it never holds more than
-// limit+1. hint is the expected size, 0 when unknown.
-func readBounded(r io.Reader, buf []byte, hint, limit int64) ([]byte, error) {
-	buf = buf[:0]
-	if hint >= int64(cap(buf)) {
-		// One spare byte, so the read that reports EOF needs no growth.
-		buf = make([]byte, 0, min(hint, limit)+1)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			if int64(len(buf)) > limit {
-				return buf, errTooLarge
-			}
-			grown := make([]byte, len(buf), min(2*int64(cap(buf)), limit+1))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			if int64(len(buf)) > limit {
-				return buf, errTooLarge
-			}
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
+// errStale marks a pooled connection that failed before the first byte
+// of a reply: the replica closed it while it sat idle.
+var errStale = errors.New("pooled connection was closed by the replica")
 
 // upstream is the router's client for one replica: a bounded free list
 // of persistent connections.
@@ -227,7 +183,7 @@ type reply struct {
 
 func (rp *reply) release() {
 	if rp.buf != nil {
-		putBuf(rp.buf)
+		wire.PutBuffer(rp.buf)
 		rp.buf, rp.body = nil, nil
 	}
 }
@@ -398,14 +354,14 @@ func (c *upstreamConn) readReply(rp *reply, maxBody int64) (reusable bool, err e
 		return false, errors.New("both Content-Length and chunked framing")
 	}
 	if contentLength > maxBody {
-		return false, errTooLarge
+		return false, wire.ErrTooLarge
 	}
 
-	rp.buf = bufPool.Get().(*[]byte)
+	rp.buf = wire.GetBuffer()
 	buf := *rp.buf
 	switch {
 	case chunked:
-		if buf, err = readBounded(httputil.NewChunkedReader(c.br), buf, 0, maxBody); err == nil {
+		if buf, err = wire.ReadBody(httputil.NewChunkedReader(c.br), buf, 0, maxBody); err == nil {
 			// The chunked reader stops after the last chunk's size line;
 			// what must follow is the CRLF that ends an absent trailer.
 			var end []byte
@@ -423,7 +379,7 @@ func (c *upstreamConn) readReply(rp *reply, maxBody int64) (reusable bool, err e
 	default:
 		// Neither framing: the body runs to the end of the connection.
 		closing = true
-		buf, err = readBounded(c.br, buf, 0, maxBody)
+		buf, err = wire.ReadBody(c.br, buf, 0, maxBody)
 	}
 	*rp.buf, rp.body = buf, buf
 	if err != nil {

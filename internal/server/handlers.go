@@ -29,14 +29,8 @@ const statusClientClosedRequest = 499
 // request can be followed across processes.
 const RequestIDHeader = wire.RequestIDHeader
 
-// ridKey carries the request id through the handler's context.
-type ridKey struct{}
-
-// requestIDFrom reads the id instrument() stored.
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey{}).(string)
-	return id
-}
+// handlerFunc is an endpoint's handler, handed the request's id.
+type handlerFunc func(w http.ResponseWriter, r *http.Request, rid string)
 
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler {
@@ -73,25 +67,24 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // instrument wraps a handler with panic containment (a bug in the
 // serving layer answers 500, it does not take the process down),
 // request-id propagation and request accounting.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+func (s *Server) instrument(endpoint string, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		// Accept a well-formed forwarded id, mint one otherwise; echo it
-		// on the response before the handler can write, and thread it to
-		// the error paths through the context.
+		// on the response before the handler can write, and hand it to
+		// the handler for its error paths.
 		rid := r.Header.Get(RequestIDHeader)
 		if !wire.ValidRequestID(rid) {
 			rid = wire.NewRequestID()
 		}
 		w.Header().Set(RequestIDHeader, rid)
-		r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			if rec := recover(); rec != nil {
 				// The guest side has its own panic backstops; reaching
 				// this one means a server bug. Contain it per-request.
 				if sw.code == 0 {
-					s.writeJSON(sw, http.StatusInternalServerError, &wire.Result{
+					wire.WriteJSON(sw, http.StatusInternalServerError, &wire.Result{
 						Error: &wire.ErrorJSON{Kind: "internal",
 							Message:   fmt.Sprintf("server panic: %v", rec),
 							RequestID: rid},
@@ -105,33 +98,30 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			}
 			s.observe(endpoint, strconv.Itoa(code), time.Since(start))
 		}()
-		h(sw, r)
+		h(sw, r, rid)
 	})
-}
-
-// writeJSON answers v as compact JSON: replies are read by routers and
-// clients, and every byte of one is copied at each hop.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeRunError maps a failed guest run (or admission failure) to an
 // HTTP status plus the shared error encoding.
-func (s *Server) writeRunError(w http.ResponseWriter, ctx context.Context, err error) {
-	rid := requestIDFrom(ctx)
+func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, rid string, err error) {
 	var re *wire.RequestError
 	if errors.As(err, &re) {
-		s.writeJSON(w, re.Status, &wire.Result{
+		wire.WriteJSON(w, re.Status, &wire.Result{
 			Error: &wire.ErrorJSON{Kind: "request", Message: re.Msg, RequestID: rid}})
 		return
 	}
 	if errors.Is(err, errShed) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		s.writeJSON(w, http.StatusTooManyRequests, &wire.Result{
+		wire.WriteJSON(w, http.StatusTooManyRequests, &wire.Result{
 			Error: &wire.ErrorJSON{Kind: "overload", Message: err.Error(), RequestID: rid}})
 		return
+	}
+	// A cancelled run ends at its deadline (504), unless its client
+	// hung up first (499).
+	cancelled := http.StatusGatewayTimeout
+	if r.Context().Err() != nil {
+		cancelled = statusClientClosedRequest
 	}
 	status := http.StatusUnprocessableEntity // guest fault: valid request, failed program
 	var rte *vm.RuntimeError
@@ -139,39 +129,39 @@ func (s *Server) writeRunError(w http.ResponseWriter, ctx context.Context, err e
 		s.m.faults.With(rte.Kind.String()).Inc()
 		switch rte.Kind {
 		case vm.KindCancelled:
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				status = http.StatusGatewayTimeout
-			} else {
-				status = statusClientClosedRequest
-			}
+			status = cancelled
 		case vm.KindInternal:
 			status = http.StatusInternalServerError
 		}
-	} else if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		status = http.StatusGatewayTimeout
-	} else if errors.Is(ctx.Err(), context.Canceled) {
-		status = statusClientClosedRequest
+	} else if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		// Cancelled while queued for a worker: answered as a run
+		// cancelled at its first poll would be.
+		status = cancelled
+		err = &vm.RuntimeError{Kind: vm.KindCancelled, Msg: "cancelled: " + err.Error()}
 	}
 	ej := wire.NewError(err)
 	ej.RequestID = rid
-	s.writeJSON(w, status, &wire.Result{Error: ej})
+	wire.WriteJSON(w, status, &wire.Result{Error: ej})
 }
 
 // runOnWorker is the shared execution path: admission, budget,
-// deadline, world read-lock, accounting.
+// deadline, world read-lock, accounting. The deadline travels in the
+// worker's budget, checked at the VM's poll beside r's context, which
+// a client hang-up cancels.
 func (s *Server) runOnWorker(r *http.Request, budget *wire.Budget, deadlineMS int64,
-	run func(ctx context.Context, sys *selfgo.System) (*selfgo.Result, error)) (*selfgo.Result, context.Context, error) {
+	run func(ctx context.Context, sys *selfgo.System) (*selfgo.Result, error)) (*selfgo.Result, error) {
 
-	deadline := s.effectiveDeadline(deadlineMS)
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	sys, err := s.acquire(ctx)
+	d := s.effectiveDeadline(deadlineMS)
+	deadline := time.Now().Add(d)
+	ctx := r.Context()
+	sys, err := s.acquire(ctx, deadline)
 	if err != nil {
-		return nil, ctx, err
+		return nil, err
 	}
 	defer s.release(sys)
-	sys.SetBudget(s.effectiveBudget(budget, deadline))
+	b := s.effectiveBudget(budget, d)
+	b.Deadline = deadline
+	sys.SetBudget(b)
 
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
@@ -179,7 +169,7 @@ func (s *Server) runOnWorker(r *http.Request, budget *wire.Budget, deadlineMS in
 	defer s.worldMu.RUnlock()
 	res, err := run(ctx, sys)
 	if err != nil {
-		return nil, ctx, err
+		return nil, err
 	}
 	// The deferred release resets the worker's arena before the handler
 	// encodes res.Value; pin it so an object result survives the reset.
@@ -191,124 +181,176 @@ func (s *Server) runOnWorker(r *http.Request, budget *wire.Budget, deadlineMS in
 	s.m.guestAllocBytes.Add(res.Run.AllocBytes)
 	s.m.bbvVersions.Add(res.Run.BBVVersions)
 	s.m.bbvCapHits.Add(res.Run.BBVCapHits)
-	return res, ctx, nil
+	return res, nil
 }
 
-// result converts a finished run to the wire encoding, attaching the
+// writeResult answers a finished run in the shared encoding, with the
 // tier-schedule view (mode, per-tier compile counts, promotion
-// outcomes) that the adaptive mode's clients watch.
-func (s *Server) result(res *selfgo.Result) *wire.Result {
-	out := wire.NewResult(res.Value, res.Run, res.Compile, res.CompileTime)
-	out.TierMode = s.cfg.Mode.String()
-	out.Tiers = s.root.TierCounts()
+// outcomes) that the adaptive mode's clients watch. The reply is built
+// on the stack: of it only the value's text is allocated.
+func (s *Server) writeResult(w http.ResponseWriter, res *selfgo.Result, bench string, checkOK *bool) {
+	run, comp := wire.RunStatsOf(res.Run), wire.CompileOf(res.Compile)
 	ps := s.root.PromotionStats()
-	out.Promotions = &wire.PromotionsJSON{
+	prom := wire.PromotionsJSON{
 		Installed: ps.Installed, Fails: ps.Fails, Discards: ps.Discards,
 		MeanLatencyMS: float64(ps.MeanLatency) / float64(time.Millisecond),
 	}
-	return out
+	out := wire.Result{
+		Value:         res.Value.String(),
+		Int:           res.Value.I(),
+		Run:           &run,
+		Compile:       &comp,
+		CompileTimeMS: float64(res.CompileTime) / float64(time.Millisecond),
+		TierMode:      s.cfg.Mode.String(),
+		Tiers:         s.tierCounts(),
+		Promotions:    &prom,
+		Bench:         bench,
+		CheckOK:       checkOK,
+	}
+	wire.WriteJSON(w, http.StatusOK, &out)
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
+// tierView is a reply's tier map and the tally it was built from.
+type tierView struct {
+	tally  selfgo.TierTally
+	counts map[string]int // read-only once published
+}
+
+// tierCounts returns the per-tier compile counts as a map that replies
+// share until a compile moves the tally.
+func (s *Server) tierCounts() map[string]int {
+	t := s.root.TierTally()
+	if v := s.tiers.Load(); v != nil && v.tally == t {
+		return v.counts
+	}
+	v := &tierView{tally: t, counts: t.Map()}
+	s.tiers.Store(v)
+	return v.counts
+}
+
+// writeDraining answers a request that arrived after Drain.
+func (s *Server) writeDraining(w http.ResponseWriter, rid string) {
+	wire.WriteJSON(w, http.StatusServiceUnavailable, &wire.Result{
+		Error: &wire.ErrorJSON{Kind: "draining", Message: "server is draining", RequestID: rid}})
+}
+
+// readBody reads r's body into buf under the server's limits.
+func (s *Server) readBody(r *http.Request, buf *[]byte) ([]byte, error) {
+	body, err := wire.ReadRequest(r.Body, r.ContentLength, *buf, s.cfg.Limits)
+	*buf = body
+	return body, err
+}
+
+func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, rid string) {
 	if s.draining.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, &wire.Result{
-			Error: &wire.ErrorJSON{Kind: "draining", Message: "server is draining",
-				RequestID: requestIDFrom(r.Context())}})
+		s.writeDraining(w, rid)
 		return
 	}
-	req, err := wire.DecodeEvalRequest(r.Body, s.cfg.Limits)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	body, err := s.readBody(r, buf)
 	if err != nil {
-		s.writeRunError(w, r.Context(), err)
+		s.writeRunError(w, r, rid, err)
+		return
+	}
+	req, err := wire.ParseEvalRequest(body, s.cfg.Limits)
+	if err != nil {
+		s.writeRunError(w, r, rid, err)
 		return
 	}
 
 	// Program loads mutate the shared world; they happen before
 	// admission so a load never sits on a worker slot.
-	if req.Program != "" {
+	if len(req.Program) != 0 {
 		if err := s.ensureProgram(req.Program); err != nil {
-			s.writeRunError(w, r.Context(), err)
+			s.writeRunError(w, r, rid, err)
 			return
 		}
 	}
 	var prog *selfgo.EvalProgram
-	if req.Expr != "" {
+	if len(req.Expr) != 0 {
 		if prog, err = s.internExpr(req.Expr); err != nil {
-			s.writeRunError(w, r.Context(), err)
+			s.writeRunError(w, r, rid, err)
 			return
 		}
 	}
 
-	res, ctx, err := s.runOnWorker(r, req.Budget, req.DeadlineMS,
+	res, err := s.runOnWorker(r, req.Budget, req.DeadlineMS,
 		func(ctx context.Context, sys *selfgo.System) (*selfgo.Result, error) {
 			if prog != nil {
 				return sys.EvalProgramCtx(ctx, prog)
 			}
-			if lk, ok := obj.Lookup(s.root.World().Lobby.Map, req.Entry); !ok || lk.Slot.Kind != obj.MethodSlot {
+			entry := string(req.Entry)
+			if lk, ok := obj.Lookup(s.root.World().Lobby.Map, entry); !ok || lk.Slot.Kind != obj.MethodSlot {
 				return nil, &wire.RequestError{Status: http.StatusNotFound,
-					Msg: fmt.Sprintf("lobby does not define a method %q", req.Entry)}
+					Msg: fmt.Sprintf("lobby does not define a method %q", entry)}
 			}
 			args := make([]selfgo.Value, len(req.Args))
 			for i, a := range req.Args {
 				args[i] = obj.Int(a)
 			}
-			return sys.CallCtx(ctx, req.Entry, args...)
+			return sys.CallCtx(ctx, entry, args...)
 		})
 	if err != nil {
-		s.writeRunError(w, ctx, err)
+		s.writeRunError(w, r, rid, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.result(res))
+	s.writeResult(w, res, "", nil)
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, rid string) {
 	if s.draining.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, &wire.Result{
-			Error: &wire.ErrorJSON{Kind: "draining", Message: "server is draining",
-				RequestID: requestIDFrom(r.Context())}})
+		s.writeDraining(w, rid)
 		return
 	}
-	req, err := wire.DecodeRunRequest(r.Body, s.cfg.Limits)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	body, err := s.readBody(r, buf)
 	if err != nil {
-		s.writeRunError(w, r.Context(), err)
+		s.writeRunError(w, r, rid, err)
 		return
 	}
-	be, ok := s.benches[req.Bench]
+	req, err := wire.ParseRunRequest(body)
+	if err != nil {
+		s.writeRunError(w, r, rid, err)
+		return
+	}
+	be, ok := s.benches[string(req.Bench)]
 	if !ok {
-		s.writeRunError(w, r.Context(), &wire.RequestError{Status: http.StatusNotFound,
+		s.writeRunError(w, r, rid, &wire.RequestError{Status: http.StatusNotFound,
 			Msg: fmt.Sprintf("benchmark %q is not preloaded on this server", req.Bench)})
 		return
 	}
 
-	res, ctx, err := s.runOnWorker(r, req.Budget, req.DeadlineMS,
+	res, err := s.runOnWorker(r, req.Budget, req.DeadlineMS,
 		func(ctx context.Context, sys *selfgo.System) (*selfgo.Result, error) {
 			return sys.CallCtx(ctx, be.b.Entry)
 		})
 	if err != nil {
-		s.writeRunError(w, ctx, err)
+		s.writeRunError(w, r, rid, err)
 		return
 	}
-	out := s.result(res)
-	out.Bench = be.b.Name
+	var checkOK *bool
 	if be.b.HasExpect {
 		ok := res.Value.I() == be.b.Expect
-		out.CheckOK = &ok
+		checkOK = &ok
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeResult(w, res, be.b.Name, checkOK)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ string) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WriteText(w)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string) {
 	// Liveness: the process is up and serving. Stays 200 while
 	// draining — kill the listener, not the process.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, _ string) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -361,7 +403,7 @@ type statuszBBV struct {
 	CapHits  int64 `json:"cap_hits"`
 }
 
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request, _ string) {
 	cs := s.root.CacheStats()
 	ps := s.root.PromotionStats()
 	benches := make([]string, 0, len(s.benches))

@@ -194,10 +194,10 @@ func (s *Server) registerMetrics() {
 	r.RegisterFunc("selfgo_compiles_total",
 		"Compiler runs recorded, by pipeline tier.",
 		metrics.KindCounter, []string{"tier"}, func() []metrics.Sample {
-			counts := s.root.TierCounts()
+			counts := s.root.TierTally()
 			var out []metrics.Sample
 			for t := selfgo.TierDegraded; t <= selfgo.TierOptimizing; t++ {
-				out = append(out, metrics.Sample{Labels: []string{t.String()}, Value: float64(counts[t.String()])})
+				out = append(out, metrics.Sample{Labels: []string{t.String()}, Value: float64(counts[t])})
 			}
 			return out
 		})

@@ -201,6 +201,10 @@ type Server struct {
 	ready            atomic.Bool
 	readySeconds     atomic.Int64 // microseconds, stored once
 
+	// tiers is the tier map replies carry, rebuilt only when a compile
+	// moves the tally (tierCounts).
+	tiers atomic.Pointer[tierView]
+
 	m serverMetrics
 }
 
@@ -422,9 +426,12 @@ var errShed = fmt.Errorf("admission queue full")
 // acquire hands out a worker VM, queueing boundedly: if the queue is
 // already at QueueDepth the request is shed immediately (429 beats an
 // unbounded pileup — the client can back off, the server stays
-// responsive). A queued request still honors its context: cancelled
-// or expired waiters leave the queue.
-func (s *Server) acquire(ctx context.Context) (*selfgo.System, error) {
+// responsive). A queued request still honors its context and its
+// deadline: a waiter whose client hangs up leaves the queue with the
+// context's error, one whose deadline passes with
+// context.DeadlineExceeded. Only a request that has to queue arms a
+// timer.
+func (s *Server) acquire(ctx context.Context, deadline time.Time) (*selfgo.System, error) {
 	select {
 	case sys := <-s.pool:
 		s.notePoolCheckout()
@@ -437,12 +444,16 @@ func (s *Server) acquire(ctx context.Context) (*selfgo.System, error) {
 		return nil, errShed
 	}
 	defer s.queued.Add(-1)
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
 	select {
 	case sys := <-s.pool:
 		s.notePoolCheckout()
 		return sys, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-timer.C:
+		return nil, context.DeadlineExceeded
 	}
 }
 
@@ -546,23 +557,24 @@ func (s *Server) effectiveBudget(req *wire.Budget, deadline time.Duration) selfg
 }
 
 // effectiveDeadline clamps the request's deadline to the server caps.
+// The clamp is taken in milliseconds, before the conversion to a
+// Duration could overflow.
 func (s *Server) effectiveDeadline(deadlineMS int64) time.Duration {
-	d := s.cfg.DefaultDeadline
-	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
+	switch {
+	case deadlineMS <= 0:
+		return min(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
+	case deadlineMS > int64(s.cfg.MaxDeadline/time.Millisecond):
+		return s.cfg.MaxDeadline
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return d
+	return time.Duration(deadlineMS) * time.Millisecond
 }
 
 // ensureProgram loads a program text into the shared world, once per
 // distinct text for the server's lifetime. The load takes the world
 // write lock, so it waits for in-flight runs and briefly stalls new
 // ones; repeated texts hit the table and pay nothing.
-func (s *Server) ensureProgram(src string) error {
-	key := sha256.Sum256([]byte(src))
+func (s *Server) ensureProgram(src []byte) error {
+	key := sha256.Sum256(src)
 	s.progMu.Lock()
 	already := s.loaded[key]
 	s.progMu.Unlock()
@@ -585,7 +597,7 @@ func (s *Server) ensureProgram(src string) error {
 	}
 
 	s.worldMu.Lock()
-	err := s.root.LoadSource(src)
+	err := s.root.LoadSource(string(src))
 	s.worldMu.Unlock()
 	if err != nil {
 		return &wire.RequestError{Status: http.StatusBadRequest, Msg: fmt.Sprintf("loading program: %v", err)}
@@ -607,12 +619,13 @@ func (s *Server) ensureProgram(src string) error {
 }
 
 // internExpr resolves src to its interned EvalProgram, parsing it on
-// first sight. The table is a bounded LRU: past MaxEvalPrograms the
+// first sight: the lookup is by the text's hash, and only a miss makes
+// a string of it. The table is a bounded LRU: past MaxEvalPrograms the
 // coldest entry is dropped and its compiled code evicted from the
 // shared cache, so a tenant cycling through unique programs cannot
 // grow the cache without bound.
-func (s *Server) internExpr(src string) (*selfgo.EvalProgram, error) {
-	key := sha256.Sum256([]byte(src))
+func (s *Server) internExpr(src []byte) (*selfgo.EvalProgram, error) {
+	key := sha256.Sum256(src)
 	s.progMu.Lock()
 	defer s.progMu.Unlock()
 	if e, ok := s.exprs[key]; ok {
@@ -620,7 +633,7 @@ func (s *Server) internExpr(src string) (*selfgo.EvalProgram, error) {
 		s.m.exprHits.Inc()
 		return e.prog, nil
 	}
-	prog, err := s.root.ParseEval(src)
+	prog, err := s.root.ParseEval(string(src))
 	if err != nil {
 		return nil, &wire.RequestError{Status: http.StatusBadRequest, Msg: fmt.Sprintf("parsing expr: %v", err)}
 	}

@@ -299,6 +299,77 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineOverflow: a deadline_ms past what a Duration can hold is
+// clamped to MaxDeadline, not wrapped around to a deadline in the past.
+// (Converting 9223372036854775807 ms to a Duration before clamping gave
+// -1 ms, and a 504 for a run that takes milliseconds.)
+func TestDeadlineOverflow(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: 1})
+	for _, ms := range []string{"0", "60000", "9223372036854", "9223372036855", "9223372036854775807"} {
+		code, res := postJSON(t, ts.URL+"/eval",
+			`{"expr": "| s <- 0 | 1 upTo: 20000 Do: [:i | s: s + 1]. s", "deadline_ms": `+ms+`}`)
+		if code != http.StatusOK || res.Int != 19999 {
+			t.Errorf("deadline_ms %s: status %d %+v, want 200 and 19999", ms, code, res.Error)
+		}
+	}
+	s := &Server{cfg: Config{}.withDefaults()}
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, 10 * time.Second}, {1, time.Millisecond}, {60000, time.Minute}, {60001, time.Minute},
+		{9223372036854775807, time.Minute},
+	} {
+		if got := s.effectiveDeadline(c.ms); got != c.want {
+			t.Errorf("effectiveDeadline(%d) = %v, want %v", c.ms, got, c.want)
+		}
+	}
+}
+
+// TestDeadlineWhileQueued: a request whose deadline passes while it
+// waits for a worker leaves the queue with a 504 of kind cancelled at
+// its deadline, not when the worker frees up.
+func TestDeadlineWhileQueued(t *testing.T) {
+	s, ts := newTestServer(t, Config{Pool: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	long, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/eval",
+		strings.NewReader(`{"expr": "| s <- 0 | 1 upTo: 400000000 Do: [ :i | s: s + 1 ]. s"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(long); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	for i := 0; s.InFlight() == 0 && i < 2500; i++ {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if s.InFlight() == 0 {
+		t.Fatal("the long run never started")
+	}
+	start := time.Now()
+	code, res := postJSON(t, ts.URL+"/eval", `{"expr": "2 + 2", "deadline_ms": 50}`)
+	waited := time.Since(start)
+	if code != http.StatusGatewayTimeout || res.Error == nil || res.Error.Kind != "cancelled" {
+		t.Fatalf("queued past its deadline: status %d %+v, want 504 kind cancelled", code, res.Error)
+	}
+	if !strings.HasSuffix(res.Error.Message, "cancelled: context deadline exceeded") {
+		t.Errorf("message %q, want a deadline's", res.Error.Message)
+	}
+	if waited < 50*time.Millisecond || waited > 2*time.Second {
+		t.Errorf("left the queue after %v, want about 50ms", waited)
+	}
+	if s.InFlight() != 1 {
+		t.Error("the long run finished first: the queued request did not leave at its deadline")
+	}
+	cancel()
+	<-done
+}
+
 // TestClientDisconnect: dropping the connection mid-run aborts the
 // guest at the next poll and returns the worker to the pool.
 func TestClientDisconnect(t *testing.T) {
@@ -884,18 +955,20 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
 // TestReplyAllocations pins what building and writing a hot /eval reply
-// allocates. It was 17 when replies were indented (the indenting
-// encoder's second buffer) and carried a snapshot of all sixteen cache
-// shards (a 1 KB slice, taken under their locks) to report three
-// counters; neither may creep back. It is 8 now; the bound leaves room
-// for the race detector, under which sync.Pool drops some of what the
-// encoder returns to it.
+// allocates: the value's text, nothing else. The reply is built on the
+// stack, appended into a pooled buffer by the wire codec, and carries a
+// tier map shared until a compile moves the tally. It was 17 when
+// replies were indented and carried a snapshot of the cache shards,
+// and 8 when encoding/json wrote them from a heap Result with a cloned
+// tier map. Under the race detector sync.Pool drops a quarter of what
+// is put back, which costs half an allocation a reply on average:
+// AllocsPerRun's whole-number mean still reads 1.
 func TestReplyAllocations(t *testing.T) {
 	s, _ := newTestServer(t, Config{Pool: 1})
 	res := &selfgo.Result{Value: obj.Int(4951)}
 	res.Run.Instrs, res.Run.Cycles = 1234, 5678
 	w := &discardWriter{h: http.Header{}}
-	if n := testing.AllocsPerRun(200, func() { s.writeJSON(w, http.StatusOK, s.result(res)) }); n > 12 {
-		t.Errorf("a reply allocates %.0f times, want at most 12", n)
+	if n := testing.AllocsPerRun(200, func() { s.writeResult(w, res, "", nil) }); n > 1 {
+		t.Errorf("a reply allocates %.0f times, want at most 1", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"time"
 
 	"selfgo/internal/obj"
 )
@@ -39,6 +40,11 @@ type Budget struct {
 	// latency-sensitive callers. Setting only PollEvery (no limits, no
 	// context) arms the poll but every check passes.
 	PollEvery int64
+	// Deadline, when set, ends the run at the first poll at or past it
+	// with the KindCancelled error an expired context gives: a host
+	// that enforces a deadline per request reads the clock at each poll
+	// instead of building a timer context per request.
+	Deadline time.Time
 }
 
 // budgetPollInterval is how many instructions run between cooperative
@@ -71,8 +77,9 @@ func (vm *VM) startRun(ctx context.Context) {
 		vm.pollEvery = budgetPollInterval
 	}
 	// context.Background() has a nil Done channel: such a context can
-	// never be cancelled, so it does not force polling on.
-	if (ctx != nil && ctx.Done() != nil) || vm.Budget != (Budget{}) {
+	// never be cancelled, so it does not force polling on. A budget arms
+	// the poll by itself, before Done (which may allocate) is asked.
+	if vm.Budget != (Budget{}) || (ctx != nil && ctx.Done() != nil) {
 		vm.budgetAt = vm.Stats.Instrs + vm.pollEvery
 	} else {
 		vm.budgetAt = math.MaxInt64
@@ -127,7 +134,7 @@ func (vm *VM) poll(st *RunStats, code *Code, pc int) error {
 }
 
 // overBudget checks the budgets against the run's counters, instrs
-// standing for the instruction count, and the context.
+// standing for the instruction count, the deadline and the context.
 func (vm *VM) overBudget(st *RunStats, instrs int64) error {
 	b := &vm.Budget
 	if b.MaxInstrs > 0 && instrs-vm.fuelStart > b.MaxInstrs {
@@ -144,6 +151,9 @@ func (vm *VM) overBudget(st *RunStats, instrs int64) error {
 	if b.MaxBytes > 0 && st.AllocBytes-vm.bytesStart > b.MaxBytes {
 		return &RuntimeError{Kind: KindOutOfFuel,
 			Msg: fmt.Sprintf("out of fuel: byte budget %d exhausted", b.MaxBytes)}
+	}
+	if !b.Deadline.IsZero() && !time.Now().Before(b.Deadline) {
+		return &RuntimeError{Kind: KindCancelled, Msg: "cancelled: " + context.DeadlineExceeded.Error()}
 	}
 	if vm.ctx != nil {
 		if cerr := vm.ctx.Err(); cerr != nil {

@@ -121,10 +121,6 @@ type VM struct {
 	// OnHot fires. Values <= 0 fire on the first execution.
 	PromoteThreshold int64
 
-	// Budget bounds each execution (zero fields are unlimited); see
-	// Budget. RunMethodCtx additionally honors context cancellation.
-	Budget Budget
-
 	// Arena, when non-nil, backs vector and clone storage with
 	// recycled per-VM chunks instead of individual Go allocations.
 	// The owner decides the epoch boundary by calling Arena.Reset
@@ -140,6 +136,15 @@ type VM struct {
 	// running one VM per goroutine against one Cache and one World
 	// (read-side).
 	Cache *codecache.Cache[*Code]
+
+	// Budget bounds each execution (zero fields are unlimited); see
+	// Budget. RunMethodCtx additionally honors context cancellation.
+	// It comes after Arena and Cache so that they and the limits the run
+	// loop reads lie within 128 bytes of the VM's start, where an
+	// instruction reaches them with a one-byte displacement: Deadline,
+	// read only at a poll, is the field past that line, and the run
+	// loop's machine code is the same with it as without.
+	Budget Budget
 
 	// Out receives _Print output (defaults to io.Discard).
 	Out io.Writer

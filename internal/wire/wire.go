@@ -8,12 +8,10 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"selfgo/internal/ast"
@@ -101,64 +99,40 @@ func badRequest(format string, args ...any) error {
 	return &RequestError{Status: http.StatusBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
 
-// readBody reads at most limit bytes, distinguishing "too large" from
-// read errors.
-func readBody(r io.Reader, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
-	}
-	if int64(len(data)) > limit {
-		return nil, &RequestError{Status: http.StatusRequestEntityTooLarge,
-			Msg: fmt.Sprintf("body exceeds %d bytes", limit)}
-	}
-	return data, nil
-}
-
 // DecodeEvalRequest reads, parses and validates an /eval body.
 func DecodeEvalRequest(r io.Reader, limits Limits) (*EvalRequest, error) {
-	limits = limits.withDefaults()
-	data, err := readBody(r, limits.MaxBody)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	data, err := ReadRequest(r, -1, *buf, limits)
+	*buf = data
 	if err != nil {
 		return nil, err
 	}
-	var req EvalRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, badRequest("malformed JSON: %v", err)
-	}
-	if err := req.validate(limits); err != nil {
+	req, err := ParseEvalRequest(data, limits)
+	if err != nil {
 		return nil, err
 	}
-	return &req, nil
+	return &EvalRequest{Program: string(req.Program), Expr: string(req.Expr), Entry: string(req.Entry),
+		Args: req.Args, Budget: req.Budget, DeadlineMS: req.DeadlineMS}, nil
 }
 
 // DecodeRunRequest reads, parses and validates a /run body.
 func DecodeRunRequest(r io.Reader, limits Limits) (*RunRequest, error) {
-	limits = limits.withDefaults()
-	data, err := readBody(r, limits.MaxBody)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	data, err := ReadRequest(r, -1, *buf, limits)
+	*buf = data
 	if err != nil {
 		return nil, err
 	}
-	var req RunRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, badRequest("malformed JSON: %v", err)
-	}
-	if req.Bench == "" {
-		return nil, badRequest("bench is required")
-	}
-	if !validName(req.Bench) {
-		return nil, badRequest("bad bench name %q", req.Bench)
-	}
-	if err := validateBudget(req.Budget); err != nil {
+	req, err := ParseRunRequest(data)
+	if err != nil {
 		return nil, err
 	}
-	if req.DeadlineMS < 0 {
-		return nil, badRequest("deadline_ms must be >= 0")
-	}
-	return &req, nil
+	return &RunRequest{Bench: string(req.Bench), Budget: req.Budget, DeadlineMS: req.DeadlineMS}, nil
 }
 
-func (req *EvalRequest) validate(limits Limits) error {
+func (req *EvalBody) validate(limits Limits) error {
 	if len(req.Program) > limits.MaxProgram {
 		return &RequestError{Status: http.StatusRequestEntityTooLarge,
 			Msg: fmt.Sprintf("program exceeds %d bytes", limits.MaxProgram)}
@@ -168,24 +142,41 @@ func (req *EvalRequest) validate(limits Limits) error {
 			Msg: fmt.Sprintf("expr exceeds %d bytes", limits.MaxExpr)}
 	}
 	switch {
-	case req.Expr == "" && req.Entry == "":
+	case len(req.Expr) == 0 && len(req.Entry) == 0:
 		return badRequest("one of expr or entry is required")
-	case req.Expr != "" && req.Entry != "":
+	case len(req.Expr) != 0 && len(req.Entry) != 0:
 		return badRequest("expr and entry are mutually exclusive")
 	}
-	if req.Entry != "" {
-		if !validSelector(req.Entry) {
-			return badRequest("bad entry selector %q", req.Entry)
+	if len(req.Entry) != 0 {
+		entry := string(req.Entry)
+		if !validSelector(entry) {
+			return badRequest("bad entry selector %q", entry)
 		}
-		if want := ast.NumArgs(req.Entry); want != len(req.Args) {
-			return badRequest("entry %q takes %d argument(s), got %d", req.Entry, want, len(req.Args))
+		if want := ast.NumArgs(entry); want != len(req.Args) {
+			return badRequest("entry %q takes %d argument(s), got %d", entry, want, len(req.Args))
 		}
 	}
-	if req.Expr != "" && len(req.Args) > 0 {
+	if len(req.Expr) != 0 && len(req.Args) > 0 {
 		return badRequest("args require an entry selector")
 	}
 	if len(req.Args) > limits.MaxArgs {
 		return badRequest("too many args (max %d)", limits.MaxArgs)
+	}
+	if err := validateBudget(req.Budget); err != nil {
+		return err
+	}
+	if req.DeadlineMS < 0 {
+		return badRequest("deadline_ms must be >= 0")
+	}
+	return nil
+}
+
+func (req *RunBody) validate() error {
+	if len(req.Bench) == 0 {
+		return badRequest("bench is required")
+	}
+	if !validName(string(req.Bench)) {
+		return badRequest("bad bench name %q", req.Bench)
 	}
 	if err := validateBudget(req.Budget); err != nil {
 		return err
@@ -249,30 +240,35 @@ func validName(s string) bool {
 // The derivation deliberately mirrors the server's own interning
 // identity (internal/server hashes program and expr texts the same
 // way), and it is byte-order independent of the JSON encoding: two
-// bodies that decode to the same fields get the same key. Returns
-// ok=false when the body does not decode — the router falls back to
-// hashing the raw bytes, which still gives repeated identical bodies
-// affinity.
+// bodies that decode to the same fields get the same key. The body is
+// scanned, not validated: a body the replica will refuse still routes
+// by its fields. Returns ok=false when the body does not decode — the
+// router falls back to hashing the raw bytes, which still gives
+// repeated identical bodies affinity.
 func AffinityKey(endpoint string, body []byte) (key string, ok bool) {
 	switch endpoint {
 	case "/run":
-		var req RunRequest
-		if err := json.Unmarshal(body, &req); err != nil || req.Bench == "" {
+		var req RunBody
+		if scanRun(body, &req) != nil || len(req.Bench) == 0 {
 			return "", false
 		}
-		return "bench:" + req.Bench, true
+		return "bench:" + string(req.Bench), true
 	case "/eval":
-		var req EvalRequest
-		if err := json.Unmarshal(body, &req); err != nil || (req.Expr == "" && req.Entry == "") {
+		var req EvalBody
+		if scanEval(body, &req) != nil || (len(req.Expr) == 0 && len(req.Entry) == 0) {
 			return "", false
 		}
-		h := sha256.New()
-		io.WriteString(h, req.Program)
-		h.Write([]byte{0xff})
-		io.WriteString(h, req.Expr)
-		h.Write([]byte{0xff})
-		io.WriteString(h, req.Entry)
-		return "eval:" + hex.EncodeToString(h.Sum(nil)[:12]), true
+		// program 0xff expr 0xff entry, hashed in one piece: short
+		// fields are joined on the stack.
+		var stack [512]byte
+		joined := append(stack[:0], req.Program...)
+		joined = append(append(joined, 0xff), req.Expr...)
+		joined = append(append(joined, 0xff), req.Entry...)
+		sum := sha256.Sum256(joined)
+		var out [len("eval:") + 24]byte
+		copy(out[:], "eval:")
+		hex.Encode(out[len("eval:"):], sum[:12])
+		return string(out[:]), true
 	}
 	return "", false
 }
@@ -351,7 +347,13 @@ type RunStatsJSON struct {
 
 // NewRunStats converts the VM's counters.
 func NewRunStats(st vm.RunStats) *RunStatsJSON {
-	return &RunStatsJSON{
+	r := RunStatsOf(st)
+	return &r
+}
+
+// RunStatsOf is NewRunStats by value, for a reply built on the stack.
+func RunStatsOf(st vm.RunStats) RunStatsJSON {
+	return RunStatsJSON{
 		Cycles: st.Cycles, Instrs: st.Instrs, Sends: st.Sends,
 		ICHits: st.ICHits, ICMisses: st.ICMisses, Calls: st.Calls,
 		TypeTests: st.TypeTests, OvflChecks: st.OvflChecks,
@@ -376,7 +378,13 @@ type CompileJSON struct {
 
 // NewCompile converts a compile record.
 func NewCompile(c vm.CompileRecord) *CompileJSON {
-	return &CompileJSON{
+	r := CompileOf(c)
+	return &r
+}
+
+// CompileOf is NewCompile by value.
+func CompileOf(c vm.CompileRecord) CompileJSON {
+	return CompileJSON{
 		Methods: c.Methods, CodeBytes: c.CodeBytes, Degraded: c.Degraded,
 		CacheHits: c.CacheHits, CacheMisses: c.CacheMisses, CacheWaits: c.CacheWaits,
 	}
@@ -442,15 +450,5 @@ func NewResult(v obj.Value, run vm.RunStats, comp vm.CompileRecord, compileTime 
 	}
 }
 
-// Encode writes r as one line of compact JSON: the form replies travel
-// in. Output meant for people indents at its own call site.
-func (r *Result) Encode(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r)
-}
-
-// String renders r for logs and tests.
-func (r *Result) String() string {
-	var b strings.Builder
-	_ = r.Encode(&b)
-	return b.String()
-}
+// String renders r for logs and tests, as AppendJSON writes it.
+func (r *Result) String() string { return string(r.AppendJSON(nil)) }

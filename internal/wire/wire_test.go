@@ -159,12 +159,8 @@ func TestNewResultAndError(t *testing.T) {
 	if res.CompileTimeMS != 1.5 {
 		t.Fatalf("compile ms = %v", res.CompileTimeMS)
 	}
-	var buf strings.Builder
-	if err := res.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var back Result
-	if err := json.Unmarshal([]byte(buf.String()), &back); err != nil {
+	if err := json.Unmarshal(res.AppendJSON(nil), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Int != 42 || back.Run.Cycles != 10 {

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -291,7 +290,7 @@ type compileLog struct {
 	entries []MethodCompile // the latest compileLogCap, entries[added%cap] the oldest once full
 	added   int64           // entries ever added
 	total   time.Duration   // sum of every added entry's Stats.Duration
-	tiers   map[string]int  // added entries per tier label
+	tiers   TierTally       // added entries per tier
 	built   int64           // sum of every added entry's Stats.BuiltNodes
 	kept    int64           // sum of every added entry's Stats.Nodes
 }
@@ -309,7 +308,9 @@ func (l *compileLog) add(e MethodCompile) {
 	}
 	l.added++
 	l.total += e.Stats.Duration
-	l.tiers[e.Tier]++
+	if t, ok := tierOf(e.Tier); ok {
+		l.tiers[t]++
+	}
 	l.built += int64(e.Stats.BuiltNodes)
 	l.kept += int64(e.Stats.Nodes)
 	l.mu.Unlock()
@@ -344,10 +345,36 @@ func (l *compileLog) nodes() (built, kept int64) {
 	return l.built, l.kept
 }
 
-func (l *compileLog) tierCounts() map[string]int {
+func (l *compileLog) tierTally() TierTally {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return maps.Clone(l.tiers)
+	return l.tiers
+}
+
+// tierOf maps a tier label back to its Tier.
+func tierOf(label string) (Tier, bool) {
+	for t := TierDegraded; t <= TierOptimizing; t++ {
+		if t.String() == label {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
+// TierTally counts compilations per tier, indexed by Tier: TierCounts
+// as a value, which reading costs no allocation.
+type TierTally [TierOptimizing + 1]int
+
+// Map is the tally keyed by tier label, tiers that compiled nothing
+// absent.
+func (t TierTally) Map() map[string]int {
+	m := make(map[string]int, len(t))
+	for tier, n := range t {
+		if n > 0 {
+			m[Tier(tier).String()] = n
+		}
+	}
+	return m
 }
 
 // promAgg aggregates promotion latencies (hot-trigger to installed
@@ -434,7 +461,7 @@ func newSystem(cfg Config, mode TierMode, promoteThreshold int64, loadPrelude bo
 	s := &System{
 		Cfg: cfg, Mode: mode, world: w, cache: cache,
 		promoteThreshold: promoteThreshold,
-		prom:             &promAgg{}, log: &compileLog{tiers: map[string]int{}},
+		prom:             &promAgg{}, log: &compileLog{},
 		sources: &sourceLog{},
 	}
 	s.pipeOpt = core.NewPipeline(w, cfg, core.TierOptimizing)
@@ -702,7 +729,10 @@ func (s *System) PromotionStats() PromotionStats {
 
 // TierCounts sums compile-log entries per tier label (a Tier's String),
 // across every forked worker; tiers that compiled nothing are absent.
-func (s *System) TierCounts() map[string]int { return s.log.tierCounts() }
+func (s *System) TierCounts() map[string]int { return s.log.tierTally().Map() }
+
+// TierTally is TierCounts as a fixed array indexed by Tier.
+func (s *System) TierTally() TierTally { return s.log.tierTally() }
 
 // World exposes the object universe (read-mostly; used by tools).
 func (s *System) World() *World { return s.world }
