@@ -4,7 +4,6 @@
 #   ./ci.sh                # vet + gofmt + build + tests + race detector
 #   ./ci.sh -short         # the same, with the slow tests trimmed
 #   ./ci.sh cluster-smoke  # only the 3-replica router smoke
-#   ./ci.sh image-smoke    # only the world-image warm-start smoke
 #
 # Tier-1 (build + go test ./...) is the compatibility bar tracked in
 # ROADMAP.md; the race run exercises the shared code cache and the
@@ -167,111 +166,8 @@ cluster_smoke() {
     echo "   cluster smoke passed"
 }
 
-# image_smoke pins the warm-start invariants of world images:
-#   - a warmed selfserved saves an image on graceful shutdown
-#     (-save-image) whose manifest covers its hot code,
-#   - a second replica boots from it (-image), holds /readyz until
-#     background pre-promotion lands, and reports provenance (image
-#     hash, restore and time-to-ready seconds) on /statusz + /metrics,
-#   - replaying the exact warming trace against the warm replica
-#     compiles NOTHING (no cache misses, no optimizing-tier compiles):
-#     the image + manifest carried the entire hot set across processes.
-image_smoke() {
-    echo "== image smoke (warm save -> image boot -> zero recompiles)"
-    go build -o /tmp/ci-selfserved ./cmd/selfserved
-    go build -o /tmp/ci-selfload ./cmd/selfload
-    iwork=$(mktemp -d)
-    ipids=""
-    trap 'for p in $ipids; do kill "$p" 2>/dev/null || true; done; rm -rf "$iwork"' EXIT
-
-    # Warming trace: 4 distinct eval programs x 2 reps, then the sumTo
-    # named benchmark x 4.
-    awk 'BEGIN{
-        for (r = 0; r < 2; r++)
-            for (k = 0; k < 4; k++)
-                printf("{\"dt_us\":%d,\"endpoint\":\"/eval\",\"body\":\"{\\\"expr\\\": \\\"| s <- 0 | 1 upTo: %d Do: [ :i | s: s + i ]. s\\\"}\"}\n", (r == 0 && k == 0) ? 0 : 1000, 500 + k);
-        for (k = 0; k < 4; k++)
-            printf("{\"dt_us\":1000,\"endpoint\":\"/run\",\"body\":\"{\\\"bench\\\": \\\"sumTo\\\"}\"}\n");
-    }' > "$iwork/trace.jsonl"
-
-    iboot() { # iboot LOGFILE [flags...] -> $iboot_url
-        _log=$1; shift
-        /tmp/ci-selfserved -addr 127.0.0.1:0 -pool 2 -benches sumTo "$@" \
-            >/dev/null 2>"$_log" &
-        ipids="$ipids $!"
-        iboot_url=""
-        for _i in $(seq 1 50); do
-            iboot_url=$(grep -o 'listening on http://[0-9.:]*' "$_log" | head -1 | sed 's/listening on //' || true)
-            [ -n "$iboot_url" ] && break
-            sleep 0.1
-        done
-        [ -n "$iboot_url" ] || { echo "ci: $_log never came up"; cat "$_log"; exit 1; }
-    }
-    iscrape() { /tmp/ci-selfload -url "$1" -scrape "$2"; }
-    # statz URL FIELD -> one float field from /statusz's boot block.
-    statz() {
-        { curl -fsS "$1/statusz" 2>/dev/null || wget -qO- "$1/statusz"; } \
-            | sed -n 's/.*"'"$2"'": \([0-9.e+-]*\).*/\1/p' | head -1
-    }
-
-    iboot "$iwork/cold.log" -save-image "$iwork/world.img"; icold=$iboot_url
-    /tmp/ci-selfload -url "$icold" -replay "$iwork/trace.jsonl" -speed 4 -fail-on-error -q
-    cold_ttr=$(statz "$icold" ready_seconds)
-    coldpid=$(echo "$ipids" | awk '{print $1}')
-    kill -TERM "$coldpid"
-    wait "$coldpid" || { echo "ci: cold replica did not drain cleanly"; cat "$iwork/cold.log"; exit 1; }
-    grep -q 'saved image' "$iwork/cold.log" || {
-        echo "ci: no saved-image line after drain"; cat "$iwork/cold.log"; exit 1; }
-    [ -s "$iwork/world.img" ] || { echo "ci: image file is empty"; exit 1; }
-
-    iboot "$iwork/warm.log" -image "$iwork/world.img"; iwarm=$iboot_url
-    grep -q 'booted from image' "$iwork/warm.log" || {
-        echo "ci: warm replica did not report an image boot"; cat "$iwork/warm.log"; exit 1; }
-    for _i in $(seq 1 100); do
-        [ "$(iscrape "$iwarm" selfserved_ready)" = "1" ] && break
-        sleep 0.1
-    done
-    [ "$(iscrape "$iwarm" selfserved_ready)" = "1" ] || {
-        echo "ci: warm replica never became ready"; cat "$iwork/warm.log"; exit 1; }
-
-    pre=$(iscrape "$iwarm" selfgo_prepromoted_total)
-    [ "$pre" -ge 1 ] || { echo "ci: warm replica pre-promoted nothing"; exit 1; }
-    [ "$(iscrape "$iwarm" selfgo_prepromote_failed_total)" -eq 0 ] || {
-        echo "ci: warm replica had failed pre-promotions"; exit 1; }
-    restore=$(statz "$iwarm" restore_seconds)
-    warm_ttr=$(statz "$iwarm" ready_seconds)
-    awk -v r="$restore" -v c="$cold_ttr" -v w="$warm_ttr" \
-        'BEGIN{ exit !(r > 0 && c > 0 && w > 0) }' || {
-        echo "ci: boot timing metrics missing (restore=$restore cold_ttr=$cold_ttr warm_ttr=$warm_ttr)"; exit 1; }
-
-    # Replay the warming trace: the manifest's pre-promoted code must
-    # absorb every request — zero cache misses, zero optimizing
-    # compiles beyond what pre-promotion itself ran.
-    m0=$(iscrape "$iwarm" selfgo_codecache_misses_total)
-    o0=$(iscrape "$iwarm" 'selfgo_compiles_total{tier="optimizing"}')
-    /tmp/ci-selfload -url "$iwarm" -replay "$iwork/trace.jsonl" -speed 4 -fail-on-error -q
-    m1=$(iscrape "$iwarm" selfgo_codecache_misses_total)
-    o1=$(iscrape "$iwarm" 'selfgo_compiles_total{tier="optimizing"}')
-    [ "$m1" -eq "$m0" ] || {
-        echo "ci: warm replica compiled under the warmed trace ($m0 -> $m1 misses)"; exit 1; }
-    [ "$o1" -eq "$o0" ] || {
-        echo "ci: warm replica ran optimizing compiles under the warmed trace ($o0 -> $o1)"; exit 1; }
-    echo "   warm boot: $pre pre-promoted, restore ${restore}s, time-to-ready cold ${cold_ttr}s vs warm ${warm_ttr}s, zero recompiles on replay"
-
-    for p in $ipids; do kill "$p" 2>/dev/null || true; done
-    wait 2>/dev/null || true
-    rm -rf "$iwork"
-    ipids=""
-    trap - EXIT
-    echo "   image smoke passed"
-}
-
 if [ "$short" = "cluster-smoke" ]; then
     cluster_smoke
-    exit 0
-fi
-if [ "$short" = "image-smoke" ]; then
-    image_smoke
     exit 0
 fi
 
@@ -391,10 +287,6 @@ rm -f "$server_log" /tmp/ci-selfserved /tmp/ci-selfload
 # and a clean mid-run drain. See cluster_smoke above.
 cluster_smoke
 
-# Image smoke: warm save -> image boot -> zero recompiles under the
-# warmed trace. See image_smoke above.
-image_smoke
-
 # Fuzz smoke: a short budget per front-end fuzzer, enough to catch
 # easy regressions in the lexer and parser without stalling CI — plus
 # the serving layer's wire codec (request decoding, reply encoding and
@@ -423,8 +315,6 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzFusionDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzEnvModel"
     go test -run '^$' -fuzz '^FuzzEnvModel$' -fuzztime 10s ./internal/core
-    echo "== fuzz smoke: FuzzImageDecode"
-    go test -run '^$' -fuzz '^FuzzImageDecode$' -fuzztime 10s ./internal/image
     echo "== fuzz smoke: FuzzLookup"
     go test -run '^$' -fuzz '^FuzzLookup$' -fuzztime 10s ./internal/obj
     echo "== fuzz smoke: FuzzArena"

@@ -8,7 +8,7 @@
 //	POST /run      run a preloaded named benchmark
 //	GET  /metrics  Prometheus text exposition
 //	GET  /healthz  liveness (200 while the process serves)
-//	GET  /readyz   readiness (503 while warming from an image or once draining)
+//	GET  /readyz   readiness (503 once draining)
 //	GET  /statusz  human-readable JSON status
 //
 // SIGINT/SIGTERM starts a graceful drain: readiness flips, new work is
@@ -59,9 +59,6 @@ func main() {
 		maxPrograms  = flag.Int("max-programs", 0, "lifetime cap on distinct loaded programs (0 = default)")
 		maxExprs     = flag.Int("max-eval-programs", 0, "interned eval-expression LRU size (0 = default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
-
-		imagePath = flag.String("image", "", "boot the world from this saved image instead of cold-loading (readyz holds until pre-promotion finishes)")
-		saveImage = flag.String("save-image", "", "after a graceful drain, save the world to this image file before exiting")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -96,7 +93,6 @@ func main() {
 		Limits:           wire.Limits{},
 		MaxPrograms:      *maxPrograms,
 		MaxEvalPrograms:  *maxExprs,
-		ImagePath:        *imagePath,
 	}
 	switch *benches {
 	case "all":
@@ -111,10 +107,6 @@ func main() {
 	s, err := server.New(scfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if b := s.Boot(); b.Image != "cold" {
-		log.Printf("booted from image %s (restore %.2fms); pre-promoting code cache in background",
-			b.Image, b.RestoreSeconds*1000)
 	}
 	log.Printf("world ready in %v (config %s, tier %s, pool %d, queue %d)",
 		time.Since(t0).Round(time.Millisecond), cfg.Name, mode, *pool, *queue)
@@ -147,15 +139,6 @@ func main() {
 			os.Exit(1)
 		}
 		log.Printf("drained cleanly: %d served, %d completed during drain", s.Served(), s.DrainedOK())
-		if *saveImage != "" {
-			info, err := s.SaveImage(*saveImage)
-			if err != nil {
-				log.Printf("save-image failed: %v", err)
-				os.Exit(1)
-			}
-			log.Printf("saved image %s: %d bytes, %d sources, %d programs, %d objects, %d manifest entries (%d skipped)",
-				info.Hash, info.Bytes, info.Sources, info.Programs, info.Objects, info.Manifest, info.Skipped)
-		}
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)

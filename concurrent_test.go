@@ -178,29 +178,46 @@ func TestSharedCacheInvalidation(t *testing.T) {
 // rule on a plain NewSystem: code compiled against a map is dropped
 // when that map changes. A caller compiled before a redefinition must
 // run the new body afterwards, whether the compiler inlined the callee
-// (new SELF) or the send's inline cache memoized its code (ST-80).
+// (new SELF) or the send's inline cache memoized its code (ST-80), and
+// whether the redefinition replaces a method or rebinds a constant to
+// an object whose method the caller's loop ran.
 func TestRedefinitionReachesCompiledCallers(t *testing.T) {
+	cases := []struct {
+		src, redefine string
+		sel           string
+		before, after int64
+	}{
+		{"answer = ( 41 ). go = ( answer ).", "answer = ( 42 ).", "go", 41, 42},
+		{`shape = (| parent* = lobby. n <- 7. cost = ( n * 2 ) |).
+		tally = ( | s <- 0 | 1 to: 10 Do: [ :i | s: s + shape cost ]. s ).`,
+			"shape = (| parent* = lobby. n <- 7. cost = ( n * 3 ) |).", "tally", 140, 210},
+	}
 	for _, cfg := range []Config{NewSELF, ST80} {
 		t.Run(cfg.Name, func(t *testing.T) {
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.LoadSource("answer = ( 41 ). go = ( answer )."); err != nil {
-				t.Fatal(err)
-			}
-			if res, err := sys.Call("go"); err != nil || res.Value.I() != 41 {
-				t.Fatalf("before redefinition: %v, %v; want 41", res, err)
-			}
-			if err := sys.LoadSource("answer = ( 42 )."); err != nil {
-				t.Fatal(err)
-			}
-			res, err := sys.Call("go")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Value.I() != 42 {
-				t.Fatalf("after redefinition go returned %d, want 42 (a compiled caller kept the old body)", res.Value.I())
+			for _, c := range cases {
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.LoadSource(c.src); err != nil {
+					t.Fatal(err)
+				}
+				if res, err := sys.Call(c.sel); err != nil || res.Value.I() != c.before {
+					t.Fatalf("%s before redefinition: %v, %v; want %d", c.sel, res, err, c.before)
+				}
+				if err := sys.LoadSource(c.redefine); err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Call(c.sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Value.I() != c.after {
+					t.Fatalf("after redefinition %s returned %d, want %d (a compiled caller kept the old body)", c.sel, res.Value.I(), c.after)
+				}
+				if st := sys.CacheStats(); st.Evicted == 0 {
+					t.Errorf("%s: the redefinition evicted nothing", c.sel)
+				}
 			}
 		})
 	}

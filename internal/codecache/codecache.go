@@ -303,34 +303,6 @@ func (c *Cache[V]) Peek(k Key) (V, bool) {
 	return zero, false
 }
 
-// ForEach calls fn for every completed, successful entry. In-flight
-// compiles and negative-cached failures are skipped. The snapshot is
-// taken shard by shard under each shard's lock, so fn runs without any
-// lock held and may call back into the cache; entries added or removed
-// while ForEach runs may or may not be seen. The manifest exporter of
-// world images is the consumer: it persists keys and tiers, never
-// machine code.
-func (c *Cache[V]) ForEach(fn func(Key, V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		snap := make(map[Key]*entry[V], len(s.entries))
-		for k, e := range s.entries {
-			snap[k] = e
-		}
-		s.mu.Unlock()
-		for k, e := range snap {
-			select {
-			case <-e.done:
-				if e.err == nil {
-					fn(k, e.val)
-				}
-			default:
-			}
-		}
-	}
-}
-
 // InvalidateMap removes every customization that depends on m: code
 // customized for receivers of m, and code compiled from methods whose
 // holder is m (the method body itself may have been redefined). Blocks

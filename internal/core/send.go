@@ -605,7 +605,7 @@ func assignedUpNames(blk *ast.Block) []string {
 // scanCaptures computes the closure's captured variables: every free
 // name of the block that resolves in its lexical scope, plus self. Their
 // order — names sorted, self included — is the closure's cell layout:
-// the block compile indexes the cells by it and world images record it.
+// the block compile indexes the cells by it.
 func (cp *compilation) scanCaptures(bt types.Blk) []ir.Capture {
 	sc, _ := bt.Scope.(*scope)
 	if sc == nil {

@@ -257,21 +257,6 @@ type Map struct {
 	// Indexable marks vector maps: instances carry Elems.
 	Indexable bool
 
-	// LoadOrd is the map's ordinal in World.LoadMaps when it was
-	// created during world construction or a source load (-1 for maps
-	// minted at run time by compiled object literals). Load ordinals
-	// are replay-deterministic — re-loading the same sources in the
-	// same order recreates the same sequence — which is what world
-	// images key on; raw IDs are not, because run-time compiles
-	// interleave with loads.
-	LoadOrd int
-
-	// Lit is the object literal this map was built from (nil for
-	// builtin and lobby maps). Run-time maps are identified across an
-	// image boundary by their literal's position in the owning
-	// method's AST walk.
-	Lit *ast.ObjectLit
-
 	// Tags are the per-field typed-shape tags (one per assignable data
 	// slot, indexed like Object.Fields): nil = no store observed yet,
 	// PolyShape = stores of more than one map observed, any other map =

@@ -13,19 +13,10 @@ import (
 type World struct {
 	// mapMu guards map creation: run-time object literals mint maps
 	// from concurrent compiles (the single-flight cache runs compiles
-	// on worker goroutines), so the ID counter and the load registry
-	// need a lock even though source loading itself is single-threaded.
+	// on worker goroutines), so the ID counter needs a lock even
+	// though source loading itself is single-threaded.
 	mapMu     sync.Mutex
 	nextMapID int
-
-	// loadMaps registers every map created while loading (world
-	// construction and Load calls), in creation order. The order is a
-	// pure function of the source texts loaded, so it is the stable
-	// coordinate system world images use to name maps.
-	loadMaps []*Map
-	// loading is true during world construction and Load; maps created
-	// while it is set get a LoadOrd.
-	loading bool
 
 	Lobby *Object
 
@@ -71,8 +62,6 @@ type World struct {
 // otherwise empty lobby. Callers normally load the prelude next.
 func NewWorld() *World {
 	w := &World{}
-	w.loading = true
-	defer func() { w.loading = false }()
 	w.NilMap = w.newMap("nil")
 	w.IntMap = w.newMap("smallInt")
 	w.StrMap = w.newMap("string")
@@ -111,27 +100,7 @@ func (w *World) newMap(name string) *Map {
 	w.mapMu.Lock()
 	defer w.mapMu.Unlock()
 	w.nextMapID++
-	m := &Map{ID: w.nextMapID, Name: name, byName: map[string]int{}, LoadOrd: -1}
-	if w.loading {
-		m.LoadOrd = len(w.loadMaps)
-		w.loadMaps = append(w.loadMaps, m)
-	}
-	return m
-}
-
-func (w *World) setLoading(b bool) {
-	w.mapMu.Lock()
-	w.loading = b
-	w.mapMu.Unlock()
-}
-
-// LoadMaps returns the registry of maps created during world
-// construction and source loads, in creation order. The slice is the
-// world's own bookkeeping: callers must treat it as read-only.
-func (w *World) LoadMaps() []*Map {
-	w.mapMu.Lock()
-	defer w.mapMu.Unlock()
-	return w.loadMaps
+	return &Map{ID: w.nextMapID, Name: name, byName: map[string]int{}}
 }
 
 // addSlot appends a slot to a map, assigning field indices to data
@@ -253,8 +222,6 @@ func (w *World) NewVector(n int, fill Value) *Object {
 // literals). Definitions are processed in order, so files may refer to
 // anything defined earlier.
 func (w *World) Load(f *ast.File) error {
-	w.setLoading(true)
-	defer w.setLoading(false)
 	for _, s := range f.Slots {
 		if err := w.installSlot(w.Lobby, s); err != nil {
 			return err
@@ -330,7 +297,6 @@ func (w *World) evalInit(e ast.Expr) (Value, error) {
 // creating a new map for it.
 func (w *World) BuildObject(lit *ast.ObjectLit) (Value, error) {
 	m := w.newMap(fmt.Sprintf("obj@%s", lit.P))
-	m.Lit = lit
 	o := &Object{Map: m}
 	for _, s := range lit.Slots {
 		if err := w.installSlot(o, s); err != nil {

@@ -124,7 +124,6 @@ type Router struct {
 	reg      *metrics.Registry
 	replicas []*replica
 	start    time.Time
-	bootDur  time.Duration // New() construction time; routers are always cold-booted
 	stop     chan struct{}
 	stopped  chan struct{}
 	scatter  atomic.Uint64 // PolicyRandom sequence
@@ -168,7 +167,6 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: replica %q: %v", r.name, err)
 		}
 	}
-	rt.bootDur = time.Since(rt.start)
 	go rt.healthLoop()
 	return rt, nil
 }
@@ -431,7 +429,10 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 
 	rq := upstreamRequest{method: "POST", target: endpoint, rid: rid,
 		tenantHeader: rt.cfg.TenantHeader, tenant: tenant, body: body}
-	var shed reply // the 429 with the larger Retry-After, kept for the final relay
+	// shed is the 429 with the larger Retry-After, kept for the final
+	// relay: when the failover then fails (transport or draining), the
+	// home's "busy, retry after N" is the truer answer than a 502/503.
+	var shed reply
 	defer shed.release()
 	for i, rep := range prefs {
 		var rp reply
@@ -443,6 +444,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 			if i+1 < len(prefs) {
 				rt.m.failovers.With(reasonTransport).Inc()
 				continue
+			}
+			if shed.buf != nil {
+				return relay(w, &shed)
 			}
 			return rt.fail(w, r, http.StatusBadGateway, "transport",
 				fmt.Sprintf("replica %s: %v", rep.name, err))
@@ -472,6 +476,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, endpoint string)
 			if i+1 < len(prefs) {
 				rt.m.failovers.With(reasonDraining).Inc()
 				continue
+			}
+			if shed.buf != nil {
+				return relay(w, &shed)
 			}
 			return rt.fail(w, r, http.StatusServiceUnavailable, "draining",
 				fmt.Sprintf("replica %s is draining", rep.name))
@@ -544,19 +551,7 @@ type statuszView struct {
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Policy        string          `json:"policy"`
 	TenantHeader  string          `json:"tenant_header"`
-	Boot          bootStatus      `json:"boot"`
 	Replicas      []replicaStatus `json:"replicas"`
-}
-
-// bootStatus is the boot-provenance block every tier of the fleet
-// exposes on /statusz. The router has no world to restore, so its
-// image is always "cold" and prepromoted always 0; the fields exist so
-// fleet tooling can scrape one shape everywhere.
-type bootStatus struct {
-	Image       string  `json:"image"`
-	BootSeconds float64 `json:"boot_seconds"`
-	Prepromoted int64   `json:"prepromoted"`
-	Ready       bool    `json:"ready"`
 }
 
 type replicaStatus struct {
@@ -570,11 +565,6 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 		Policy:        rt.cfg.Policy.String(),
 		TenantHeader:  rt.cfg.TenantHeader,
-		Boot: bootStatus{
-			Image:       "cold",
-			BootSeconds: rt.bootDur.Seconds(),
-			Ready:       true,
-		},
 	}
 	for _, rep := range rt.replicas {
 		view.Replicas = append(view.Replicas, replicaStatus{

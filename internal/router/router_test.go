@@ -283,6 +283,74 @@ func TestTransportFailover(t *testing.T) {
 	}
 }
 
+// TestShedSurvivesFailedFailover: the home replica sheds with
+// Retry-After 2 and the failover then fails, by a refused connection
+// or a 503 from a replica draining before the health poll noticed.
+// The client gets the home's 429 and its hint, not the failover's
+// 502/503; the failed replica still leaves the ring and the failover
+// is counted under its reason.
+func TestShedSurvivesFailedFailover(t *testing.T) {
+	draining503 := func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"error": {"kind": "draining", "message": "stub draining"}}`)
+	}
+	for _, c := range []struct {
+		name   string
+		closed bool
+		reason string
+	}{
+		{"closed-listener", true, reasonTransport},
+		{"draining", false, reasonDraining},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			home := newStub(t, shed429("2"))
+			second := newStub(t, draining503)
+			secondURL := second.ts.URL
+			if c.closed {
+				second.ts.Close()
+			}
+			rt, ts := newTestRouter(t, Config{
+				Replicas:    []string{home.ts.URL, secondURL},
+				HealthEvery: time.Hour, // only the request path may drop it
+			})
+			// Let the boot-time probes land, then model the second
+			// replica failing between polls.
+			settled(t, rt.replicas[0])
+			if c.closed {
+				deadline := time.Now().Add(5 * time.Second)
+				for len(rt.healthySnapshot()) != 1 && time.Now().Before(deadline) {
+					time.Sleep(2 * time.Millisecond)
+				}
+				rt.replicas[1].healthy.Store(true)
+			} else {
+				settled(t, rt.replicas[1])
+			}
+
+			resp := postTenant(t, ts.URL, tenantFor(t, rt, home.ts.URL), `{"expr": "1"}`)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status %d %s, want the home's 429", resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("Retry-After"); got != "2" {
+				t.Fatalf("Retry-After %q, want the home's 2", got)
+			}
+			if !strings.Contains(string(body), "stub shed") {
+				t.Fatalf("body %s, want the home's shed reply", body)
+			}
+			if got := rt.m.failovers.With(reasonShed).Value(); got != 1 {
+				t.Fatalf("shed failovers %d, want 1", got)
+			}
+			if got := rt.m.failovers.With(c.reason).Value(); got != 0 {
+				t.Fatalf("%s failovers %d, want 0 (the failed replica was the last try)", c.reason, got)
+			}
+			if h := rt.healthySnapshot(); len(h) != 1 || h[0].name != home.ts.URL {
+				t.Fatal("the failed failover replica was not dropped from the ring")
+			}
+		})
+	}
+}
+
 // TestHealthGate: a replica whose /readyz flips 503 leaves the ring
 // within a poll interval and traffic avoids it; when it recovers, its
 // keys come home.
@@ -678,9 +746,9 @@ func TestStatuszAndMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStatuszBootProvenance: the router's /statusz carries the
-// fleet-wide boot block — always "cold" (a router has no world), with
-// a recorded construction time.
+// TestStatuszBootProvenance: the router's /statusz says how long the
+// router has been up and which header names the tenant (the ring and
+// policy are TestStatuszAndMetricsExposition's).
 func TestStatuszBootProvenance(t *testing.T) {
 	a := newStub(t, ok200)
 	_, ts := newTestRouter(t, Config{Replicas: []string{a.ts.URL}})
@@ -689,22 +757,15 @@ func TestStatuszBootProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var view struct {
-		Boot struct {
-			Image       string  `json:"image"`
-			BootSeconds float64 `json:"boot_seconds"`
-			Prepromoted int64   `json:"prepromoted"`
-			Ready       bool    `json:"ready"`
-		} `json:"boot"`
-	}
+	var view statuszView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Boot.Image != "cold" || !view.Boot.Ready || view.Boot.Prepromoted != 0 {
-		t.Fatalf("router boot block: %+v", view.Boot)
+	if view.UptimeSeconds <= 0 {
+		t.Fatalf("router uptime_seconds %v, want > 0", view.UptimeSeconds)
 	}
-	if view.Boot.BootSeconds <= 0 {
-		t.Fatalf("router boot_seconds %v, want > 0", view.Boot.BootSeconds)
+	if view.TenantHeader != "X-Tenant" {
+		t.Fatalf("router tenant_header %q, want the default X-Tenant", view.TenantHeader)
 	}
 }
 

@@ -357,13 +357,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, _ string) 
 		fmt.Fprintln(w, "draining")
 		return
 	}
-	if !s.ready.Load() {
-		// Warm boot still pre-promoting its manifest: hold traffic off
-		// until the hot code set is resident.
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "warming")
-		return
-	}
 	fmt.Fprintln(w, "ready")
 }
 
@@ -381,7 +374,6 @@ type statuszView struct {
 	LoadedPrograms int                  `json:"loaded_programs"`
 	InternedExprs  int                  `json:"interned_exprs"`
 	Benches        []string             `json:"benches"`
-	Boot           BootInfo             `json:"boot"`
 	Cache          statuszCache         `json:"codecache"`
 	Tiers          map[string]int       `json:"tiers"`
 	Promotions     *wire.PromotionsJSON `json:"promotions"`
@@ -428,7 +420,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request, _ string)
 		LoadedPrograms: s.LoadedPrograms(),
 		InternedExprs:  s.InternedExprs(),
 		Benches:        benches,
-		Boot:           s.Boot(),
 		Cache: statuszCache{Hits: cs.Hits, Misses: cs.Misses, Waits: cs.Waits,
 			Evicted: cs.Evicted, Entries: cs.Entries},
 		Tiers: s.root.TierCounts(),

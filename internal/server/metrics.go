@@ -141,30 +141,6 @@ func (s *Server) registerMetrics() {
 		"Shared-cache entries resident.",
 		func() float64 { return float64(s.root.CacheStats().Entries) })
 
-	// World-image warm start. restore_seconds and prepromoted_total
-	// are 0 on a cold boot; time_to_ready covers New-to-ready
-	// (including background pre-promotion) and is 0 until ready.
-	r.GaugeFunc("selfgo_image_restore_seconds",
-		"Image decode + source replay + state restore time (0 = cold boot).",
-		func() float64 { return s.restoreDur.Seconds() })
-	r.CounterFunc("selfgo_prepromoted_total",
-		"Manifest entries re-compiled at their recorded tier during warm boot.",
-		func() float64 { return float64(s.prepromoted.Load()) })
-	r.CounterFunc("selfgo_prepromote_failed_total",
-		"Manifest entries whose boot-time recompile failed (fell back to on-demand).",
-		func() float64 { return float64(s.prepromoteFailed.Load()) })
-	r.GaugeFunc("selfserved_ready",
-		"1 once boot (including manifest pre-promotion) has completed.",
-		func() float64 {
-			if s.ready.Load() {
-				return 1
-			}
-			return 0
-		})
-	r.GaugeFunc("selfserved_time_to_ready_seconds",
-		"Seconds from process start to readiness (0 while warming).",
-		func() float64 { return float64(s.readySeconds.Load()) / 1e6 })
-
 	// Adaptive tier promotion.
 	r.CounterFunc("selfgo_promotions_installed_total",
 		"Background tier promotions installed into the shared cache.",

@@ -33,7 +33,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,14 +100,6 @@ type Config struct {
 	// (default 1024; past it the least-recently-used entry is dropped
 	// and its compiled code evicted from the shared cache).
 	MaxEvalPrograms int
-
-	// ImagePath, when set, boots the world from that image instead of
-	// cold-loading the prelude: the image's recorded sources are
-	// replayed, saved object state is restored on top, interned eval
-	// programs are re-seeded, and the code-cache manifest is
-	// re-compiled in the background. /readyz stays 503 until that
-	// pre-promotion finishes.
-	ImagePath string
 }
 
 // ShortDeadline is the deadline at or below which the server forces a
@@ -190,17 +181,6 @@ type Server struct {
 	served   atomic.Int64 // requests answered (any status)
 	drained  atomic.Int64 // requests completed while draining
 
-	// Boot provenance. imageHash and restoreDur are fixed at New
-	// ("" / 0 for a cold boot); ready flips once background
-	// pre-promotion finishes (immediately on a cold boot), and
-	// readySeconds records the time-to-ready at that moment.
-	imageHash        string
-	restoreDur       time.Duration
-	prepromoted      atomic.Int64
-	prepromoteFailed atomic.Int64
-	ready            atomic.Bool
-	readySeconds     atomic.Int64 // microseconds, stored once
-
 	// tiers is the tier map replies carry, rebuilt only when a compile
 	// moves the tally (tierCounts).
 	tiers atomic.Pointer[tierView]
@@ -214,11 +194,8 @@ type exprEntry struct {
 	elem *list.Element // its place in exprLRU
 }
 
-// New builds the shared system — cold (prelude load) or warm (world
-// image replay + restore) — preloads the named benchmarks, forks the
-// worker pool, and wires the metrics registry. On a warm boot the
-// manifest pre-promotion runs in the background; /readyz reports 503
-// until it finishes.
+// New builds the shared system, preloads the named benchmarks, forks
+// the worker pool, and wires the metrics registry.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -231,47 +208,15 @@ func New(cfg Config) (*Server, error) {
 		exprLRU: list.New(),
 		benches: map[string]benchEntry{},
 	}
-
-	var boot *selfgo.Boot
-	if cfg.ImagePath != "" {
-		f, err := os.Open(cfg.ImagePath)
-		if err != nil {
-			return nil, fmt.Errorf("opening image: %w", err)
-		}
-		boot, err = selfgo.BootFromImage(f, cfg.Compiler, cfg.Mode, cfg.PromoteThreshold)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("booting from image %s: %w", cfg.ImagePath, err)
-		}
-		s.root = boot.Sys
-		s.imageHash = boot.Hash
-		s.restoreDur = boot.RestoreDuration
-		// The replayed sources are already in the world: seed the
-		// program-dedup table so a trace that re-submits them does not
-		// re-load (a re-load would reshape maps and invalidate the
-		// code the manifest is about to rebuild). Same for the
-		// restored eval programs: re-seeding the intern table keeps
-		// their identity — and thus their pre-promoted cache entries —
-		// live for replayed /eval traffic.
-		for _, src := range boot.Sources {
-			s.loaded[sha256.Sum256([]byte(src))] = true
-		}
-		for _, p := range boot.Programs {
-			s.internLocked(sha256.Sum256([]byte(p.Source)), p)
-		}
-	} else {
-		root, err := selfgo.NewTieredSystem(cfg.Compiler, cfg.Mode, cfg.PromoteThreshold)
-		if err != nil {
-			return nil, err
-		}
-		s.root = root
+	root, err := selfgo.NewTieredSystem(cfg.Compiler, cfg.Mode, cfg.PromoteThreshold)
+	if err != nil {
+		return nil, err
 	}
+	s.root = root
 
 	// Preload benchmarks: their sources join the shared world once, so
 	// every later /run request is pure execution against warm or
-	// warming cache. A warm boot normally replayed them out of the
-	// image already; only benchmarks the image does not carry load
-	// here.
+	// warming cache.
 	names := cfg.Benches
 	if names == nil {
 		for _, b := range bench.ParallelSafe() {
@@ -286,10 +231,8 @@ func New(cfg Config) (*Server, error) {
 		if !b.ParallelSafe {
 			return nil, fmt.Errorf("benchmark %q keeps state in lobby globals and cannot run on concurrent workers", name)
 		}
-		if !s.loaded[sha256.Sum256([]byte(b.Source))] {
-			if err := s.root.LoadSource(b.Source); err != nil {
-				return nil, fmt.Errorf("preloading %s: %w", name, err)
-			}
+		if err := s.root.LoadSource(b.Source); err != nil {
+			return nil, fmt.Errorf("preloading %s: %w", name, err)
 		}
 		s.benches[name] = benchEntry{b: b}
 	}
@@ -303,96 +246,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.registerMetrics()
-
-	if boot != nil && boot.ManifestLen() > 0 {
-		// Rebuild the hot code set off the request path. Readiness is
-		// gated on completion, so a load balancer only routes here
-		// once the manifest's code is resident at its recorded tiers.
-		go func() {
-			compiled, failed := boot.Prepromote(cfg.Pool)
-			s.prepromoted.Store(int64(compiled))
-			s.prepromoteFailed.Store(int64(failed))
-			s.markReady()
-		}()
-	} else {
-		s.markReady()
-	}
 	return s, nil
-}
-
-// markReady flips the readiness gate once and records time-to-ready.
-func (s *Server) markReady() {
-	if s.ready.CompareAndSwap(false, true) {
-		s.readySeconds.Store(time.Since(s.start).Microseconds())
-	}
-}
-
-// Ready reports whether boot (including any background manifest
-// pre-promotion) has completed.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
-// BootInfo describes how this process came up, for /statusz.
-type BootInfo struct {
-	// Image is the booted image's hash, or "cold".
-	Image string `json:"image"`
-	// ReadySeconds is the time from New to readiness (0 while still
-	// warming); RestoreSeconds the image decode+replay+restore time.
-	ReadySeconds   float64 `json:"ready_seconds"`
-	RestoreSeconds float64 `json:"restore_seconds"`
-	// Prepromoted counts manifest entries re-compiled at boot;
-	// PrepromoteFailed the ones that fell back to on-demand compiles.
-	Prepromoted      int64 `json:"prepromoted"`
-	PrepromoteFailed int64 `json:"prepromote_failed"`
-	Ready            bool  `json:"ready"`
-}
-
-// Boot reports this server's boot provenance.
-func (s *Server) Boot() BootInfo {
-	info := BootInfo{
-		Image:            "cold",
-		RestoreSeconds:   s.restoreDur.Seconds(),
-		ReadySeconds:     float64(s.readySeconds.Load()) / 1e6,
-		Prepromoted:      s.prepromoted.Load(),
-		PrepromoteFailed: s.prepromoteFailed.Load(),
-		Ready:            s.ready.Load(),
-	}
-	if s.imageHash != "" {
-		info.Image = s.imageHash
-	}
-	return info
-}
-
-// SaveImage writes a world image — sources, object state, interned
-// eval programs, code-cache manifest — to path. Meant to run after
-// Drain and listener shutdown: it takes the world lock exclusively, so
-// any still-running request finishes first, and drains background
-// promotions so the manifest sees settled tiers.
-func (s *Server) SaveImage(path string) (*selfgo.ImageInfo, error) {
-	s.root.DrainPromotions()
-	s.worldMu.Lock()
-	defer s.worldMu.Unlock()
-	// Oldest first, so a restored process re-interns in the same
-	// relative order and identical cache contents produce identical
-	// images.
-	s.progMu.Lock()
-	progs := make([]*selfgo.EvalProgram, 0, len(s.exprs))
-	for el := s.exprLRU.Back(); el != nil; el = el.Prev() {
-		progs = append(progs, el.Value.(*exprEntry).prog)
-	}
-	s.progMu.Unlock()
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("creating image file: %w", err)
-	}
-	info, err := s.root.SaveImage(f, progs)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("writing image: %w", cerr)
-	}
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	return info, nil
 }
 
 // Registry exposes the metrics registry (cmd/selfserved adds process

@@ -237,11 +237,20 @@ func TestAdmissionShedding(t *testing.T) {
 	<-release
 }
 
-// TestDrain: after Drain, new work is refused with 503 and readiness
-// flips, while a request already in flight runs to completion.
+// TestDrain: a server is ready as soon as New returns; after Drain,
+// new work is refused with 503 and readiness flips, while a request
+// already in flight runs to completion.
 func TestDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{Pool: 2, DefaultDeadline: time.Minute})
 	slow := `{"expr": "| s <- 0 | 1 upTo: 3000000 Do: [ :i | s: s + 1 ]. s"}`
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after New: %d, want 200", resp.StatusCode)
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -259,7 +268,7 @@ func TestDrain(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/eval", `{"expr": "1"}`); code != http.StatusServiceUnavailable {
 		t.Errorf("new request while draining: %d, want 503", code)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
+	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

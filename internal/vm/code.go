@@ -210,18 +210,6 @@ func (h *HotCounts) Backedges() int64 { return h.backedges.Load() }
 // Requested reports whether promotion was already requested.
 func (h *HotCounts) Requested() bool { return h.requested.Load() }
 
-// Seed restores persisted hotness state onto freshly compiled code: a
-// process booting from a world image replays the counters its
-// predecessor recorded, so adaptive promotion resumes where it left
-// off instead of re-learning from zero. Requested is seeded too —
-// manifest preload compiles directly at the recorded tier, so a
-// counter that already fired must not fire again.
-func (h *HotCounts) Seed(invocations, backedges int64, requested bool) {
-	h.invocations.Store(invocations)
-	h.backedges.Store(backedges)
-	h.requested.Store(requested)
-}
-
 // Code is one compiled method or block.
 type Code struct {
 	Name    string
@@ -604,14 +592,6 @@ func (c *Code) clone() *Code {
 		consts: c.consts, sites: c.sites, maps: c.maps, blocks: c.blocks,
 		callees: c.callees, names: c.names, args: slices.Clone(c.args), caps: slices.Clone(c.caps),
 		tails: slices.Clone(c.tails), pcs: c.pcs,
-	}
-}
-
-// BlockCaptures calls f with the block and capture list of every MkBlk
-// in the code, in stream order.
-func (c *Code) BlockCaptures(f func(blk *ast.Block, caps []ir.Capture)) {
-	for i := range c.blocks {
-		f(c.blocks[i].Blk, c.captures(&c.blocks[i]))
 	}
 }
 

@@ -3,6 +3,7 @@ package vm
 import (
 	"unsafe"
 
+	"selfgo/internal/ast"
 	"selfgo/internal/ir"
 	"selfgo/internal/obj"
 )
@@ -97,6 +98,14 @@ func (c *Code) Caps(pc int) []ir.Capture {
 		return c.captures(&c.blocks[in.Aux])
 	}
 	return nil
+}
+
+// BlockCaptures calls f with the block and capture list of every MkBlk
+// in the code, in stream order.
+func (c *Code) BlockCaptures(f func(blk *ast.Block, caps []ir.Capture)) {
+	for i := range c.blocks {
+		f(c.blocks[i].Blk, c.captures(&c.blocks[i]))
+	}
 }
 
 // ConstOf returns the value a Const loads.

@@ -1,7 +1,6 @@
 package selfgo_test
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -151,12 +150,9 @@ const (
 	unfused                 // Fuse leaves every Code as assembled
 	poisoned                // loop-simulation releases poison what they free
 	legacy                  // the hand-built pre-pipeline compile path (legacyRun)
-	imaged                  // booted from an image saved right after loading
-	warmSave                // shipped, then an image saved after the run
-	warmBoot                // booted from cell.from's warmSave image, prepromoted
 )
 
-var variantNames = [...]string{"shipped", "raw", "unfused", "poisoned", "legacy", "image", "warm-save", "warm-boot"}
+var variantNames = [...]string{"shipped", "raw", "unfused", "poisoned", "legacy"}
 
 // cell is one run: program × preset (with its strategy) × tier ×
 // variant × budget.
@@ -165,7 +161,6 @@ type cell struct {
 	cfg    selfgo.Config
 	mode   selfgo.TierMode
 	v      variant
-	from   selfgo.Strategy // warmBoot: the strategy the image was saved under
 	budget selfgo.Budget
 }
 
@@ -191,9 +186,6 @@ func (c cell) String() string {
 	if c.v != shipped {
 		s += "/" + variantNames[c.v]
 	}
-	if c.v == warmBoot {
-		s += "-from-" + c.from.String()
-	}
 	return s
 }
 
@@ -214,7 +206,7 @@ func (c cell) key() cellKey {
 // observed is what a run shows its caller: the value, RunStats and
 // compile record, or the fault's kind, message and backtrace (pcs
 // included), or Err for anything that is no runtime fault (a parse
-// error, a failed load or boot).
+// error, a failed load).
 type observed struct {
 	Value   string
 	Run     selfgo.RunStats
@@ -251,10 +243,6 @@ type outcome struct {
 	// AllocErr is vm.CheckAllocation's first complaint about any Code
 	// the run assembled; "" when every allocation checked.
 	AllocErr string
-	// PrepromoteFailed counts a warm boot's manifest entries that did
-	// not compile.
-	PrepromoteFailed int
-	image            []byte // warmSave: the image saved after the run
 }
 
 // matrix is the per-binary memo. Cells run one at a time (the hook is
@@ -273,13 +261,7 @@ func get(t testing.TB, c cell) *outcome {
 	if ok {
 		matrix.saved++
 	} else {
-		var img []byte
-		if c.v == warmBoot {
-			save := c
-			save.cfg.Strategy, save.v, save.from = c.from, warmSave, 0
-			img = get(t, save).image
-		}
-		o = runCell(c, img)
+		o = runCell(c)
 		matrix.ran++
 		// A fuzzing process never sees an input twice: no memo there.
 		if f := flag.Lookup("test.fuzz"); f == nil || f.Value.String() == "" {
@@ -317,14 +299,14 @@ func checkAllocation(rawCode, code *vm.Code, rawText, text string) error {
 // extra compiles.
 func repeat(c cell) *outcome {
 	matrix.repeats++
-	return runCell(c, nil)
+	return runCell(c)
 }
 
 // runCell is the one runner: it installs vm.TestHookAssemble for the
 // run — hashing every Code three ways, checking its allocation,
 // recording its frame width and, under raw, handing the un-allocated
 // code back — and runs c's program on the system c's variant builds.
-func runCell(c cell, img []byte) *outcome {
+func runCell(c cell) *outcome {
 	o := &outcome{}
 	hr, ha, hf := sha256.New(), sha256.New(), sha256.New()
 	vm.TestHookAssemble = func(rawCode, code *vm.Code) *vm.Code {
@@ -345,7 +327,7 @@ func runCell(c cell, img []byte) *outcome {
 		return code
 	}
 	defer func() { vm.TestHookAssemble = nil }()
-	run := func() { o.observed = c.exec(o, img) }
+	run := func() { o.observed = c.exec() }
 	switch c.v {
 	case unfused:
 		selfgo.WithUnfusedAssembly(run)
@@ -359,11 +341,11 @@ func runCell(c cell, img []byte) *outcome {
 }
 
 // exec runs c's program on the system its variant builds.
-func (c cell) exec(o *outcome, img []byte) observed {
+func (c cell) exec() observed {
 	if c.v == legacy {
 		return legacyRun(c)
 	}
-	sys, err := c.system(o, img)
+	sys, err := c.system()
 	if err != nil {
 		return observed{Err: err.Error()}
 	}
@@ -376,21 +358,11 @@ func (c cell) exec(o *outcome, img []byte) observed {
 	if err != nil {
 		return observeErr(err)
 	}
-	if c.v == warmSave {
-		var buf bytes.Buffer
-		if _, err := sys.SaveImage(&buf, nil); err != nil {
-			return observed{Err: "SaveImage: " + err.Error()}
-		}
-		o.image = buf.Bytes()
-	}
 	return observed{Value: res.Value.String(), Run: res.Run, Compile: res.Compile}
 }
 
 // system builds c's system with its program loaded and its budget set.
-func (c cell) system(o *outcome, img []byte) (*selfgo.System, error) {
-	if c.v == warmBoot {
-		return c.boot(o, img)
-	}
+func (c cell) system() (*selfgo.System, error) {
 	sys, err := selfgo.NewTieredSystem(c.cfg, c.mode, 0)
 	if err != nil {
 		return nil, err
@@ -401,25 +373,7 @@ func (c cell) system(o *outcome, img []byte) (*selfgo.System, error) {
 	if err := sys.LoadSource(c.p.src); err != nil {
 		return nil, err
 	}
-	if c.v == imaged {
-		var buf bytes.Buffer
-		if _, err := sys.SaveImage(&buf, nil); err != nil {
-			return nil, err
-		}
-		return c.boot(o, buf.Bytes())
-	}
 	return sys, nil
-}
-
-// boot builds c's system from img and prepromotes its manifest.
-func (c cell) boot(o *outcome, img []byte) (*selfgo.System, error) {
-	b, err := selfgo.BootFromImage(bytes.NewReader(img), c.cfg, c.mode, 0)
-	if err != nil {
-		return nil, err
-	}
-	_, o.PrepromoteFailed = b.Prepromote(1)
-	b.Sys.SetBudget(c.budget)
-	return b.Sys, nil
 }
 
 // observeErr is what a failed run shows.
@@ -461,8 +415,7 @@ func isPreset(cfg, preset selfgo.Config) bool {
 // keepReduced: new SELF's shipped opt/split cells on every program (the
 // reference the rows compare against), otherwise the light programs at
 // the optimizing tier under new SELF with any strategy (the §7
-// comparison-facts extension included) or ST-80 with split — and of
-// the cross-strategy boots the diagonal and split to bbv.
+// comparison-facts extension included) or ST-80 with split.
 func keepReduced(c cell) bool {
 	newSELF := isPreset(c.cfg, selfgo.NewSELF)
 	switch {
@@ -472,8 +425,6 @@ func keepReduced(c cell) bool {
 		return true
 	case !c.p.light:
 		return false
-	case c.v == warmBoot:
-		return c.from == c.cfg.Strategy || c.from == selfgo.StrategySplit && c.cfg.Strategy == selfgo.StrategyBBV
 	}
 	noFacts := c.cfg
 	noFacts.ComparisonFacts = false

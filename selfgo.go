@@ -229,7 +229,7 @@ type System struct {
 	framesSeen FrameStats // machine.Frames as of the last TakeFrameStats
 
 	// cache holds every compiled Code of this system and its forks;
-	// world map changes invalidate it (see newSystem).
+	// world map changes invalidate it (see NewTieredSystem).
 	cache *codecache.Cache[*vm.Code]
 
 	// promoteThreshold is the hotness count that triggers promotion in
@@ -244,38 +244,6 @@ type System struct {
 	// order; forked workers append to their parent's log, so it is
 	// mutex-protected.
 	log *compileLog
-
-	// sources records every text successfully loaded into the world,
-	// in order — the replayable recipe world images are built on.
-	// Shared across forks like the log.
-	sources *sourceLog
-}
-
-// sourceLog is the shared, locked load-text record. dirty is set when
-// a load failed partway: the world then no longer matches any
-// replayable source sequence and SaveImage refuses to run.
-type sourceLog struct {
-	mu    sync.Mutex
-	texts []string
-	dirty bool
-}
-
-func (l *sourceLog) add(src string) {
-	l.mu.Lock()
-	l.texts = append(l.texts, src)
-	l.mu.Unlock()
-}
-
-func (l *sourceLog) markDirty() {
-	l.mu.Lock()
-	l.dirty = true
-	l.mu.Unlock()
-}
-
-func (l *sourceLog) snapshot() ([]string, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.texts...), l.dirty
 }
 
 // compileLog is the shared, locked compile log. Every reply reports the
@@ -441,14 +409,6 @@ func NewTieredSystem(cfg Config, mode TierMode, promoteThreshold int64) (*System
 	if promoteThreshold <= 0 {
 		promoteThreshold = DefaultPromoteThreshold
 	}
-	return newSystem(cfg, mode, promoteThreshold, true)
-}
-
-// newSystem builds a system. loadPrelude is false only when booting
-// from a world image, whose recorded source list starts with the
-// prelude text the saving process loaded — replaying that (possibly
-// older) text is what makes the image self-contained.
-func newSystem(cfg Config, mode TierMode, promoteThreshold int64, loadPrelude bool) (*System, error) {
 	w := obj.NewWorld()
 	if cfg.Strategy != core.StrategySplit {
 		// Typed shapes must observe every field store from the first
@@ -462,7 +422,6 @@ func newSystem(cfg Config, mode TierMode, promoteThreshold int64, loadPrelude bo
 		Cfg: cfg, Mode: mode, world: w, cache: cache,
 		promoteThreshold: promoteThreshold,
 		prom:             &promAgg{}, log: &compileLog{},
-		sources: &sourceLog{},
 	}
 	s.pipeOpt = core.NewPipeline(w, cfg, core.TierOptimizing)
 	s.pipeBase = core.NewPipeline(w, cfg, core.TierBaseline)
@@ -472,10 +431,8 @@ func newSystem(cfg Config, mode TierMode, promoteThreshold int64, loadPrelude bo
 	// typed-shape widening) reshapes a map the compiler already
 	// specialized against.
 	w.OnMapChange = func(m *obj.Map) { cache.InvalidateMap(m) }
-	if loadPrelude {
-		if err := s.LoadSource(prelude.Source); err != nil {
-			return nil, fmt.Errorf("loading prelude: %w", err)
-		}
+	if err := s.LoadSource(prelude.Source); err != nil {
+		return nil, fmt.Errorf("loading prelude: %w", err)
 	}
 	return s, nil
 }
@@ -645,7 +602,6 @@ func (s *System) Fork() *System {
 		promoteThreshold: s.promoteThreshold,
 		prom:             s.prom,
 		log:              s.log,
-		sources:          s.sources,
 	}
 	w.machine = w.newVM()
 	w.machine.Budget = s.machine.Budget
@@ -738,20 +694,15 @@ func (s *System) TierTally() TierTally { return s.log.tierTally() }
 func (s *System) World() *World { return s.world }
 
 // LoadSource parses src as lobby slot definitions and installs them.
-// Successful loads are recorded for SaveImage; a load that fails after
-// installing some slots leaves the world unreplayable and poisons
-// image saving (a parse error installs nothing and poisons nothing).
 func (s *System) LoadSource(src string) error {
 	f, err := parser.ParseFile(src)
 	if err != nil {
 		return err
 	}
 	if err := s.world.Load(f); err != nil {
-		s.sources.markDirty()
 		return err
 	}
 	s.world.Finalize()
-	s.sources.add(src)
 	return nil
 }
 
